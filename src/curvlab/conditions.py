@@ -6,6 +6,13 @@ family to flat paddings and to cyclic frame sums, and multistart projected
 gradient descent over Stiefel manifolds that turns "for all frames"
 quantifiers into checkable minimizations.
 
+Every frame functional goes through one kernel: the contraction
+C[a, b, c, :] = R(e_a, e_b, e_c, .) of the tensor with the frame rows, with
+F = C v^T, and each functional is <S, F> for a coefficient tensor S that
+carries the pair symmetries of R.  Because S and R share those symmetries,
+the Euclidean gradient in the frame is 4 S C, contracting S with C over
+the first three slots.
+
 The minimizers are heuristic certificates: the frame manifold is compact
 and low dimensional, so seeded multistart local descent is reliable at
 this scale, but a reported minimum is an upper bound on the true one, not
@@ -18,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .frames import Frame, lift_frame, cyclic_frames, random_frame, unitary_action
+from .frames import Frame, cyclic_frames, lift_frame, random_block_rotation, random_frame, random_unitary, unitary_action
 from .tensors import CurvatureTensor, pad_euclidean
 
 __all__ = [
@@ -113,23 +120,50 @@ class ConditionReport:
 
 
 # ---------------------------------------------------------------------------
+# The frame-contraction kernel
+
+
+def _symmetrized_units(k: int, slots) -> np.ndarray:
+    """Unit k^4 tensors at ``slots``, averaged over the pair symmetries of R.
+
+    Row i pairs with the contraction F = R(e_a, e_b, e_c, e_d) of a k-frame
+    to give the component of R at ``slots[i]``.
+    """
+    out = np.zeros((len(slots), k, k, k, k))
+    for row, (a, b, c, d) in enumerate(slots):
+        for i, j, p, q, sign in ((a, b, c, d, 1), (b, a, c, d, -1), (a, b, d, c, -1), (b, a, d, c, 1)):
+            out[row, i, j, p, q] += sign / 8.0
+            out[row, p, q, i, j] += sign / 8.0
+    return out.reshape(len(slots), k**4)
+
+
+# (K13, K14, K23, K24, R(e1, e2, e3, e4)) on 4-frames; K12 on 2-frames.
+_FOUR_FRAME_BASIS = _symmetrized_units(4, ((0, 2, 0, 2), (0, 3, 0, 3), (1, 2, 1, 2), (1, 3, 1, 3), (0, 1, 2, 3)))
+_TWO_FRAME_BASIS = _symmetrized_units(2, ((0, 1, 0, 1),))
+
+
+def _contract(r4: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """C[a, b, c, :] = R(e_a, e_b, e_c, .) for the rows e_a of v."""
+    k, n = v.shape
+    return v @ (v @ (v @ r4.reshape(n, n**3)).reshape(k, n, n * n)).reshape(k, k, n, n)
+
+
+def _lam_mu_coeffs(lam: float, mu: float) -> np.ndarray:
+    """Coefficients of the weighted family over the 4-frame basis."""
+    l2 = lam * lam
+    m2 = mu * mu
+    return np.array([1.0, l2, m2, l2 * m2, -2.0 * lam * mu])
+
+
+# ---------------------------------------------------------------------------
 # Functionals
 
 
-def _five_terms(r4: np.ndarray, v: np.ndarray) -> tuple[float, float, float, float, float]:
-    """The five frame scalars (K13, K14, K23, K24, R(e1,e2,e3,e4))."""
-    e1, e2, e3, e4 = v
-    w3 = np.tensordot(r4, e3, axes=([3], [0]))
-    w4 = np.tensordot(r4, e4, axes=([3], [0]))
-    a3 = np.tensordot(w3, e3, axes=([1], [0]))
-    a4 = np.tensordot(w4, e4, axes=([1], [0]))
-    k13 = float(e1 @ a3 @ e1)
-    k23 = float(e2 @ a3 @ e2)
-    k14 = float(e1 @ a4 @ e1)
-    k24 = float(e2 @ a4 @ e2)
-    tm = np.tensordot(w4, e3, axes=([2], [0]))
-    mixed = float(e1 @ tm @ e2)
-    return k13, k14, k23, k24, mixed
+def _frame_value(r: CurvatureTensor, frame: Frame, kind: str, weights: Weights | None = None) -> float:
+    frame.require_rows(4)
+    if frame.n != r.n:
+        raise ValueError(f"dimension mismatch: tensor n={r.n}, frame n={frame.n}")
+    return _FrameObjective(r, kind, weights).value(frame.vectors)
 
 
 def isotropic_curvature(r: CurvatureTensor, frame: Frame) -> float:
@@ -138,11 +172,7 @@ def isotropic_curvature(r: CurvatureTensor, frame: Frame) -> float:
     ``K13 + K14 + K23 + K24 - 2 R(e1, e2, e3, e4)`` where ``Kab`` is the
     unnormalized sectional term ``R(ea, eb, ea, eb)``.
     """
-    frame.require_rows(4)
-    if frame.n != r.n:
-        raise ValueError(f"dimension mismatch: tensor n={r.n}, frame n={frame.n}")
-    k13, k14, k23, k24, mixed = _five_terms(r.array, frame.vectors)
-    return k13 + k14 + k23 + k24 - 2.0 * mixed
+    return _frame_value(r, frame, "isotropic")
 
 
 def weighted_isotropic_curvature(r: CurvatureTensor, frame: Frame, w: Weights) -> float:
@@ -152,13 +182,7 @@ def weighted_isotropic_curvature(r: CurvatureTensor, frame: Frame, w: Weights) -
     At (1, 1) this is the isotropic curvature; at (0, 0) it degenerates to
     the sectional term K13.
     """
-    frame.require_rows(4)
-    if frame.n != r.n:
-        raise ValueError(f"dimension mismatch: tensor n={r.n}, frame n={frame.n}")
-    k13, k14, k23, k24, mixed = _five_terms(r.array, frame.vectors)
-    l2 = w.lam * w.lam
-    m2 = w.mu * w.mu
-    return k13 + l2 * k14 + m2 * k23 + l2 * m2 * k24 - 2.0 * w.lam * w.mu * mixed
+    return _frame_value(r, frame, "lambda_mu", w)
 
 
 def lift_identity_residual(r: CurvatureTensor, frame: Frame, w: Weights) -> float:
@@ -214,9 +238,10 @@ def _family_min_scalars(k13, k14, k23, k24, mixed) -> tuple[float, float, float]
 class _FrameObjective:
     """Value and Euclidean gradient of a frame functional on k x n matrices.
 
-    Kinds: ``isotropic`` (4-frames), ``lambda_mu`` (4-frames, fixed
-    weights), ``lambda_mu_family`` (4-frames, weights minimized out on the
-    grid), ``sectional`` (2-frames).  ``negate`` flips the sign for
+    Every kind is <S, F> with S a coefficient vector over a fixed basis of
+    symmetrized k^4 tensors: ``isotropic`` and ``lambda_mu`` (4-frames,
+    fixed weights), ``lambda_mu_family`` (4-frames, weights minimized out
+    on the grid), ``sectional`` (2-frames).  ``negate`` flips the sign for
     maximization runs.
     """
 
@@ -225,84 +250,49 @@ class _FrameObjective:
             raise ValueError(f"unknown objective kind {kind!r}")
         if kind == "lambda_mu" and weights is None:
             raise ValueError("lambda_mu objective needs weights")
-        self.r = r
         self.r4 = r.array
         self.kind = kind
         self.weights = weights
         self.sign = -1.0 if negate else 1.0
         self.rows = 2 if kind == "sectional" else 4
-
-    def _coeffs(self, scalars) -> tuple[float, float, float, float, float]:
-        """Family coefficients (w13, w14, w23, w24, w_mixed) for the active weights."""
-        if self.kind == "isotropic":
-            return 1.0, 1.0, 1.0, 1.0, 1.0
-        if self.kind == "lambda_mu":
-            lam, mu = self.weights.lam, self.weights.mu
+        self.basis = _TWO_FRAME_BASIS if kind == "sectional" else _FOUR_FRAME_BASIS
+        if kind == "sectional":
+            self.coeffs = np.array([self.sign])
+        elif kind == "isotropic":
+            self.coeffs = self.sign * _lam_mu_coeffs(1.0, 1.0)
+        elif kind == "lambda_mu":
+            self.coeffs = self.sign * _lam_mu_coeffs(weights.lam, weights.mu)
         else:
-            _, lam, mu = _family_min_scalars(*scalars)
-        return 1.0, lam * lam, mu * mu, lam * lam * mu * mu, lam * mu
+            self.coeffs = None  # lambda_mu_family: chosen per frame in _terms
+
+    def _terms(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The contraction C, the basis scalars and the active coefficients."""
+        c = _contract(self.r4, v)
+        terms = self.basis @ (c @ v.T).ravel()
+        if self.kind != "lambda_mu_family":
+            return c, terms, self.coeffs
+        _, lam, mu = _family_min_scalars(*terms)
+        return c, terms, self.sign * _lam_mu_coeffs(lam, mu)
 
     def value(self, v: np.ndarray) -> float:
-        if self.kind == "sectional":
-            e1, e2 = v
-            a2 = np.tensordot(np.tensordot(self.r4, e2, axes=([3], [0])), e2, axes=([1], [0]))
-            return self.sign * float(e1 @ a2 @ e1)
-        scalars = _five_terms(self.r4, v)
-        if self.kind == "lambda_mu_family":
-            val, _, _ = _family_min_scalars(*scalars)
-            return self.sign * val
-        w13, w14, w23, w24, wm = self._coeffs(scalars)
-        k13, k14, k23, k24, mixed = scalars
-        return self.sign * (w13 * k13 + w14 * k14 + w23 * k23 + w24 * k24 - 2.0 * wm * mixed)
+        _, terms, coeffs = self._terms(v)
+        return float(coeffs @ terms)
 
     def active_weights(self, v: np.ndarray) -> Weights | None:
         if self.kind == "lambda_mu":
             return self.weights
         if self.kind == "lambda_mu_family":
-            _, lam, mu = _family_min_scalars(*_five_terms(self.r4, v))
+            _, lam, mu = _family_min_scalars(*self._terms(v)[1])
             return Weights(lam, mu)
         return None
 
     def value_grad(self, v: np.ndarray) -> tuple[float, np.ndarray]:
-        r4 = self.r4
-        if self.kind == "sectional":
-            e1, e2 = v
-            w2 = np.tensordot(r4, e2, axes=([3], [0]))
-            t = np.tensordot(w2, e1, axes=([2], [0]))  # t_ij = R(. , . , e1, e2) pattern
-            val = float((t @ e2) @ e1)
-            g = np.empty_like(v)
-            g[0] = 2.0 * (t @ e2)
-            g[1] = 2.0 * (e1 @ t)
-            return self.sign * val, self.sign * g
-
-        e1, e2, e3, e4 = v
-        w3 = np.tensordot(r4, e3, axes=([3], [0]))
-        w4 = np.tensordot(r4, e4, axes=([3], [0]))
-        # t3a[i, j] = sum_kl R_ijkl ea_k e3_l and the e4 analogues; each yields
-        # one slot-1 and one slot-2 contraction by dotting with the other row.
-        t3_1 = np.tensordot(w3, e1, axes=([2], [0]))
-        t3_2 = np.tensordot(w3, e2, axes=([2], [0]))
-        t4_1 = np.tensordot(w4, e1, axes=([2], [0]))
-        t4_2 = np.tensordot(w4, e2, axes=([2], [0]))
-        tm = np.tensordot(w4, e3, axes=([2], [0]))  # mixed-term kernel
-        k13 = float((t3_1 @ e3) @ e1)
-        k23 = float((t3_2 @ e3) @ e2)
-        k14 = float((t4_1 @ e4) @ e1)
-        k24 = float((t4_2 @ e4) @ e2)
-        mixed = float(e1 @ tm @ e2)
-        scalars = (k13, k14, k23, k24, mixed)
-        w13, w14, w23, w24, wm = self._coeffs(scalars)
-        val = w13 * k13 + w14 * k14 + w23 * k23 + w24 * k24 - 2.0 * wm * mixed
-
-        tt = np.tensordot(w4, e2, axes=([1], [0]))  # tt_ik = sum_jl R_ijkl e2_j e4_l
-        g = np.empty_like(v)
-        g[0] = 2.0 * (w13 * (t3_1 @ e3) + w14 * (t4_1 @ e4)) - 2.0 * wm * (tm @ e2)
-        g[1] = 2.0 * (w23 * (t3_2 @ e3) + w24 * (t4_2 @ e4)) - 2.0 * wm * (e1 @ tm)
-        g[2] = 2.0 * (w13 * (e1 @ t3_1) + w23 * (e2 @ t3_2)) - 2.0 * wm * (e1 @ tt)
-        g[3] = 2.0 * (w14 * (e1 @ t4_1) + w24 * (e2 @ t4_2)) - 2.0 * wm * np.tensordot(
-            np.tensordot(np.tensordot(r4, e3, axes=([2], [0])), e2, axes=([1], [0])), e1, axes=([0], [0])
-        )
-        return self.sign * val, self.sign * g
+        # S shares the pair symmetries of R, so all four slots contribute the
+        # same derivative and the gradient is 4 S contracted with C.
+        c, terms, coeffs = self._terms(v)
+        k, n = v.shape
+        s = (coeffs @ self.basis).reshape(k**3, k)
+        return float(coeffs @ terms), 4.0 * s.T @ c.reshape(k**3, n)
 
 
 def frame_objective(r: CurvatureTensor, kind: str, weights: Weights | None = None, negate: bool = False) -> _FrameObjective:
@@ -540,8 +530,6 @@ class UnitaryGroup:
         self.n = 2 * m
 
     def sample(self, seed) -> np.ndarray:
-        from .frames import random_unitary
-
         return random_unitary(seed, self.m)
 
     def apply(self, frame: Frame, u: np.ndarray) -> Frame:
@@ -558,8 +546,6 @@ class ProductBlockGroup:
         self.n = sum(dims)
 
     def sample(self, seed) -> np.ndarray:
-        from .frames import random_block_rotation
-
         return random_block_rotation(seed, self.dims)
 
     def apply(self, frame: Frame, u: np.ndarray) -> Frame:

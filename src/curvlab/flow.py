@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conditions import MinimizeOpts, check_pic2, minimize_frame
+from .conditions import MinimizeOpts, check_pic2, isotropic_curvature, minimize_frame
 from .frames import Frame, complete_basis
 from .tensors import CurvatureTensor, SYM_TOL_DEFAULT, pad_euclidean, project_curvature, scalar_curvature
 
@@ -165,7 +165,10 @@ def quadratic_reaction(r: CurvatureTensor) -> CurvatureTensor:
 
 
 def _frame_components(r: CurvatureTensor, frame: Frame) -> np.ndarray:
-    """Curvature components in a completed orthonormal basis led by the frame."""
+    """Curvature components in a completed orthonormal basis led by the 4-frame."""
+    frame.require_rows(4)
+    if frame.n != r.n:
+        raise ValueError(f"dimension mismatch: tensor n={r.n}, frame n={frame.n}")
     b = complete_basis(frame)
     t = r.array
     for _ in range(4):
@@ -173,14 +176,15 @@ def _frame_components(r: CurvatureTensor, frame: Frame) -> np.ndarray:
     return t
 
 
-def _summand_matrix(s: np.ndarray) -> np.ndarray:
-    """The (p, q) summand shared by the three block sums, as an n x n array."""
+def _block_sums(s: np.ndarray) -> tuple[float, float, float]:
+    """(I1, I2, I3) from the components ``s`` given by ``_frame_components``."""
     a = s[0, :, 0, :] + s[1, :, 1, :]
     b = s[2, :, 2, :] + s[3, :, 3, :]
     c = s[0, 1, :, :] * s[2, 3, :, :]
     d = (s[0, :, 2, :] + s[1, :, 3, :]) * (s[2, :, 0, :] + s[3, :, 1, :])
     e = (s[0, :, 3, :] - s[1, :, 2, :]) * (s[3, :, 0, :] - s[2, :, 1, :])
-    return a * b - c - d - e
+    t = a * b - c - d - e
+    return float(t[:4, :4].sum()), float(t[:4, 4:].sum()), float(t[4:, 4:].sum())
 
 
 def decomposition_sums(r: CurvatureTensor, frame: Frame) -> tuple[float, float, float]:
@@ -191,14 +195,7 @@ def decomposition_sums(r: CurvatureTensor, frame: Frame) -> tuple[float, float, 
     split the (p, q) index range at 4: both small, small-large, both large.
     For n = 4 the last two are empty.
     """
-    frame.require_rows(4)
-    if frame.n != r.n:
-        raise ValueError(f"dimension mismatch: tensor n={r.n}, frame n={frame.n}")
-    t = _summand_matrix(_frame_components(r, frame))
-    i1 = float(t[:4, :4].sum())
-    i2 = float(t[:4, 4:].sum())
-    i3 = float(t[4:, 4:].sum())
-    return i1, i2, i3
+    return _block_sums(_frame_components(r, frame))
 
 
 def decomposition_residual(r: CurvatureTensor, frame: Frame) -> float:
@@ -209,19 +206,11 @@ def decomposition_residual(r: CurvatureTensor, frame: Frame) -> float:
     Q convention, so the residual is round-off (< 1e-10) when the
     convention is right.
     """
-    from .conditions import isotropic_curvature
-
-    frame.require_rows(4)
-    if frame.n != r.n:
-        raise ValueError(f"dimension mismatch: tensor n={r.n}, frame n={frame.n}")
-    lhs = isotropic_curvature(quadratic_reaction(r), frame)
     s = _frame_components(r, frame)
+    lhs = isotropic_curvature(quadratic_reaction(r), frame)
     sq13 = float(((s[0, 2, :, :] - s[1, 3, :, :]) ** 2).sum())
     sq14 = float(((s[0, 3, :, :] + s[1, 2, :, :]) ** 2).sum())
-    t = _summand_matrix(s)
-    i1 = float(t[:4, :4].sum())
-    i2 = float(t[:4, 4:].sum())
-    i3 = float(t[4:, 4:].sum())
+    i1, i2, i3 = _block_sums(s)
     rhs = sq13 + sq14 + 2.0 * i1 + 4.0 * i2 + 2.0 * i3
     return abs(lhs - rhs)
 
@@ -230,11 +219,13 @@ def decomposition_residual(r: CurvatureTensor, frame: Frame) -> float:
 # Integration
 
 
-def _rk4(y: np.ndarray, h: float) -> np.ndarray:
+def _rk4(y: np.ndarray, h: float, k1: np.ndarray | None = None) -> np.ndarray:
     # Overflow near a blow-up yields non-finite entries; callers test for
     # them and either halve the step or raise, so the warnings are noise.
+    # ``k1`` = Q(y) may be passed in when several steps start from y.
     with np.errstate(over="ignore", invalid="ignore"):
-        k1 = _reaction_raw(y)
+        if k1 is None:
+            k1 = _reaction_raw(y)
         k2 = _reaction_raw(y + 0.5 * h * k1)
         k3 = _reaction_raw(y + 0.5 * h * k2)
         k4 = _reaction_raw(y + h * k3)
@@ -302,9 +293,11 @@ def integrate(r0: CurvatureTensor, t_end: float, opts: FlowOpts | None = None) -
     while t < t_end - 1e-15:
         h = min(opts.dt, t_end - t)
         halvings = 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            k1 = _reaction_raw(y)
         while True:
-            full = _rk4(y, h)
-            mid = _rk4(y, 0.5 * h)
+            full = _rk4(y, h, k1)
+            mid = _rk4(y, 0.5 * h, k1)
             halved = _rk4(mid, 0.5 * h)
             err = float(np.abs(full - halved).max()) / 15.0
             if not np.isfinite(err):

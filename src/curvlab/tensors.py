@@ -21,8 +21,6 @@ import numpy as np
 
 __all__ = [
     "CurvatureTensor",
-    "ModelSpec",
-    "build_model",
     "project_curvature",
     "symmetry_residuals",
     "sectional",
@@ -240,14 +238,10 @@ def pad_euclidean(r: CurvatureTensor, k: int) -> CurvatureTensor:
         raise ValueError(f"padding dimension must be >= 0, got {k}")
     if k == 0:
         return r
-    if k == 1:
-        # A single flat direction: embed directly (a 1-dimensional factor has
-        # no curvature components to copy).
-        n = r.n + 1
-        out = np.zeros((n, n, n, n))
-        out[: r.n, : r.n, : r.n, : r.n] = r.array
-        return CurvatureTensor(n=n, comps=out.reshape(-1))
-    return product(r, CurvatureTensor(n=k, comps=np.zeros(k**4)))
+    n = r.n + k
+    out = np.zeros((n, n, n, n))
+    out[: r.n, : r.n, : r.n, : r.n] = r.array
+    return CurvatureTensor(n=n, comps=out.reshape(-1))
 
 
 def combine(a: float, r1: CurvatureTensor, b: float, r2: CurvatureTensor) -> CurvatureTensor:
@@ -264,70 +258,3 @@ def random_tensor(seed: int, n: int) -> CurvatureTensor:
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((n, n, n, n))
     return project_curvature(raw, n)
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """Declarative description of a model tensor.
-
-    ``kind`` selects the constructor:
-
-    - ``"sphere"``: needs ``n`` and ``kappa``
-    - ``"complex_projective"``: needs ``m`` (real dimension ``2 m``) and ``c``
-    - ``"product"``: needs ``factors`` (two sub-specs)
-    - ``"pad_euclidean"``: needs ``base`` sub-spec and ``k``
-    - ``"combination"``: needs ``terms`` as ((coeff, spec), (coeff, spec))
-    - ``"random"``: needs ``n`` and ``seed``
-    """
-
-    kind: str
-    n: int | None = None
-    m: int | None = None
-    kappa: float = 1.0
-    c: float = 4.0
-    k: int = 2
-    seed: int = 0
-    factors: tuple = ()
-    base: "ModelSpec | None" = None
-    terms: tuple = ()
-
-    def __post_init__(self):
-        kinds = {"sphere", "complex_projective", "product", "pad_euclidean", "combination", "random"}
-        if self.kind not in kinds:
-            raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.kind in ("sphere", "random") and (self.n is None or self.n < 2):
-            raise ValueError("sphere/random models need dimension n >= 2")
-        if self.kind == "complex_projective":
-            if self.m is None or self.m < 2:
-                raise ValueError("complex projective model needs m >= 2 (even real dimension >= 4)")
-        if self.kind == "product" and len(self.factors) != 2:
-            raise ValueError("product model needs exactly two factor specs")
-        if self.kind == "pad_euclidean" and self.base is None:
-            raise ValueError("pad_euclidean model needs a base spec")
-        if self.kind == "combination":
-            if len(self.terms) == 0:
-                raise ValueError("combination model needs at least one (coeff, spec) term")
-            for coeff, _ in self.terms:
-                if not np.isfinite(coeff):
-                    raise ValueError("mixing coefficients must be finite")
-
-
-def build_model(spec: ModelSpec) -> CurvatureTensor:
-    """Construct the tensor described by a ModelSpec."""
-    if spec.kind == "sphere":
-        return sphere(spec.n, spec.kappa)
-    if spec.kind == "complex_projective":
-        return fubini_study(spec.m, spec.c)
-    if spec.kind == "product":
-        return product(build_model(spec.factors[0]), build_model(spec.factors[1]))
-    if spec.kind == "pad_euclidean":
-        return pad_euclidean(build_model(spec.base), spec.k)
-    if spec.kind == "combination":
-        terms = [(a, build_model(s)) for a, s in spec.terms]
-        acc = CurvatureTensor(n=terms[0][1].n, comps=terms[0][0] * terms[0][1].comps)
-        for a, t in terms[1:]:
-            acc = combine(1.0, acc, a, t)
-        return acc
-    if spec.kind == "random":
-        return random_tensor(spec.seed, spec.n)
-    raise ValueError(f"unknown model kind {spec.kind!r}")

@@ -25,6 +25,7 @@ from curvlab.tensors import (
     fubini_study,
     product,
     random_tensor,
+    sectional,
     sphere,
 )
 
@@ -138,10 +139,16 @@ def test_cyclic_sum_needs_bianchi():
 
 def test_gradients_match_central_differences():
     rng = np.random.default_rng(0)
-    kinds = [("isotropic", None), ("lambda_mu", Weights(0.4, -0.7)), ("sectional", None)]
-    for kind, w in kinds:
+    kinds = [
+        ("isotropic", None, False),
+        ("lambda_mu", Weights(0.4, -0.7), False),
+        ("lambda_mu", Weights(-0.9, 0.25), False),
+        ("sectional", None, False),
+        ("sectional", None, True),
+    ]
+    for kind, w, negate in kinds:
         r = random_tensor(13, 6)
-        obj = frame_objective(r, kind, weights=w)
+        obj = frame_objective(r, kind, weights=w, negate=negate)
         for trial in range(10):
             v = random_frame([trial, 7], 6, k=obj.rows).vectors.copy()
             _, g = obj.value_grad(v)
@@ -156,6 +163,22 @@ def test_gradients_match_central_differences():
                     num[a, b] = (obj.value(vp) - obj.value(vm)) / (2 * h)
             scale = max(1.0, float(np.max(np.abs(g))))
             assert np.max(np.abs(g - num)) / scale < 1e-5
+
+
+def test_kernel_matches_multilinear_oracle():
+    # The contraction kernel against direct evaluation through
+    # CurvatureTensor.__call__ and tensors.sectional.
+    for n in range(4, 9):
+        r = random_tensor([n, 31], n)
+        iso = frame_objective(r, "isotropic")
+        sec = frame_objective(r, "sectional")
+        for trial in range(5):
+            e1, e2, e3, e4 = v = random_frame([n, trial, 32], n).vectors
+            expect = r(e1, e3, e1, e3) + r(e1, e4, e1, e4) + r(e2, e3, e2, e3) + r(e2, e4, e2, e4) - 2.0 * r(e1, e2, e3, e4)
+            assert abs(iso.value(v) - expect) < 1e-12
+            assert abs(iso.value_grad(v)[0] - expect) < 1e-12
+            w = random_frame([n, trial, 33], n, k=2).vectors
+            assert abs(sec.value(w) - sectional(r, w[0], w[1])) < 1e-12
 
 
 def test_descend_is_monotone():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from curvlab import flow
 from curvlab.conditions import MinimizeOpts, isotropic_curvature
 from curvlab.flow import (
     FlowBlowupError,
@@ -129,6 +130,21 @@ def test_integrate_sphere_matches_closed_form():
     assert abs(k - sphere_kappa(4, 1.0, 0.05)) < 1e-8
     assert trace.rows[0].t == 0.0
     assert trace.rows[-1].t == pytest.approx(0.05)
+
+
+def test_integrate_shares_first_stage(monkeypatch):
+    # The full step and the first half step share Q(y); with the other
+    # stages that is 1 + 3 + 3 + 4 = 11 evaluations per step, not 12.
+    calls = []
+    raw = flow._reaction_raw
+
+    def counting(y):
+        calls.append(1)
+        return raw(y)
+
+    monkeypatch.setattr(flow, "_reaction_raw", counting)
+    integrate(sphere(4, 1.0), 0.03, FlowOpts(dt=0.01, ode_tol=None, stride=10**9, minimize=LIGHT))
+    assert len(calls) == 3 * 11
 
 
 def test_integrator_order_is_four():

@@ -5,8 +5,6 @@ import pytest
 
 from curvlab.tensors import (
     CurvatureTensor,
-    ModelSpec,
-    build_model,
     combine,
     fubini_study,
     pad_euclidean,
@@ -286,34 +284,3 @@ def test_evaluation_call():
     e = np.eye(4)
     assert s(e[0], e[1], e[0], e[1]) == pytest.approx(3.0, abs=1e-14)
     assert s(e[0], e[1], e[2], e[3]) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_model_spec_builders():
-    assert np.array_equal(build_model(ModelSpec(kind="sphere", n=4, kappa=2.0)).comps, sphere(4, 2.0).comps)
-    assert np.array_equal(build_model(ModelSpec(kind="complex_projective", m=2, c=4.0)).comps, fubini_study(2, 4.0).comps)
-    spec = ModelSpec(
-        kind="product",
-        factors=(ModelSpec(kind="sphere", n=2, kappa=1.0), ModelSpec(kind="sphere", n=2, kappa=1.0)),
-    )
-    assert build_model(spec).n == 4
-    padded = ModelSpec(kind="pad_euclidean", base=ModelSpec(kind="sphere", n=4, kappa=1.0), k=2)
-    assert build_model(padded).n == 6
-    mix = ModelSpec(
-        kind="combination",
-        terms=((1.0, ModelSpec(kind="sphere", n=4, kappa=1.0)), (-0.5, ModelSpec(kind="complex_projective", m=2, c=1.0))),
-    )
-    assert build_model(mix).n == 4
-    assert build_model(ModelSpec(kind="random", n=5, seed=7)).comps @ random_tensor(7, 5).comps > 0
-
-
-def test_model_spec_validation():
-    with pytest.raises(ValueError):
-        ModelSpec(kind="nonsense")
-    with pytest.raises(ValueError):
-        ModelSpec(kind="sphere")
-    with pytest.raises(ValueError):
-        ModelSpec(kind="complex_projective", m=1)
-    with pytest.raises(ValueError):
-        ModelSpec(kind="product", factors=(ModelSpec(kind="sphere", n=2),))
-    with pytest.raises(ValueError):
-        ModelSpec(kind="combination", terms=((np.inf, ModelSpec(kind="sphere", n=4)),))
