@@ -10,10 +10,10 @@ import numpy as np
 
 from curvlab import (
     MinimizeOpts,
-    check_quarter_pinched,
     fubini_study,
     pad_euclidean,
     product,
+    quarter_pinch_reports,
     ricci,
     scalar_curvature,
     sphere,
@@ -29,7 +29,8 @@ zoo = [
 ]
 
 for name, r in zoo:
-    ok, kmin, kmax = check_quarter_pinched(r, opts)
+    ok, kmin_rep, kmax_rep = quarter_pinch_reports(r, opts)
+    kmin, kmax = kmin_rep.min_value, -kmax_rep.min_value
     ric = np.linalg.eigvalsh(ricci(r))
     print(name)
     print(f"  dimension          n = {r.n}")

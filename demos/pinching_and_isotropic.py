@@ -10,10 +10,10 @@ from curvlab import (
     MinimizeOpts,
     check_nic,
     check_pic2,
-    check_quarter_pinched,
     combine,
     fubini_study,
     product,
+    quarter_pinch_reports,
     sphere,
 )
 
@@ -21,11 +21,11 @@ from curvlab import (
 def describe(name, r, opts):
     nic_ok, nic_rep = check_nic(r, opts)
     pic2_ok, pic2_rep = check_pic2(r, opts)
-    qp_ok, kmin, kmax = check_quarter_pinched(r, opts)
+    qp_ok, kmin_rep, kmax_rep = quarter_pinch_reports(r, opts)
+    kmin, kmax = kmin_rep.min_value, -kmax_rep.min_value
     print(name)
     print(f"  isotropic min        {nic_rep.min_value:+.3e}  nonneg={nic_ok}  boundary={nic_rep.boundary}")
     print(f"  padded isotropic min {pic2_rep.min_value:+.3e}  nonneg={pic2_ok}  boundary={pic2_rep.boundary}")
-    print(f"  weighted family min  {pic2_rep.family_min:+.3e}")
     print(f"  quarter pinching     K in [{kmin:.4f}, {kmax:.4f}]  holds={qp_ok}")
     print()
 
@@ -36,8 +36,7 @@ def main():
     describe("CP^2 (boundary of the padded cone)", fubini_study(2, 4.0), opts)
     describe("S^2 x S^2 (boundary, not pinched)", product(sphere(2, 1.0), sphere(2, 1.0)), opts)
     describe("negatively curved sphere (violates everything)", sphere(4, -1.0), opts)
-    # perturbing the sphere toward CP^2 keeps the padded condition but
-    # shrinks the margin; watch family_min drop
+    # perturbing the sphere toward CP^2 keeps the padded condition
     mix = combine(1.0, sphere(4, 1.0), -0.5, fubini_study(2, 1.0))
     describe("sphere minus half a CP^2", mix, opts)
 

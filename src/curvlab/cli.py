@@ -109,17 +109,14 @@ def _cmd_check(args) -> int:
         ok, rep = check_nic(r, opts)
     elif args.condition == "pic2":
         ok, rep = check_pic2(r, opts)
-        report["family_min"] = rep.family_min
     else:
         ok, kmin_rep, kmax_rep = quarter_pinch_reports(r, opts)
-        kmin = kmin_rep.min_value
-        kmax = -kmax_rep.min_value
         report.update(
             {
                 "decision": ok,
-                "min_value": kmin,
-                "kmax": kmax,
-                "boundary": bool(ok and (kmin <= opts.margin or abs(kmax - 4.0 * kmin) <= opts.margin)),
+                "min_value": kmin_rep.min_value,
+                "kmax": -kmax_rep.min_value,
+                "boundary": kmin_rep.boundary,
                 "frame": _frame_payload(kmin_rep.argmin_frame),
                 "weights": None,
                 "restarts": kmin_rep.restarts + kmax_rep.restarts,

@@ -6,6 +6,12 @@ family to flat paddings and to cyclic frame sums, and multistart projected
 gradient descent over Stiefel manifolds that turns "for all frames"
 quantifiers into checkable minimizations.
 
+PIC2 is decided as nonnegative isotropic curvature of the product with flat
+R^2, by the same search and decision as NIC on the padded tensor.  By the
+lift identity every weighted-family value is an isotropic value of the
+padded tensor, so a family search can never go below the padded minimum;
+the family stays as a test oracle, not as a second search.
+
 Every frame functional goes through one kernel: the contraction
 C[a, b, c, :] = R(e_a, e_b, e_c, .) of the tensor with the frame rows, with
 F = C v^T, and each functional is <S, F> for a coefficient tensor S that
@@ -40,16 +46,13 @@ __all__ = [
     "minimize_frame",
     "check_nic",
     "check_pic2",
-    "check_quarter_pinched",
     "quarter_pinch_reports",
     "holonomy_orbit_invariance",
     "UnitaryGroup",
     "ProductBlockGroup",
 ]
 
-WEIGHT_GRID = np.linspace(-1.0, 1.0, 21)
 ZERO_FRAME_TOL = 1e-9
-PIC2_CONSISTENCY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -95,11 +98,12 @@ class ConditionReport:
     """Outcome of a frame-space minimization.
 
     ``min_value`` is the best local minimum found, ``argmin_frame`` the frame
-    achieving it, and ``converged`` whether the gradient tolerance was met
-    there.  The checkers set ``boundary`` when the condition holds with the
-    minimum at numerical zero (flat directions, borderline models).
-    ``family_min`` carries the weighted-family consistency value for the
-    flat-padding checker and is None elsewhere.
+    achieving it, ``argmin_weights`` the fixed weights of a ``lambda_mu``
+    search (None for the other objectives), and ``converged`` whether the
+    gradient tolerance was met there.  The checkers set ``boundary`` when
+    the condition holds on the edge of the cone: a minimum at numerical
+    zero (flat directions, borderline models), or for quarter-pinching
+    ``Kmax = 4 Kmin`` within the margin.
     """
 
     min_value: float
@@ -110,7 +114,6 @@ class ConditionReport:
     grad_norm: float
     converged: bool
     boundary: bool = False
-    family_min: float | None = None
 
     def __post_init__(self):
         if not np.isfinite(self.min_value):
@@ -217,82 +220,48 @@ def cyclic_sum_identity(r: CurvatureTensor, frame: Frame, w: Weights) -> tuple[f
 # Frame objectives and their gradients
 
 
-def _family_min_scalars(k13, k14, k23, k24, mixed) -> tuple[float, float, float]:
-    """Minimum of the weighted family over weights, from the five scalars.
-
-    For each mu on the grid the family is a quadratic in lam, so the lam
-    minimizer is closed form (clipped to [-1, 1]); returns (value, lam, mu).
-    """
-    mus = WEIGHT_GRID
-    a2 = k14 + mus * mus * k24
-    a1 = -2.0 * mus * mixed
-    a0 = k13 + mus * mus * k23
-    lam_star = np.where(a2 > 0.0, np.clip(np.divide(-a1, 2.0 * a2, out=np.ones_like(a1), where=a2 > 0.0), -1.0, 1.0), 1.0)
-    cands = np.stack([-np.ones_like(mus), np.ones_like(mus), lam_star])
-    vals = a0[None, :] + a1[None, :] * cands + a2[None, :] * cands**2
-    flat = int(np.argmin(vals))
-    row, col = divmod(flat, mus.size)
-    return float(vals[row, col]), float(cands[row, col]), float(mus[col])
-
-
 class _FrameObjective:
     """Value and Euclidean gradient of a frame functional on k x n matrices.
 
-    Every kind is <S, F> with S a coefficient vector over a fixed basis of
+    Every kind is <S, F> with S a fixed coefficient vector over a basis of
     symmetrized k^4 tensors: ``isotropic`` and ``lambda_mu`` (4-frames,
-    fixed weights), ``lambda_mu_family`` (4-frames, weights minimized out
-    on the grid), ``sectional`` (2-frames).  ``negate`` flips the sign for
-    maximization runs.
+    ``weights`` fixed), ``sectional`` (2-frames).  ``negate`` flips the sign
+    for maximization runs.
     """
 
     def __init__(self, r: CurvatureTensor, kind: str, weights: Weights | None = None, negate: bool = False):
-        if kind not in ("isotropic", "lambda_mu", "lambda_mu_family", "sectional"):
+        if kind not in ("isotropic", "lambda_mu", "sectional"):
             raise ValueError(f"unknown objective kind {kind!r}")
         if kind == "lambda_mu" and weights is None:
             raise ValueError("lambda_mu objective needs weights")
         self.r4 = r.array
-        self.kind = kind
-        self.weights = weights
-        self.sign = -1.0 if negate else 1.0
+        self.weights = weights if kind == "lambda_mu" else None
+        sign = -1.0 if negate else 1.0
         self.rows = 2 if kind == "sectional" else 4
         self.basis = _TWO_FRAME_BASIS if kind == "sectional" else _FOUR_FRAME_BASIS
         if kind == "sectional":
-            self.coeffs = np.array([self.sign])
+            self.coeffs = np.array([sign])
         elif kind == "isotropic":
-            self.coeffs = self.sign * _lam_mu_coeffs(1.0, 1.0)
-        elif kind == "lambda_mu":
-            self.coeffs = self.sign * _lam_mu_coeffs(weights.lam, weights.mu)
+            self.coeffs = sign * _lam_mu_coeffs(1.0, 1.0)
         else:
-            self.coeffs = None  # lambda_mu_family: chosen per frame in _terms
-
-    def _terms(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The contraction C, the basis scalars and the active coefficients."""
-        c = _contract(self.r4, v)
-        terms = self.basis @ (c @ v.T).ravel()
-        if self.kind != "lambda_mu_family":
-            return c, terms, self.coeffs
-        _, lam, mu = _family_min_scalars(*terms)
-        return c, terms, self.sign * _lam_mu_coeffs(lam, mu)
-
-    def value(self, v: np.ndarray) -> float:
-        _, terms, coeffs = self._terms(v)
-        return float(coeffs @ terms)
-
-    def active_weights(self, v: np.ndarray) -> Weights | None:
-        if self.kind == "lambda_mu":
-            return self.weights
-        if self.kind == "lambda_mu_family":
-            _, lam, mu = _family_min_scalars(*self._terms(v)[1])
-            return Weights(lam, mu)
-        return None
-
-    def value_grad(self, v: np.ndarray) -> tuple[float, np.ndarray]:
+            self.coeffs = sign * _lam_mu_coeffs(weights.lam, weights.mu)
         # S shares the pair symmetries of R, so all four slots contribute the
         # same derivative and the gradient is 4 S contracted with C.
-        c, terms, coeffs = self._terms(v)
+        k = self.rows
+        self.grad_coeffs = 4.0 * (self.coeffs @ self.basis).reshape(k**3, k).T
+
+    def _terms(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The contraction C and the basis scalars."""
+        c = _contract(self.r4, v)
+        return c, self.basis @ (c @ v.T).ravel()
+
+    def value(self, v: np.ndarray) -> float:
+        return float(self.coeffs @ self._terms(v)[1])
+
+    def value_grad(self, v: np.ndarray) -> tuple[float, np.ndarray]:
+        c, terms = self._terms(v)
         k, n = v.shape
-        s = (coeffs @ self.basis).reshape(k**3, k)
-        return float(coeffs @ terms), 4.0 * s.T @ c.reshape(k**3, n)
+        return float(self.coeffs @ terms), self.grad_coeffs @ c.reshape(k**3, n)
 
 
 def frame_objective(r: CurvatureTensor, kind: str, weights: Weights | None = None, negate: bool = False) -> _FrameObjective:
@@ -323,8 +292,10 @@ def _descend(obj: _FrameObjective, v0: np.ndarray, opts: MinimizeOpts):
 
     Steps along the negative tangent-projected gradient with a
     Barzilai-Borwein trial step and Armijo backtracking, retracting by row
-    re-orthonormalization.  Returns (value, frame matrix, iterations,
-    grad_norm, converged, history of accepted objective values).
+    re-orthonormalization.  Each trial frame is contracted once, for value
+    and gradient together, so the accepted trial's gradient is reused.
+    Returns (value, frame matrix, iterations, grad_norm, converged, history
+    of accepted objective values).
     """
     v = _retract(np.asarray(v0, dtype=float))
     val, grad = obj.value_grad(v)
@@ -350,7 +321,7 @@ def _descend(obj: _FrameObjective, v0: np.ndarray, opts: MinimizeOpts):
         accepted = False
         for _ in range(60):
             v_try = _retract(v - trial * p)
-            f_try = obj.value(v_try)
+            f_try, g_try = obj.value_grad(v_try)
             if f_try <= val - 1e-4 * trial * gnorm * gnorm:
                 accepted = True
                 break
@@ -361,11 +332,8 @@ def _descend(obj: _FrameObjective, v0: np.ndarray, opts: MinimizeOpts):
             break
         prev_v, prev_p = v, p
         v = v_try
-        # Keep the line-search value: recomputing it through the gradient
-        # path can differ by round-off and break monotonicity.
         val = f_try
-        _, grad = obj.value_grad(v)
-        p = _tangent_project(grad, v)
+        p = _tangent_project(g_try, v)
         gnorm = float(np.linalg.norm(p))
         history.append(val)
         step = trial
@@ -387,7 +355,7 @@ def minimize_frame(
     ----------
     objective : str
         One of ``isotropic``, ``lambda_mu`` (requires ``weights``),
-        ``lambda_mu_family``, ``sectional``.
+        ``sectional``.
     opts : MinimizeOpts
         Restart count, iteration budget, tolerances, seed.
     negate : bool
@@ -423,7 +391,7 @@ def minimize_frame(
     return ConditionReport(
         min_value=val,
         argmin_frame=Frame(n=r.n, vectors=v),
-        argmin_weights=obj.active_weights(v),
+        argmin_weights=obj.weights,
         restarts=len(starts),
         iterations=iters,
         grad_norm=gnorm,
@@ -449,48 +417,14 @@ def check_nic(r: CurvatureTensor, opts: MinimizeOpts | None = None) -> tuple[boo
 
 
 def check_pic2(r: CurvatureTensor, opts: MinimizeOpts | None = None) -> tuple[bool, ConditionReport]:
-    """Nonnegative isotropic curvature of the product with flat R^2.
+    """Nonnegative isotropic curvature of the product with flat R^2 (PIC2).
 
-    Minimizes the isotropic functional over 4-frames of the padded tensor,
-    and separately minimizes the weighted family over frames and weights in
-    the base dimension; every family value is the isotropic value of a
-    lifted frame, so it can only improve (never undercut) the padded
-    minimum.  If the family search finds a smaller value, the corresponding
-    lifted frame is polished and folded into the report.  The report carries
-    the family minimum and its weights for cross-checking.
+    The NIC search and decision on ``pad_euclidean(r, 2)``; the report's
+    frame lives in dimension n + 2.  Every weighted-family value of r is the
+    isotropic value of a lifted frame, so this minimum is also an upper
+    bound on the family minimum over frames and weights.
     """
-    opts = opts or MinimizeOpts()
-    padded = pad_euclidean(r, 2)
-    report = minimize_frame(padded, "isotropic", opts)
-    family = minimize_frame(r, "lambda_mu_family", opts)
-    min_value = report.min_value
-    argmin_frame = report.argmin_frame
-    grad_norm = report.grad_norm
-    iterations = report.iterations
-    converged = report.converged
-    if family.min_value < min_value - PIC2_CONSISTENCY_TOL:
-        lifted = lift_frame(family.argmin_frame, family.argmin_weights)
-        obj = _FrameObjective(padded, "isotropic")
-        val, v, iters, gnorm, conv, _ = _descend(obj, lifted.vectors, opts)
-        if val < min_value:
-            min_value = val
-            argmin_frame = Frame(n=padded.n, vectors=v)
-            grad_norm = gnorm
-            iterations = iters
-            converged = conv
-    ok = min_value >= -opts.margin
-    out = ConditionReport(
-        min_value=min_value,
-        argmin_frame=argmin_frame,
-        argmin_weights=family.argmin_weights,
-        restarts=report.restarts + family.restarts,
-        iterations=iterations,
-        grad_norm=grad_norm,
-        converged=converged,
-        boundary=bool(ok and min_value <= opts.margin),
-        family_min=family.min_value,
-    )
-    return ok, out
+    return check_nic(pad_euclidean(r, 2), opts)
 
 
 def quarter_pinch_reports(
@@ -499,7 +433,10 @@ def quarter_pinch_reports(
     """Weak quarter-pinching decision with the two extremization reports.
 
     The condition is ``Kmin >= 0`` and ``Kmax <= 4 Kmin`` over all 2-planes,
-    decided within ``opts.margin``.
+    decided within ``opts.margin``.  ``Kmin`` is the first report's
+    ``min_value`` and ``Kmax`` the negated ``min_value`` of the second.  The
+    first report's ``boundary`` is set when the condition holds with
+    ``Kmin`` at zero or ``Kmax = 4 Kmin`` within the margin.
     """
     opts = opts or MinimizeOpts()
     kmin_rep = minimize_frame(r, "sectional", opts)
@@ -507,13 +444,8 @@ def quarter_pinch_reports(
     kmin = kmin_rep.min_value
     kmax = -kmax_rep.min_value
     ok = (kmin >= -opts.margin) and (kmax <= 4.0 * kmin + opts.margin)
-    return ok, kmin_rep, kmax_rep
-
-
-def check_quarter_pinched(r: CurvatureTensor, opts: MinimizeOpts | None = None) -> tuple[bool, float, float]:
-    """Weak quarter-pinching: returns (decision, Kmin, Kmax)."""
-    ok, kmin_rep, kmax_rep = quarter_pinch_reports(r, opts)
-    return ok, kmin_rep.min_value, -kmax_rep.min_value
+    boundary = ok and (kmin <= opts.margin or abs(kmax - 4.0 * kmin) <= opts.margin)
+    return ok, replace(kmin_rep, boundary=boundary), kmax_rep
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,11 @@ from curvlab.conditions import (
     MinimizeOpts,
     ProductBlockGroup,
     UnitaryGroup,
-    check_quarter_pinched,
     frame_objective,
     holonomy_orbit_invariance,
     isotropic_curvature,
     minimize_frame,
+    quarter_pinch_reports,
 )
 from curvlab.flow import FlowOpts, cone_margin_experiment, integrate, sphere_kappa
 from curvlab.frames import Frame, random_frame
@@ -88,9 +88,10 @@ def test_acceptance_04_borderline_zero_sets(acceptance):
 
 def test_acceptance_05_pinching_checker(acceptance):
     opts = MinimizeOpts(restarts=8, seed=0)
-    ok_sphere, _, _ = check_quarter_pinched(sphere(4, 1.0), opts)
-    ok_prod, _, _ = check_quarter_pinched(product(sphere(2, 1.0), sphere(2, 1.0)), opts)
-    ok_cp2, kmin, kmax = check_quarter_pinched(fubini_study(2, 4.0), opts)
+    ok_sphere, _, _ = quarter_pinch_reports(sphere(4, 1.0), opts)
+    ok_prod, _, _ = quarter_pinch_reports(product(sphere(2, 1.0), sphere(2, 1.0)), opts)
+    ok_cp2, kmin_rep, kmax_rep = quarter_pinch_reports(fubini_study(2, 4.0), opts)
+    kmin, kmax = kmin_rep.min_value, -kmax_rep.min_value
     ok = (
         ok_sphere
         and not ok_prod

@@ -75,7 +75,20 @@ def test_check_pic2_sphere_sits_on_boundary(tmp_path, capsys):
     assert report["decision"] is True
     assert report["boundary"] is True
     assert abs(report["min_value"]) <= 1e-7
-    assert report["family_min"] == pytest.approx(1.0, abs=1e-7)
+    assert report["restarts"] == 4
+    assert report["weights"] is None
+    assert set(report) == {
+        "boundary", "condition", "converged", "decision", "frame", "grad_norm", "margin",
+        "min_value", "n", "restarts", "seed", "timestamp", "weights",
+    }
+    assert len(report["frame"]) == 4 and len(report["frame"][0]) == 6
+    # the sphere's (0, 0) family value K13 = 1 bounds the padded minimum from above
+    code = run(["minimize", "--objective", "lambda-mu", "--tensor", path,
+                "--lambda", "0", "--mu", "0", "--restarts", "4"])
+    k13 = json.loads(capsys.readouterr().out)["min_value"]
+    assert code == 0
+    assert k13 == pytest.approx(1.0, abs=1e-7)
+    assert report["min_value"] <= k13 + 1e-9
 
 
 def test_check_quarter_pinch_product_fails(tmp_path, capsys):

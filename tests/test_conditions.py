@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from curvlab import conditions
 from curvlab.conditions import (
     MinimizeOpts,
     ProductBlockGroup,
@@ -9,20 +10,21 @@ from curvlab.conditions import (
     _descend,
     check_nic,
     check_pic2,
-    check_quarter_pinched,
     cyclic_sum_identity,
     frame_objective,
     holonomy_orbit_invariance,
     isotropic_curvature,
     lift_identity_residual,
     minimize_frame,
+    quarter_pinch_reports,
     weighted_isotropic_curvature,
 )
-from curvlab.frames import Frame, random_frame
+from curvlab.frames import Frame, lift_frame, random_frame
 from curvlab.tensors import (
     CurvatureTensor,
     combine,
     fubini_study,
+    pad_euclidean,
     product,
     random_tensor,
     sectional,
@@ -191,6 +193,25 @@ def test_descend_is_monotone():
         assert np.all(diffs <= 0.0)
 
 
+def test_descend_contracts_each_frame_once(monkeypatch):
+    # every retracted frame (the start and each line-search trial) is
+    # contracted exactly once, for value and gradient together
+    calls = {"contract": 0, "retract": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(conditions, "_contract", counting("contract", conditions._contract))
+    monkeypatch.setattr(conditions, "_retract", counting("retract", conditions._retract))
+    minimize_frame(random_tensor(0, 6), "isotropic", MinimizeOpts(restarts=8))
+    assert calls["retract"] > 8
+    assert calls["contract"] == calls["retract"]
+
+
 def test_minimize_deterministic_per_seed():
     r = random_tensor(2, 5)
     a = minimize_frame(r, "isotropic", FAST)
@@ -233,15 +254,15 @@ def test_minimize_warm_start_and_validation():
 
 
 def test_lambda_mu_minimization():
-    # weighted objective at fixed weights agrees with the family at its argmin
+    # on the round sphere the family value is (1 + lam^2)(1 + mu^2) on every frame
     r = sphere(4, 1.0)
     rep = minimize_frame(r, "lambda_mu", FAST, weights=Weights(0.5, 1.0 / 3.0))
     assert rep.min_value == pytest.approx(25.0 / 18.0, abs=1e-9)
     assert rep.argmin_weights == Weights(0.5, 1.0 / 3.0)
 
-    fam = minimize_frame(r, "lambda_mu_family", FAST)
-    assert fam.min_value == pytest.approx(1.0, abs=1e-9)  # lam = mu = 0 picks K13
-    assert fam.argmin_weights == Weights(0.0, 0.0)
+    rep = minimize_frame(r, "lambda_mu", FAST, weights=Weights(0.0, 0.0))
+    assert rep.min_value == pytest.approx(1.0, abs=1e-9)  # lam = mu = 0 picks K13
+    assert minimize_frame(r, "isotropic", FAST, weights=Weights(0.5, 0.5)).argmin_weights is None
 
 
 def test_check_nic():
@@ -260,8 +281,13 @@ def test_check_pic2():
     ok, rep = check_pic2(sphere(4, 1.0), FAST)
     assert ok
     assert rep.boundary  # flat padding directions sit on the boundary
-    assert rep.family_min == pytest.approx(1.0, abs=1e-8)
-    assert rep.min_value <= rep.family_min + 1e-9
+    assert rep.argmin_frame.n == 6
+    assert rep.argmin_weights is None
+    assert rep.restarts == FAST.restarts
+    # the sphere's (0, 0) family value K13 = 1 is a padded isotropic value
+    k13 = minimize_frame(sphere(4, 1.0), "lambda_mu", FAST, weights=Weights(0.0, 0.0))
+    assert k13.min_value == pytest.approx(1.0, abs=1e-8)
+    assert rep.min_value <= k13.min_value + 1e-9
 
     ok, rep = check_pic2(CurvatureTensor(n=4, comps=np.zeros(256)), FAST)
     assert ok and rep.boundary
@@ -271,10 +297,21 @@ def test_check_pic2():
 
 
 def test_pic2_family_consistency_random():
+    # lift identity: each family minimum at fixed weights is the isotropic
+    # value of a lifted frame of the padded tensor, so the padded search
+    # must reach at least as low
+    opts = MinimizeOpts(restarts=16, seed=0)
+    grid = [Weights(0.0, 0.0), Weights(1.0, 1.0), Weights(1.0, 0.0), Weights(0.5, -0.3), Weights(-0.8, 0.6)]
     for seed in range(6):
-        r = random_tensor(seed, 4)
-        ok, rep = check_pic2(r, MinimizeOpts(restarts=16, seed=0))
-        assert rep.min_value <= rep.family_min + 1e-9
+        r = random_tensor(seed, 4 + seed % 3)
+        ok, rep = check_pic2(r, opts)
+        assert ok == (rep.min_value >= -opts.margin)
+        padded = pad_euclidean(r, 2)
+        for w in grid:
+            fam = minimize_frame(r, "lambda_mu", opts, weights=w)
+            lifted = isotropic_curvature(padded, lift_frame(fam.argmin_frame, w))
+            assert lifted == pytest.approx(fam.min_value, abs=1e-12)
+            assert rep.min_value <= fam.min_value + 1e-9
 
 
 def test_pic2_combine_regression():
@@ -283,28 +320,30 @@ def test_pic2_combine_regression():
     ok, rep = check_pic2(mix, MinimizeOpts(restarts=32, seed=0))
     assert ok and rep.boundary
     assert abs(rep.min_value) < 1e-7
-    assert rep.family_min == pytest.approx(0.5, abs=1e-6)
+    k13 = minimize_frame(mix, "lambda_mu", MinimizeOpts(restarts=32, seed=0), weights=Weights(0.0, 0.0))
+    assert k13.min_value == pytest.approx(0.5, abs=1e-6)  # Kmin of the mix
     ok, rep = check_nic(mix, MinimizeOpts(restarts=32, seed=0))
     assert ok
     assert rep.min_value == pytest.approx(2.5, abs=1e-6)
 
 
-def test_check_quarter_pinched():
-    ok, kmin, kmax = check_quarter_pinched(sphere(4, 2.0), FAST)
-    assert ok
-    assert kmin == pytest.approx(2.0, abs=1e-9)
-    assert kmax == pytest.approx(2.0, abs=1e-9)
+def test_quarter_pinch_reports():
+    ok, kmin_rep, kmax_rep = quarter_pinch_reports(sphere(4, 2.0), FAST)
+    assert ok and not kmin_rep.boundary
+    assert kmin_rep.min_value == pytest.approx(2.0, abs=1e-9)
+    assert -kmax_rep.min_value == pytest.approx(2.0, abs=1e-9)
 
     prod = product(sphere(2, 1.0), sphere(2, 1.0))
-    ok, kmin, kmax = check_quarter_pinched(prod, FAST)
-    assert not ok
-    assert kmin == pytest.approx(0.0, abs=1e-9)
-    assert kmax == pytest.approx(1.0, abs=1e-9)
+    ok, kmin_rep, kmax_rep = quarter_pinch_reports(prod, FAST)
+    assert not ok and not kmin_rep.boundary
+    assert kmin_rep.min_value == pytest.approx(0.0, abs=1e-9)
+    assert -kmax_rep.min_value == pytest.approx(1.0, abs=1e-9)
 
-    ok, kmin, kmax = check_quarter_pinched(fubini_study(2, 4.0), MinimizeOpts(restarts=16, seed=0))
-    assert ok
-    assert kmin == pytest.approx(1.0, abs=1e-6)
-    assert kmax == pytest.approx(4.0, abs=1e-6)
+    # CP^2 sits on the pinching boundary: Kmax = 4 Kmin
+    ok, kmin_rep, kmax_rep = quarter_pinch_reports(fubini_study(2, 4.0), MinimizeOpts(restarts=16, seed=0))
+    assert ok and kmin_rep.boundary
+    assert kmin_rep.min_value == pytest.approx(1.0, abs=1e-6)
+    assert -kmax_rep.min_value == pytest.approx(4.0, abs=1e-6)
 
 
 def test_holonomy_orbit_invariance():
