@@ -12,12 +12,20 @@ lift identity every weighted-family value is an isotropic value of the
 padded tensor, so a family search can never go below the padded minimum;
 the family stays as a test oracle, not as a second search.
 
-Every frame functional goes through one kernel: the contraction
-C[a, b, c, :] = R(e_a, e_b, e_c, .) of the tensor with the frame rows, with
-F = C v^T, and each functional is <S, F> for a coefficient tensor S that
-carries the pair symmetries of R.  Because S and R share those symmetries,
-the Euclidean gradient in the frame is 4 S C, contracting S with C over
-the first three slots.
+Every frame functional is <S, F> with F[a, b, c, d] = R(e_a, e_b, e_c, e_d)
+on the frame rows and a coefficient tensor S that carries the pair
+symmetries of R.  Because S and R share those symmetries, the Euclidean
+gradient in the frame is 4 S C with C[a, b, c, :] = R(e_a, e_b, e_c, .),
+contracting S with C over the first three slots, and since the functional
+is homogeneous of degree 4 its value is <gradient, frame> / 4.  One kernel
+computes both on a stack of frames (S, k, n), through the pair contraction
+D = R(e_a, e_b, ., .) for a < b, with one small matmul per frame.
+
+The multistart search hands the whole stack of starts to
+``stiefel.descend``, which descends them together as one batch, each
+start with its own Barzilai-Borwein step, Armijo backtracking and stop
+rules.  A start's path does not depend on which other starts share its
+batch.
 
 The minimizers are heuristic certificates: the frame manifold is compact
 and low dimensional, so seeded multistart local descent is reliable at
@@ -32,6 +40,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .frames import Frame, cyclic_frames, lift_frame, random_block_rotation, random_frame, random_unitary, unitary_action
+from .stiefel import descend, dots
 from .tensors import CurvatureTensor, pad_euclidean
 
 __all__ = [
@@ -145,10 +154,22 @@ _FOUR_FRAME_BASIS = _symmetrized_units(4, ((0, 2, 0, 2), (0, 3, 0, 3), (1, 2, 1,
 _TWO_FRAME_BASIS = _symmetrized_units(2, ((0, 1, 0, 1),))
 
 
-def _contract(r4: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """C[a, b, c, :] = R(e_a, e_b, e_c, .) for the rows e_a of v."""
-    k, n = v.shape
-    return v @ (v @ (v @ r4.reshape(n, n**3)).reshape(k, n, n * n)).reshape(k, k, n, n)
+# Frames per kernel call are capped so that the pair products and D stay
+# below this many doubles each; larger stacks go through in blocks.  A
+# 64-start stack at n = 9 would otherwise hold two 250 KB temporaries,
+# which raised the benchmark's peak RSS by about 0.3 MB.
+_PAIR_BLOCK = 2**14
+
+
+def _contract(m: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """D[s, p] = R(e_a, e_b, ., .) for the frame pairs (e_a, e_b) =
+    (first[s, p], second[s, p]) of a stack of frames, shaped (S, P n, n).
+
+    ``m`` is R as an n^2 x n^2 matrix; each start's pairs go through one
+    P x n^2 by n^2 x n^2 matmul of the stack.
+    """
+    s, p, n = first.shape
+    return ((first[..., :, None] * second[..., None, :]).reshape(s, p, n * n) @ m).reshape(s, p * n, n)
 
 
 def _lam_mu_coeffs(lam: float, mu: float) -> np.ndarray:
@@ -221,7 +242,8 @@ def cyclic_sum_identity(r: CurvatureTensor, frame: Frame, w: Weights) -> tuple[f
 
 
 class _FrameObjective:
-    """Value and Euclidean gradient of a frame functional on k x n matrices.
+    """Value and Euclidean gradient of a frame functional on stacks of
+    k x n matrices (``batch``) and on single ones (the stack of one).
 
     Every kind is <S, F> with S a fixed coefficient vector over a basis of
     symmetrized k^4 tensors: ``isotropic`` and ``lambda_mu`` (4-frames,
@@ -234,111 +256,59 @@ class _FrameObjective:
             raise ValueError(f"unknown objective kind {kind!r}")
         if kind == "lambda_mu" and weights is None:
             raise ValueError("lambda_mu objective needs weights")
-        self.r4 = r.array
         self.weights = weights if kind == "lambda_mu" else None
         sign = -1.0 if negate else 1.0
         self.rows = 2 if kind == "sectional" else 4
-        self.basis = _TWO_FRAME_BASIS if kind == "sectional" else _FOUR_FRAME_BASIS
+        basis = _TWO_FRAME_BASIS if kind == "sectional" else _FOUR_FRAME_BASIS
         if kind == "sectional":
-            self.coeffs = np.array([sign])
+            coeffs = np.array([sign])
         elif kind == "isotropic":
-            self.coeffs = sign * _lam_mu_coeffs(1.0, 1.0)
+            coeffs = sign * _lam_mu_coeffs(1.0, 1.0)
         else:
-            self.coeffs = sign * _lam_mu_coeffs(weights.lam, weights.mu)
+            coeffs = sign * _lam_mu_coeffs(weights.lam, weights.mu)
         # S shares the pair symmetries of R, so all four slots contribute the
-        # same derivative and the gradient is 4 S contracted with C.
+        # same derivative and the gradient is 4 S contracted with C.  S is
+        # antisymmetric in its first pair, so that sum runs twice over the
+        # frame pairs a < b:
+        #   G[d] = 8 sum_{a<b, c} S[a, b, c, d] R(e_a, e_b, e_c, .).
         k = self.rows
-        self.grad_coeffs = 4.0 * (self.coeffs @ self.basis).reshape(k**3, k).T
+        s = (coeffs @ basis).reshape(k, k, k, k)
+        first, second = np.triu_indices(k, 1)
+        self.pair_rows = np.concatenate([first, second])
+        # rows (d, pair), columns c
+        self.grad_coeffs = 8.0 * s[first, second].transpose(2, 0, 1).reshape(k * len(first), k)
+        self.m = r.array.reshape(r.n**2, r.n**2)
 
-    def _terms(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The contraction C and the basis scalars."""
-        c = _contract(self.r4, v)
-        return c, self.basis @ (c @ v.T).ravel()
+    def batch(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Values (S,) and Euclidean gradients (S, k, n) on a stack of frames.
+
+        With D[p] = R(e_a, e_b, ., .) for the pairs p, the gradient row d is
+        sum_{p, c} grad_coeffs[(d, p), c] e_c D[p], and since the functional
+        is homogeneous of degree 4 in the frame, its value is <G, v> / 4.
+        """
+        s, k, n = v.shape
+        pairs = len(self.pair_rows) // 2
+        block = max(1, _PAIR_BLOCK // (pairs * n * n))
+        if s > block:
+            parts = [self.batch(v[i : i + block]) for i in range(0, s, block)]
+            return np.concatenate([f for f, _ in parts]), np.concatenate([g for _, g in parts])
+        rows = np.take(v, self.pair_rows, axis=1)
+        d = _contract(self.m, rows[:, :pairs], rows[:, pairs:])
+        g = (self.grad_coeffs @ v).reshape(s, k, -1) @ d
+        return dots(g, v) / 4.0, g
 
     def value(self, v: np.ndarray) -> float:
-        return float(self.coeffs @ self._terms(v)[1])
+        return self.value_grad(v)[0]
 
     def value_grad(self, v: np.ndarray) -> tuple[float, np.ndarray]:
-        c, terms = self._terms(v)
-        k, n = v.shape
-        return float(self.coeffs @ terms), self.grad_coeffs @ c.reshape(k**3, n)
+        """Value and gradient of one k x n frame: the stack of one."""
+        val, grad = self.batch(np.asarray(v, dtype=float)[None])
+        return float(val[0]), grad[0]
 
 
 def frame_objective(r: CurvatureTensor, kind: str, weights: Weights | None = None, negate: bool = False) -> _FrameObjective:
     """Build the frame functional used by the minimizer (useful for tests)."""
     return _FrameObjective(r, kind, weights, negate)
-
-
-# ---------------------------------------------------------------------------
-# Riemannian descent
-
-
-def _tangent_project(grad: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Project a Euclidean gradient onto the Stiefel tangent space at v."""
-    gv = grad @ v.T
-    return grad - 0.5 * (gv + gv.T) @ v
-
-
-def _retract(m: np.ndarray) -> np.ndarray:
-    """Re-orthonormalize rows (sign-fixed QR, equivalent to Gram-Schmidt)."""
-    q, r = np.linalg.qr(m.T)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    return (q * signs).T
-
-
-def _descend(obj: _FrameObjective, v0: np.ndarray, opts: MinimizeOpts):
-    """Monotone projected gradient descent from one start.
-
-    Steps along the negative tangent-projected gradient with a
-    Barzilai-Borwein trial step and Armijo backtracking, retracting by row
-    re-orthonormalization.  Each trial frame is contracted once, for value
-    and gradient together, so the accepted trial's gradient is reused.
-    Returns (value, frame matrix, iterations, grad_norm, converged, history
-    of accepted objective values).
-    """
-    v = _retract(np.asarray(v0, dtype=float))
-    val, grad = obj.value_grad(v)
-    p = _tangent_project(grad, v)
-    gnorm = float(np.linalg.norm(p))
-    history = [val]
-    step = 1.0 / max(1.0, gnorm)
-    prev_v = None
-    prev_p = None
-    iters = 0
-    converged = gnorm < opts.grad_tol
-    while iters < opts.max_iters and not converged:
-        iters += 1
-        if prev_v is not None:
-            s = (v - prev_v).ravel()
-            y = (p - prev_p).ravel()
-            sy = float(s @ y)
-            if sy > 1e-300:
-                step = float(np.clip(float(s @ s) / sy, 1e-12, 1e6))
-            else:
-                step = min(step * 2.0, 1e6)
-        trial = step
-        accepted = False
-        for _ in range(60):
-            v_try = _retract(v - trial * p)
-            f_try, g_try = obj.value_grad(v_try)
-            if f_try <= val - 1e-4 * trial * gnorm * gnorm:
-                accepted = True
-                break
-            trial *= 0.5
-            if trial * gnorm < opts.step_tol:
-                break
-        if not accepted:
-            break
-        prev_v, prev_p = v, p
-        v = v_try
-        val = f_try
-        p = _tangent_project(g_try, v)
-        gnorm = float(np.linalg.norm(p))
-        history.append(val)
-        step = trial
-        converged = gnorm < opts.grad_tol
-    return val, v, iters, gnorm, converged, history
 
 
 def minimize_frame(
@@ -350,6 +320,11 @@ def minimize_frame(
     init_frames: tuple[Frame, ...] = (),
 ) -> ConditionReport:
     """Multistart frame minimization of a curvature functional.
+
+    The warm starts and the seeded random starts descend together as one
+    batch (``stiefel.descend``), each with its own step and stopping; the
+    report is the start with the lowest value, the lowest start index
+    among equal values.
 
     Parameters
     ----------
@@ -379,23 +354,19 @@ def minimize_frame(
         f.require_rows(obj.rows)
         if f.n != r.n:
             raise ValueError("warm-start frame has wrong ambient dimension")
-        starts.append(f.vectors.copy())
+        starts.append(f.vectors)
     for i in range(opts.restarts):
-        starts.append(random_frame([opts.seed, i], r.n, k=obj.rows).vectors.copy())
-    best = None
-    for idx, v0 in enumerate(starts):
-        val, v, iters, gnorm, conv, _ = _descend(obj, v0, opts)
-        if best is None or val < best[0]:
-            best = (val, v, iters, gnorm, conv, idx)
-    val, v, iters, gnorm, conv, _ = best
+        starts.append(random_frame([opts.seed, i], r.n, k=obj.rows).vectors)
+    vals, frames, iters, gnorms, convs, _ = descend(obj, np.stack(starts), opts)
+    best = int(np.argmin(vals))  # lowest value, then lowest start index
     return ConditionReport(
-        min_value=val,
-        argmin_frame=Frame(n=r.n, vectors=v),
+        min_value=float(vals[best]),
+        argmin_frame=Frame(n=r.n, vectors=frames[best]),
         argmin_weights=obj.weights,
         restarts=len(starts),
-        iterations=iters,
-        grad_norm=gnorm,
-        converged=conv,
+        iterations=int(iters[best]),
+        grad_norm=float(gnorms[best]),
+        converged=bool(convs[best]),
     )
 
 

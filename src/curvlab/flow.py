@@ -137,9 +137,11 @@ class FlowOpts:
 
 def _reaction_raw(r4: np.ndarray) -> np.ndarray:
     """Q_{ijkl} = sum_pq [ R_ijpq R_klpq + 2 (R_ipkq R_jplq - R_iplq R_jpkq) ]."""
-    sq = np.tensordot(r4, r4, axes=([2, 3], [2, 3]))
-    rt = np.ascontiguousarray(r4.transpose(0, 2, 1, 3))
-    cross = np.tensordot(rt, rt, axes=([2, 3], [2, 3]))
+    n = r4.shape[0]
+    a = r4.reshape(n * n, n * n)
+    sq = (a @ a.T).reshape(n, n, n, n)
+    at = r4.transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    cross = (at @ at.T).reshape(n, n, n, n)
     term2 = cross.transpose(0, 2, 1, 3)
     term3 = cross.transpose(0, 2, 3, 1)
     return sq + 2.0 * (term2 - term3)

@@ -1,0 +1,136 @@
+"""Monotone descent on stacks of Stiefel frames.
+
+``descend`` minimizes a smooth function of orthonormal k-frames in R^n
+from a stack of starts shaped (S, k, n).  The objective is any object
+whose ``batch(v)`` returns the values (S,) and Euclidean gradients
+(S, k, n) on a stack of frames; ``opts`` supplies ``max_iters``,
+``step_tol`` and ``grad_tol`` (``conditions.MinimizeOpts``).
+
+All starts descend together as one batch, projected gradient descent with
+a Barzilai-Borwein trial step, Armijo backtracking and a QR retraction
+(Edelman-Arias-Smith 1998; Wen-Yin 2013), each start with its own step and
+stopping.  Every stacked product is one small matmul or LAPACK call per
+start, so a start's path does not depend on which other starts share its
+batch.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from numpy.linalg import _umath_linalg
+
+
+def dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-start inner products <x[s], y[s]> of two stacks, one dot each."""
+    s = len(x)
+    return np.vecdot(x.reshape(s, -1), y.reshape(s, -1))
+
+
+def tangent_project(grad: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Project Euclidean gradients onto the Stiefel tangent spaces at a stack of frames."""
+    gv = grad @ v.transpose(0, 2, 1)
+    return grad - 0.5 * (gv + gv.transpose(0, 2, 1)) @ v
+
+
+def retract(m: np.ndarray) -> np.ndarray:
+    """Re-orthonormalize the rows of each matrix in a stack (sign-fixed QR,
+    equivalent to Gram-Schmidt); the result is C-contiguous."""
+    # The two LAPACK steps of np.linalg.qr without its wrapper, whose
+    # checks, error-state contexts and triu cost more than the k <= 4
+    # column factorization itself.  geqrf leaves R in the top of ``a``.
+    a = m.transpose(0, 2, 1).copy()
+    tau = _umath_linalg.qr_r_raw(a, signature="d->d")
+    q = _umath_linalg.qr_reduced(a, tau, signature="dd->d")
+    signs = np.where(np.diagonal(a, axis1=1, axis2=2) < 0.0, -1.0, 1.0)
+    return np.multiply(q.transpose(0, 2, 1), signs[:, :, None], order="C")
+
+
+def _line_search(obj, v, p, val, slope, gnorm, trial, opts, tries: int = 60):
+    """Armijo backtracking along -p for every start of a batch.
+
+    Start s tries the retraction of v[s] - t p[s] for t = trial[s],
+    trial[s] / 2, ... and accepts the first whose value is at most
+    val[s] - t slope[s]; it gives up after ``tries`` trials or once
+    t gnorm[s] < ``opts.step_tol``.  The starts still searching are
+    evaluated together, gathered into a smaller batch only when some of
+    the batch stopped.  Returns the trial frames, values and gradients
+    (accepted where ``ok``), the last steps and the mask ``ok``.
+    """
+    v_try = retract(v - trial[:, None, None] * p)
+    f_try, g_try = obj.batch(v_try)
+    ok = f_try <= val - trial * slope
+    if tries == 1 or ok.all():
+        return v_try, f_try, g_try, trial, ok
+    half = 0.5 * trial
+    retry = ~(ok | (half * gnorm < opts.step_tol))
+    if retry.all():
+        return _line_search(obj, v, p, val, slope, gnorm, half, opts, tries - 1)
+    if retry.any():
+        trial = trial.copy()
+        sub = _line_search(obj, *(x[retry] for x in (v, p, val, slope, gnorm, half)), opts, tries - 1)
+        for x, y in zip((v_try, f_try, g_try, trial, ok), sub):
+            x[retry] = y
+    return v_try, f_try, g_try, trial, ok
+
+
+def descend(obj, v0: np.ndarray, opts):
+    """Monotone projected gradient descent from a stack of starts (S, k, n).
+
+    All starts descend together as one batch.  Each steps along its
+    negative tangent-projected gradient with its own Barzilai-Borwein trial
+    step and Armijo backtracking, retracting by row re-orthonormalization.
+    Each stops on its own (gradient below ``opts.grad_tol``, a line search
+    that fails by step tolerance or 60 halvings, ``opts.max_iters``) and
+    then leaves the batch.  Each retracted frame goes through ``obj.batch``
+    once, for value and gradient together, so the accepted trial's
+    gradient is reused.
+
+    Returns per-start arrays (values, frames, iterations, grad norms,
+    converged) and the history of accepted objective values: the start
+    values of every start, then per iteration the indices of the starts
+    that took a step and their new values.
+    """
+    v = retract(np.asarray(v0, dtype=float))
+    val, grad = obj.batch(v)
+    p = tangent_project(grad, v)
+    gnorm = np.sqrt(dots(p, p))
+    ids = np.arange(len(v))
+    history = [(ids, val)]
+    out_val, out_v, out_gnorm = val.copy(), v.copy(), gnorm.copy()
+    out_iters = np.zeros(len(v), dtype=int)
+    it = 0
+
+    def retire(gone: np.ndarray) -> None:
+        # the current state of the starts ids[gone] is their result
+        out_val[ids[gone]], out_v[ids[gone]], out_gnorm[ids[gone]] = val[gone], v[gone], gnorm[gone]
+        out_iters[ids[gone]] = it
+
+    step = 1.0 / np.maximum(1.0, gnorm)
+    live = ~(gnorm < opts.grad_tol)
+    ids, v, p, val, gnorm, step = (x[live] for x in (ids, v, p, val, gnorm, step))
+    while ids.size and it < opts.max_iters:
+        it += 1
+        v_try, f_try, g_try, trial, ok = _line_search(obj, v, p, val, 1e-4 * gnorm * gnorm, gnorm, step, opts)
+        if not ok.all():
+            # the line search failed: these starts stop where they are
+            retire(~ok)
+            ids, v, p, val, gnorm, trial, v_try, f_try, g_try = (
+                x[ok] for x in (ids, v, p, val, gnorm, trial, v_try, f_try, g_try))
+            if not ids.size:
+                break
+        p_try = tangent_project(g_try, v_try)
+        # Barzilai-Borwein step for the next iteration, doubling the
+        # accepted step where the curvature s.y is not positive
+        s = v_try - v
+        sy = dots(s, p_try - p)
+        curved = sy > 1e-300
+        bb = np.minimum(np.maximum(dots(s, s) / np.where(curved, sy, 1.0), 1e-12), 1e6)
+        step = bb if curved.all() else np.where(curved, bb, np.minimum(trial * 2.0, 1e6))
+        v, p, val, gnorm = v_try, p_try, f_try, np.sqrt(dots(p_try, p_try))
+        history.append((ids, val))
+        live = ~(gnorm < opts.grad_tol)
+        if not live.all():
+            retire(~live)
+            ids, v, p, val, gnorm, step = (x[live] for x in (ids, v, p, val, gnorm, step))
+    retire(np.ones(len(ids), dtype=bool))
+    return out_val, out_v, out_iters, out_gnorm, out_gnorm < opts.grad_tol, history

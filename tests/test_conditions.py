@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from curvlab import conditions
+from curvlab import conditions, stiefel
 from curvlab.conditions import (
     MinimizeOpts,
     ProductBlockGroup,
     UnitaryGroup,
     Weights,
-    _descend,
     check_nic,
     check_pic2,
     cyclic_sum_identity,
@@ -20,6 +19,7 @@ from curvlab.conditions import (
     weighted_isotropic_curvature,
 )
 from curvlab.frames import Frame, lift_frame, random_frame
+from curvlab.stiefel import descend
 from curvlab.tensors import (
     CurvatureTensor,
     combine,
@@ -186,30 +186,83 @@ def test_kernel_matches_multilinear_oracle():
 def test_descend_is_monotone():
     r = random_tensor(21, 5)
     obj = frame_objective(r, "isotropic")
-    for seed in range(5):
-        v0 = random_frame(seed, 5).vectors
-        _, _, _, _, _, history = _descend(obj, v0, MinimizeOpts())
-        diffs = np.diff(history)
-        assert np.all(diffs <= 0.0)
+    v0 = np.stack([random_frame(seed, 5).vectors for seed in range(5)])
+    *_, history = descend(obj, v0, MinimizeOpts())
+    per_start = [[] for _ in range(len(v0))]
+    for ids, vals in history:
+        for i, f in zip(ids, vals):
+            per_start[i].append(f)
+    for values in per_start:
+        assert len(values) > 1
+        assert np.all(np.diff(values) <= 0.0)
 
 
 def test_descend_contracts_each_frame_once(monkeypatch):
-    # every retracted frame (the start and each line-search trial) is
-    # contracted exactly once, for value and gradient together
-    calls = {"contract": 0, "retract": 0}
+    # every retracted frame (each start and each line-search trial of each
+    # start) is contracted exactly once, for value and gradient together;
+    # frames are counted through the leading stack dimension
+    frames = {"contract": 0, "retract": 0}
 
-    def counting(name, fn):
+    def counting(name, fn, stack):
         def wrapped(*args):
-            calls[name] += 1
+            frames[name] += len(args[stack])
             return fn(*args)
 
         return wrapped
 
-    monkeypatch.setattr(conditions, "_contract", counting("contract", conditions._contract))
-    monkeypatch.setattr(conditions, "_retract", counting("retract", conditions._retract))
-    minimize_frame(random_tensor(0, 6), "isotropic", MinimizeOpts(restarts=8))
-    assert calls["retract"] > 8
-    assert calls["contract"] == calls["retract"]
+    monkeypatch.setattr(conditions, "_contract", counting("contract", conditions._contract, 1))
+    monkeypatch.setattr(stiefel, "retract", counting("retract", stiefel.retract, 0))
+    rep = minimize_frame(random_tensor(0, 6), "isotropic", MinimizeOpts(restarts=8))
+    assert frames["retract"] > 8 * rep.iterations
+    assert frames["contract"] == frames["retract"]
+
+
+def test_descend_batch_independence_and_tie_break():
+    # a start's value, frame and iteration count do not depend on the other
+    # starts of its batch
+    opts = MinimizeOpts()
+    for kind, negate, n in (("isotropic", False, 6), ("sectional", True, 7)):
+        obj = frame_objective(random_tensor([n, 41], n), kind, negate=negate)
+        v0 = np.stack([random_frame([n, i, 42], n, k=obj.rows).vectors for i in range(64)])
+        vals, frames, iters, gnorms, convs, _ = descend(obj, v0, opts)
+        for i in (0, 17, 63):
+            val, frame, it, gnorm, conv, _ = descend(obj, v0[i : i + 1], opts)
+            assert val[0] == vals[i]
+            assert np.array_equal(frame[0], frames[i])
+            assert it[0] == iters[i] and gnorm[0] == gnorms[i] and conv[0] == convs[i]
+
+    # identical warm starts end identically, so the report is start 0's
+    r = random_tensor(5, 6)
+    warm = random_frame(9, 6)
+    vals, frames, iters, *_ = descend(frame_objective(r, "isotropic"), np.stack([warm.vectors] * 2), opts)
+    assert vals[0] == vals[1] and np.array_equal(frames[0], frames[1]) and iters[0] == iters[1]
+    rep = minimize_frame(r, "isotropic", MinimizeOpts(restarts=1), init_frames=(warm, warm))
+    assert rep.min_value == vals[0] and np.array_equal(rep.argmin_frame.vectors, frames[0])
+
+    # on the round sphere two different coordinate frames tie at exactly 4;
+    # the lower start index wins
+    e = np.eye(5)
+    f1 = Frame(n=5, vectors=e[[0, 1, 2, 3]])
+    f2 = Frame(n=5, vectors=e[[4, 3, 2, 1]])
+    for first, second in ((f1, f2), (f2, f1)):
+        rep = minimize_frame(sphere(5, 1.0), "isotropic", MinimizeOpts(restarts=1), init_frames=(first, second))
+        assert rep.min_value == 4.0
+        assert np.array_equal(rep.argmin_frame.vectors, first.vectors)
+
+
+def test_batched_kernel_matches_single_frames():
+    for n in range(4, 13):
+        r = random_tensor([n, 51], n)
+        for kind, negate in (("isotropic", False), ("sectional", True)):
+            obj = frame_objective(r, kind, negate=negate)
+            for s in (1, 3, 64):
+                v = np.stack([random_frame([n, s, i, 52], n, k=obj.rows).vectors for i in range(s)])
+                vals, grads = obj.batch(v)
+                assert vals.shape == (s,) and grads.shape == v.shape
+                for i in range(s):
+                    f, g = obj.value_grad(v[i])
+                    assert abs(vals[i] - f) <= 1e-14
+                    assert np.max(np.abs(grads[i] - g)) <= 1e-14
 
 
 def test_minimize_deterministic_per_seed():
