@@ -21,11 +21,11 @@ is homogeneous of degree 4 its value is <gradient, frame> / 4.  One kernel
 computes both on a stack of frames (S, k, n), through the pair contraction
 D = R(e_a, e_b, ., .) for a < b, with one small matmul per frame.
 
-The multistart search hands the whole stack of starts to
-``stiefel.descend``, which descends them together as one batch, each
-start with its own Barzilai-Borwein step, Armijo backtracking and stop
-rules.  A start's path does not depend on which other starts share its
-batch.
+The multistart search orthonormalizes its (S, k, n) stack of starts in one
+sign-fixed QR and descends it as one batch (``stiefel``), each start with
+its own Barzilai-Borwein step, Armijo backtracking and stop rules, on a
+path independent of its batch.  Random start i, the k x n draw of
+``default_rng([seed, i])``, is bitwise ``random_frame([seed, i], n, k)``.
 
 The minimizers are heuristic certificates: the frame manifold is compact
 and low dimensional, so seeded multistart local descent is reliable at
@@ -39,8 +39,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .frames import Frame, cyclic_frames, lift_frame, random_block_rotation, random_frame, random_unitary, unitary_action
-from .stiefel import descend, dots
+from .frames import RANK_TOL, Frame, cyclic_frames, lift_frame, random_block_rotation, random_frame, random_unitary, unitary_action
+from .stiefel import descend, dots, orthonormal_rows
 from .tensors import CurvatureTensor, pad_euclidean
 
 __all__ = [
@@ -311,6 +311,18 @@ def frame_objective(r: CurvatureTensor, kind: str, weights: Weights | None = Non
     return _FrameObjective(r, kind, weights, negate)
 
 
+def _start_stack(raw: np.ndarray, warm: int, seed) -> np.ndarray:
+    """One sign-fixed QR of ``warm`` warm starts followed by the draws of
+    ``default_rng([seed, i])``; a draw failing the rank test is replaced by
+    ``random_frame([seed, i], n, k)``, which replays its stream and draws
+    again."""
+    v, rdiag = orthonormal_rows(raw)
+    _, k, n = raw.shape
+    for i in np.flatnonzero(rdiag[warm:].min(axis=1) <= RANK_TOL):
+        v[warm + i] = random_frame([seed, int(i)], n, k).vectors
+    return v
+
+
 def minimize_frame(
     r: CurvatureTensor,
     objective: str = "isotropic",
@@ -324,7 +336,10 @@ def minimize_frame(
     The warm starts and the seeded random starts descend together as one
     batch (``stiefel.descend``), each with its own step and stopping; the
     report is the start with the lowest value, the lowest start index
-    among equal values.
+    among equal values.  Random start i is bitwise
+    ``random_frame([opts.seed, i], n, k)`` for every ``opts.restarts``,
+    made in one stacked QR with the others; only the argmin is validated
+    as a ``Frame``.
 
     Parameters
     ----------
@@ -337,7 +352,7 @@ def minimize_frame(
         Minimize the negated functional (used to locate maxima).
     init_frames : tuple of Frame
         Warm starts, tried before the random restarts and sharing the
-        deterministic tie-break.
+        deterministic tie-break; orthonormalized with the random starts.
 
     Returns
     -------
@@ -349,21 +364,19 @@ def minimize_frame(
     obj = _FrameObjective(r, objective, weights, negate)
     if r.n < obj.rows:
         raise ValueError(f"ambient dimension {r.n} too small for a {obj.rows}-frame objective")
-    starts: list[np.ndarray] = []
     for f in init_frames:
-        f.require_rows(obj.rows)
-        if f.n != r.n:
+        if f.require_rows(obj.rows).n != r.n:
             raise ValueError("warm-start frame has wrong ambient dimension")
-        starts.append(f.vectors)
-    for i in range(opts.restarts):
-        starts.append(random_frame([opts.seed, i], r.n, k=obj.rows).vectors)
-    vals, frames, iters, gnorms, convs, _ = descend(obj, np.stack(starts), opts)
+    warm = [f.vectors for f in init_frames]
+    draws = [np.random.default_rng([opts.seed, i]).standard_normal((obj.rows, r.n)) for i in range(opts.restarts)]
+    v0 = _start_stack(np.stack(warm + draws), len(warm), opts.seed)
+    vals, frames, iters, gnorms, convs, _ = descend(obj, v0, opts)
     best = int(np.argmin(vals))  # lowest value, then lowest start index
     return ConditionReport(
         min_value=float(vals[best]),
         argmin_frame=Frame(n=r.n, vectors=frames[best]),
         argmin_weights=obj.weights,
-        restarts=len(starts),
+        restarts=len(v0),
         iterations=int(iters[best]),
         grad_norm=float(gnorms[best]),
         converged=bool(convs[best]),

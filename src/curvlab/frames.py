@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
+from .stiefel import orthonormal_rows
 from .tensors import standard_complex_structure
 
 __all__ = [
@@ -28,7 +29,6 @@ __all__ = [
 
 ORTHO_TOL = 1e-10
 RANK_TOL = 1e-10
-COMPLETION_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -72,45 +72,37 @@ class Frame:
         return self
 
 
-def _gram_schmidt(rows: np.ndarray, rank_tol: float) -> np.ndarray:
-    out = []
-    for row in rows:
-        v = row.astype(float).copy()
-        for u in out:
-            v -= (v @ u) * u
-        # second pass for numerical orthogonality
-        for u in out:
-            v -= (v @ u) * u
-        norm = np.linalg.norm(v)
-        if norm <= rank_tol:
-            raise ValueError(f"rank deficiency: residual norm {norm:.3e} <= {rank_tol:.0e}")
-        out.append(v / norm)
-    return np.array(out)
-
-
 def orthonormalize(matrix, rank_tol: float = RANK_TOL) -> Frame:
-    """Gram-Schmidt the rows of a k x n matrix into a Frame spanning the same flag."""
+    """Orthonormalize the rows of a k x n matrix into a Frame spanning the
+    same flag, by the sign-fixed QR ``stiefel.orthonormal_rows``.
+
+    Raises ValueError on rank deficiency, |R_jj| <= ``rank_tol``.
+    """
     m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] > m.shape[1]:
-        raise ValueError(f"expected a k x n matrix with k <= n, got shape {m.shape}")
-    return Frame(n=m.shape[1], vectors=_gram_schmidt(m, rank_tol))
+    if m.ndim != 2 or not 0 < m.shape[0] <= m.shape[1]:
+        raise ValueError(f"expected a k x n matrix with 0 < k <= n, got shape {m.shape}")
+    q, rdiag = orthonormal_rows(m[None])
+    if rdiag.min() <= rank_tol:
+        raise ValueError(f"rank deficiency: |R_jj| {rdiag.min():.3e} <= {rank_tol:.0e}")
+    return Frame(n=m.shape[1], vectors=q[0])
 
 
 def random_frame(seed, n: int, k: int = 4) -> Frame:
     """Orthonormalization of a seeded standard-normal k x n matrix.
 
-    Deterministic per seed; the row distribution is rotation invariant.
-    Resamples internally in the (measure-zero) event of rank failure.
+    ``orthonormalize`` of ``np.random.default_rng(seed).standard_normal((k, n))``:
+    deterministic per seed, with a rotation invariant row distribution.
+    Start i of ``minimize_frame`` at seed s is bitwise
+    ``random_frame([s, i], n, k)``.  Draws again from the same generator in
+    the (measure-zero) event of rank failure.
     """
     if n < k:
         raise ValueError(f"ambient dimension {n} too small for a {k}-frame")
     rng = np.random.default_rng(seed)
     while True:
-        m = rng.standard_normal((k, n))
-        try:
-            return orthonormalize(m)
-        except ValueError:
-            continue
+        q, rdiag = orthonormal_rows(rng.standard_normal((1, k, n)))
+        if rdiag.min() > RANK_TOL:
+            return Frame(n=n, vectors=q[0])
 
 
 def lift_frame(frame: Frame, weights) -> Frame:
@@ -149,32 +141,17 @@ def cyclic_frames(frame: Frame) -> tuple[Frame, Frame, Frame]:
     )
 
 
-def complete_basis(frame: Frame, tol: float = COMPLETION_TOL) -> np.ndarray:
+def complete_basis(frame: Frame) -> np.ndarray:
     """Deterministic completion of a frame to a full orthonormal basis of R^n.
 
-    Gram-Schmidts the standard basis vectors against the frame in index
-    order, skipping near-dependent candidates.  Returns an n x n row matrix
-    whose first k rows are the frame.
+    Returns an n x n row matrix whose first k rows are the frame and whose
+    last n - k rows are those of the sign-fixed QR of the frame followed by
+    the first n - k standard basis vectors.  That QR of a square matrix is
+    orthogonal even where the basis vectors depend on the frame.
     """
-    n = frame.n
-    rows = [frame.vectors[i].copy() for i in range(frame.k)]
-    for idx in range(n):
-        if len(rows) == n:
-            break
-        v = np.zeros(n)
-        v[idx] = 1.0
-        for u in rows:
-            v -= (v @ u) * u
-        norm = np.linalg.norm(v)
-        if norm <= tol:
-            continue
-        v /= norm
-        for u in rows:
-            v -= (v @ u) * u
-        rows.append(v / np.linalg.norm(v))
-    if len(rows) != n:
-        raise ValueError("basis completion failed (input frame not orthonormal?)")
-    return np.array(rows)
+    n, k = frame.n, frame.k
+    q, _ = orthonormal_rows(np.vstack([frame.vectors, np.eye(n)[: n - k]])[None])
+    return np.vstack([frame.vectors, q[0, k:]])
 
 
 def _check_unitary(u: np.ndarray, m: int, tol: float) -> None:

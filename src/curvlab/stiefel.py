@@ -1,8 +1,8 @@
 """Monotone descent on stacks of Stiefel frames.
 
 ``descend`` minimizes a smooth function of orthonormal k-frames in R^n
-from a stack of starts shaped (S, k, n).  The objective is any object
-whose ``batch(v)`` returns the values (S,) and Euclidean gradients
+from a stack of orthonormal starts shaped (S, k, n).  The objective is any
+object whose ``batch(v)`` returns the values (S,) and Euclidean gradients
 (S, k, n) on a stack of frames; ``opts`` supplies ``max_iters``,
 ``step_tol`` and ``grad_tol`` (``conditions.MinimizeOpts``).
 
@@ -32,17 +32,24 @@ def tangent_project(grad: np.ndarray, v: np.ndarray) -> np.ndarray:
     return grad - 0.5 * (gv + gv.transpose(0, 2, 1)) @ v
 
 
-def retract(m: np.ndarray) -> np.ndarray:
-    """Re-orthonormalize the rows of each matrix in a stack (sign-fixed QR,
-    equivalent to Gram-Schmidt); the result is C-contiguous."""
+def orthonormal_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sign-fixed QR of the rows of each matrix in a stack (S, k, n), the
+    one row orthonormalization in curvlab (Gram-Schmidt in exact arithmetic).
+
+    Returns the orthonormal rows Q (C-contiguous) and |R_jj| (S, k): row j
+    of Q[s] lies in the span of rows 0..j of m[s] with a positive inner
+    product with row j, and |R_jj| is the norm of the part of that row
+    orthogonal to rows 0..j-1, the rank test.
+    """
     # The two LAPACK steps of np.linalg.qr without its wrapper, whose
     # checks, error-state contexts and triu cost more than the k <= 4
     # column factorization itself.  geqrf leaves R in the top of ``a``.
     a = m.transpose(0, 2, 1).copy()
     tau = _umath_linalg.qr_r_raw(a, signature="d->d")
     q = _umath_linalg.qr_reduced(a, tau, signature="dd->d")
-    signs = np.where(np.diagonal(a, axis1=1, axis2=2) < 0.0, -1.0, 1.0)
-    return np.multiply(q.transpose(0, 2, 1), signs[:, :, None], order="C")
+    diag = np.diagonal(a, axis1=1, axis2=2)
+    signs = np.where(diag < 0.0, -1.0, 1.0)
+    return np.multiply(q.transpose(0, 2, 1), signs[:, :, None], order="C"), signs * diag
 
 
 def _line_search(obj, v, p, val, slope, gnorm, trial, opts, tries: int = 60):
@@ -56,7 +63,7 @@ def _line_search(obj, v, p, val, slope, gnorm, trial, opts, tries: int = 60):
     the batch stopped.  Returns the trial frames, values and gradients
     (accepted where ``ok``), the last steps and the mask ``ok``.
     """
-    v_try = retract(v - trial[:, None, None] * p)
+    v_try = orthonormal_rows(v - trial[:, None, None] * p)[0]
     f_try, g_try = obj.batch(v_try)
     ok = f_try <= val - trial * slope
     if tries == 1 or ok.all():
@@ -74,7 +81,8 @@ def _line_search(obj, v, p, val, slope, gnorm, trial, opts, tries: int = 60):
 
 
 def descend(obj, v0: np.ndarray, opts):
-    """Monotone projected gradient descent from a stack of starts (S, k, n).
+    """Monotone projected gradient descent from a stack of orthonormal
+    starts (S, k, n).
 
     All starts descend together as one batch.  Each steps along its
     negative tangent-projected gradient with its own Barzilai-Borwein trial
@@ -90,7 +98,7 @@ def descend(obj, v0: np.ndarray, opts):
     values of every start, then per iteration the indices of the starts
     that took a step and their new values.
     """
-    v = retract(np.asarray(v0, dtype=float))
+    v = np.asarray(v0, dtype=float)
     val, grad = obj.batch(v)
     p = tangent_project(grad, v)
     gnorm = np.sqrt(dots(p, p))

@@ -19,7 +19,7 @@ from curvlab.conditions import (
     weighted_isotropic_curvature,
 )
 from curvlab.frames import Frame, lift_frame, random_frame
-from curvlab.stiefel import descend
+from curvlab.stiefel import descend, orthonormal_rows
 from curvlab.tensors import (
     CurvatureTensor,
     combine,
@@ -198,10 +198,11 @@ def test_descend_is_monotone():
 
 
 def test_descend_contracts_each_frame_once(monkeypatch):
-    # every retracted frame (each start and each line-search trial of each
-    # start) is contracted exactly once, for value and gradient together;
-    # frames are counted through the leading stack dimension
-    frames = {"contract": 0, "retract": 0}
+    # every orthonormalized frame (each start, in the one QR of the start
+    # stack, and each line-search trial of each start) is contracted exactly
+    # once, for value and gradient together; frames are counted through the
+    # leading stack dimension
+    frames = {"contract": 0, "orthonormalize": 0}
 
     def counting(name, fn, stack):
         def wrapped(*args):
@@ -211,10 +212,11 @@ def test_descend_contracts_each_frame_once(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(conditions, "_contract", counting("contract", conditions._contract, 1))
-    monkeypatch.setattr(stiefel, "retract", counting("retract", stiefel.retract, 0))
+    monkeypatch.setattr(conditions, "orthonormal_rows", counting("orthonormalize", conditions.orthonormal_rows, 0))
+    monkeypatch.setattr(stiefel, "orthonormal_rows", counting("orthonormalize", stiefel.orthonormal_rows, 0))
     rep = minimize_frame(random_tensor(0, 6), "isotropic", MinimizeOpts(restarts=8))
-    assert frames["retract"] > 8 * rep.iterations
-    assert frames["contract"] == frames["retract"]
+    assert frames["orthonormalize"] > 8 * rep.iterations
+    assert frames["contract"] == frames["orthonormalize"]
 
 
 def test_descend_batch_independence_and_tie_break():
@@ -231,10 +233,11 @@ def test_descend_batch_independence_and_tie_break():
             assert np.array_equal(frame[0], frames[i])
             assert it[0] == iters[i] and gnorm[0] == gnorms[i] and conv[0] == convs[i]
 
-    # identical warm starts end identically, so the report is start 0's
+    # identical warm starts end identically, so the report is start 0's;
+    # minimize_frame orthonormalizes the warm starts with the start stack
     r = random_tensor(5, 6)
     warm = random_frame(9, 6)
-    vals, frames, iters, *_ = descend(frame_objective(r, "isotropic"), np.stack([warm.vectors] * 2), opts)
+    vals, frames, iters, *_ = descend(frame_objective(r, "isotropic"), orthonormal_rows(np.stack([warm.vectors] * 2))[0], opts)
     assert vals[0] == vals[1] and np.array_equal(frames[0], frames[1]) and iters[0] == iters[1]
     rep = minimize_frame(r, "isotropic", MinimizeOpts(restarts=1), init_frames=(warm, warm))
     assert rep.min_value == vals[0] and np.array_equal(rep.argmin_frame.vectors, frames[0])
@@ -263,6 +266,55 @@ def test_batched_kernel_matches_single_frames():
                     f, g = obj.value_grad(v[i])
                     assert abs(vals[i] - f) <= 1e-14
                     assert np.max(np.abs(grads[i] - g)) <= 1e-14
+
+
+class _Starts(Exception):
+    """Carries the start stack out of minimize_frame before any descent."""
+
+
+def _start_stack_of(monkeypatch, *args, **kwargs) -> np.ndarray:
+    def stop(obj, v0, opts):
+        raise _Starts(v0)
+
+    monkeypatch.setattr(conditions, "descend", stop)
+    with pytest.raises(_Starts) as caught:
+        minimize_frame(*args, **kwargs)
+    return caught.value.args[0]
+
+
+def test_starts_are_random_frames(monkeypatch):
+    # start i is bitwise random_frame([seed, i], n, k), whatever --restarts is
+    for n in range(4, 15):
+        r = random_tensor([n, 61], n)
+        for kind, k in (("sectional", 2), ("isotropic", 4)):
+            for seed in (0, 62):
+                v = _start_stack_of(monkeypatch, r, kind, MinimizeOpts(restarts=64, seed=seed))
+                assert v.shape == (64, k, n)
+                for i in range(64):
+                    assert np.array_equal(v[i], random_frame([seed, i], n, k).vectors)
+                short = _start_stack_of(monkeypatch, r, kind, MinimizeOpts(restarts=8, seed=seed))
+                assert np.array_equal(short, v[:8])
+
+    # warm starts come first and do not shift the random starts
+    warm = random_frame(63, 6)
+    v = _start_stack_of(monkeypatch, random_tensor(1, 6), "isotropic", MinimizeOpts(restarts=3, seed=4), init_frames=(warm,))
+    assert np.max(np.abs(v[0] - warm.vectors)) < 1e-15
+    for i in range(3):
+        assert np.array_equal(v[1 + i], random_frame([4, i], 6).vectors)
+
+
+def test_rank_deficient_draw_is_drawn_again():
+    # a draw failing the rank test must not pass silently: its start is
+    # random_frame([seed, i]), which replays the stream and draws again
+    # (here the stream's own first draw, since the repeated row is planted)
+    seed, n, k = 5, 6, 4
+    warm = random_frame(1, n).vectors
+    draws = [np.random.default_rng([seed, i]).standard_normal((k, n)) for i in range(4)]
+    draws[2][3] = draws[2][0]
+    v = conditions._start_stack(np.stack([warm] + draws), 1, seed)
+    assert np.array_equal(v[0], orthonormal_rows(warm[None])[0][0])
+    for i in range(4):
+        assert np.array_equal(v[1 + i], random_frame([seed, i], n, k).vectors)
 
 
 def test_minimize_deterministic_per_seed():

@@ -55,6 +55,24 @@ def test_orthonormalize_random_and_rank():
         orthonormalize(np.vstack([rows, rows[0] + rows[1]]))
 
 
+def test_orthonormalize_keeps_the_flag():
+    # row j of the frame lies in the span of input rows 0..j and has a
+    # positive inner product with input row j
+    rng = np.random.default_rng(1)
+    for k, n in ((1, 3), (2, 2), (2, 5), (3, 7), (4, 4), (4, 9)):
+        for _ in range(10):
+            m = rng.standard_normal((k, n))
+            v = orthonormalize(m).vectors
+            for j in range(k):
+                coef = np.linalg.lstsq(m[: j + 1].T, v[j], rcond=None)[0]
+                assert np.max(np.abs(m[: j + 1].T @ coef - v[j])) < 1e-12
+                assert v[j] @ m[j] > 0.0
+    with pytest.raises(ValueError, match="rank deficiency"):
+        orthonormalize(np.vstack([m[:3], m[0]]))
+    with pytest.raises(ValueError, match="k <= n"):
+        orthonormalize(np.zeros((0, 4)))
+
+
 def test_random_frame_deterministic():
     a = random_frame(3, 6)
     b = random_frame(3, 6)
@@ -63,6 +81,8 @@ def test_random_frame_deterministic():
     assert not np.array_equal(a.vectors, c.vectors)
     assert a.gram_residual() < 1e-12
     assert random_frame(0, 5, k=2).k == 2
+    with pytest.raises(ValueError):
+        random_frame(0, 5, k=0)
 
 
 def test_lift_frame_formulas():
