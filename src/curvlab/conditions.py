@@ -39,6 +39,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .blas import single_threaded
 from .frames import RANK_TOL, Frame, cyclic_frames, lift_frame, random_block_rotation, random_frame, random_unitary, unitary_action
 from .stiefel import descend, dots, orthonormal_rows
 from .tensors import CurvatureTensor, pad_euclidean
@@ -323,6 +324,7 @@ def _start_stack(raw: np.ndarray, warm: int, seed) -> np.ndarray:
     return v
 
 
+@single_threaded
 def minimize_frame(
     r: CurvatureTensor,
     objective: str = "isotropic",
@@ -368,7 +370,8 @@ def minimize_frame(
         if f.require_rows(obj.rows).n != r.n:
             raise ValueError("warm-start frame has wrong ambient dimension")
     warm = [f.vectors for f in init_frames]
-    draws = [np.random.default_rng([opts.seed, i]).standard_normal((obj.rows, r.n)) for i in range(opts.restarts)]
+    # Generator(PCG64(seed)) is default_rng(seed) without its wrapper.
+    draws = [np.random.Generator(np.random.PCG64([opts.seed, i])).standard_normal((obj.rows, r.n)) for i in range(opts.restarts)]
     v0 = _start_stack(np.stack(warm + draws), len(warm), opts.seed)
     vals, frames, iters, gnorms, convs, _ = descend(obj, v0, opts)
     best = int(np.argmin(vals))  # lowest value, then lowest start index

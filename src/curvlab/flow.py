@@ -9,6 +9,16 @@ PDE.
 The frame-combination identity checked by ``decomposition_residual`` is
 the normative anchor for the Q convention: it pins the overall scale and
 sign used here.
+
+The integrator's state is the curvature operator on Lambda^2, the
+symmetric N x N matrix M[(i<j), (k<l)] = R_ijkl with N = n(n-1)/2, and Q
+is evaluated on it directly (``lambda2``).  The dense n^4 tensor is built
+only where a ``CurvatureTensor`` is needed: the diagnostic rows, the final
+state and ``quadratic_reaction``.  ``step`` and ``integrate`` share one
+RK4 stepper; they, ``quadratic_reaction`` and ``decomposition_residual``
+share the one Q kernel.  BLAS runs on one thread
+(``blas.single_threaded``), so the same input gives the same bytes on any
+core count.
 """
 
 from __future__ import annotations
@@ -17,8 +27,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .blas import single_threaded
 from .conditions import MinimizeOpts, check_pic2, isotropic_curvature, minimize_frame
 from .frames import Frame, complete_basis
+from .lambda2 import expand, operator
+from .lambda2 import reaction as _reaction_raw  # looked up per call, so tests can count calls
 from .tensors import CurvatureTensor, SYM_TOL_DEFAULT, pad_euclidean, project_curvature, scalar_curvature
 
 __all__ = [
@@ -135,31 +148,26 @@ class FlowOpts:
 # Reaction term
 
 
-def _reaction_raw(r4: np.ndarray) -> np.ndarray:
-    """Q_{ijkl} = sum_pq [ R_ijpq R_klpq + 2 (R_ipkq R_jplq - R_iplq R_jpkq) ]."""
-    n = r4.shape[0]
-    a = r4.reshape(n * n, n * n)
-    sq = (a @ a.T).reshape(n, n, n, n)
-    at = r4.transpose(0, 2, 1, 3).reshape(n * n, n * n)
-    cross = (at @ at.T).reshape(n, n, n, n)
-    term2 = cross.transpose(0, 2, 1, 3)
-    term3 = cross.transpose(0, 2, 3, 1)
-    return sq + 2.0 * (term2 - term3)
-
-
-def _wrap(raw: np.ndarray, n: int) -> CurvatureTensor:
+def _tensor(m: np.ndarray, n: int) -> CurvatureTensor:
     """Project and wrap, with the symmetry tolerance scaled to the data."""
-    tol = max(SYM_TOL_DEFAULT, 1e-12 * float(np.abs(raw).max(initial=0.0)))
-    return project_curvature(raw, n, sym_tol=tol)
+    tol = max(SYM_TOL_DEFAULT, 1e-12 * float(np.abs(m).max(initial=0.0)))
+    return project_curvature(expand(m, n), n, sym_tol=tol)
 
 
+def _scalar(m: np.ndarray) -> float:
+    """Scalar curvature of the tensor with Lambda^2 operator M."""
+    return 2.0 * float(np.trace(m))
+
+
+@single_threaded
 def quadratic_reaction(r: CurvatureTensor) -> CurvatureTensor:
-    """The quadratic reaction Q(R) of the curvature evolution equation.
+    """The quadratic reaction Q(R) = R^2 + R# of the curvature evolution
+    equation.
 
     Maps the algebraic symmetry class to itself; on the constant-curvature
     ray Q(sphere(n, kappa)) = sphere(n, 2 (n-1) kappa^2).
     """
-    return _wrap(_reaction_raw(r.array), r.n)
+    return _tensor(_reaction_raw(operator(r.array)), r.n)
 
 
 # ---------------------------------------------------------------------------
@@ -234,14 +242,15 @@ def _rk4(y: np.ndarray, h: float, k1: np.ndarray | None = None) -> np.ndarray:
         return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+@single_threaded
 def step(state: FlowState, dt: float) -> FlowState:
     """One classical fourth-order Runge-Kutta step of dR/dt = Q(R)."""
     if dt <= 0 or not np.isfinite(dt):
         raise ValueError("dt must be positive and finite")
-    y1 = _rk4(state.r.array, dt)
+    y1 = _rk4(operator(state.r.array), dt)
     if not np.all(np.isfinite(y1)):
         raise FlowBlowupError(state.t + dt, float("inf"), float("inf"))
-    return FlowState(t=state.t + dt, r=_wrap(y1, state.r.n))
+    return FlowState(t=state.t + dt, r=_tensor(y1, state.r.n))
 
 
 class _Diagnostics:
@@ -269,6 +278,7 @@ class _Diagnostics:
         )
 
 
+@single_threaded
 def integrate(r0: CurvatureTensor, t_end: float, opts: FlowOpts | None = None) -> FlowTrace:
     """Integrate dR/dt = Q(R) from 0 to t_end with diagnostics.
 
@@ -278,13 +288,18 @@ def integrate(r0: CurvatureTensor, t_end: float, opts: FlowOpts | None = None) -
     result is the one accepted.  With ``ode_tol=None`` the full fixed-step
     result is used and the estimate is only recorded.  The blow-up guard
     aborts with FlowBlowupError when components pass ``opts.blowup_cap``.
+
+    The state is the Lambda^2 operator of R, whose entries are exactly the
+    distinct components of R up to sign, so the maxima above are the same
+    as over the full array; the tensor is built only for diagnostic rows
+    and the final state.
     """
     opts = opts or FlowOpts()
     if t_end <= 0 or not np.isfinite(t_end):
         raise ValueError("t_end must be positive and finite")
     n = r0.n
-    y = r0.array.copy()
-    scalar0 = scalar_curvature(r0)
+    y = operator(r0.array)
+    scalar0 = _scalar(y)
     if opts.normalize and abs(scalar0) < 1e-12 * max(1.0, float(np.abs(y).max())):
         raise ValueError("cannot normalize: initial scalar curvature vanishes")
     diag = _Diagnostics(opts.minimize)
@@ -314,7 +329,7 @@ def integrate(r0: CurvatureTensor, t_end: float, opts: FlowOpts | None = None) -
         if not np.all(np.isfinite(y)):
             raise FlowBlowupError(t + h, float("inf"), opts.blowup_cap)
         if opts.normalize:
-            s_new = scalar_curvature(_wrap(y, n))
+            s_new = _scalar(y)
             if abs(s_new) < 1e-300 or (s_new > 0) != (scalar0 > 0):
                 raise ValueError(f"normalization failed at t = {t + h:.6g}: scalar curvature degenerated")
             y = y * (scalar0 / s_new)
@@ -325,10 +340,10 @@ def integrate(r0: CurvatureTensor, t_end: float, opts: FlowOpts | None = None) -
         steps += 1
         err_since_row = max(err_since_row, err)
         if steps % opts.stride == 0 or t >= t_end - 1e-15:
-            r_now = _wrap(y, n)
+            r_now = _tensor(y, n)
             rows.append(diag.row(t, r_now, h, err_since_row))
             err_since_row = 0.0
-    final = FlowState(t=t, r=_wrap(y, n))
+    final = FlowState(t=t, r=_tensor(y, n))
     return FlowTrace(rows=tuple(rows), final_state=final)
 
 

@@ -98,7 +98,7 @@ def random_frame(seed, n: int, k: int = 4) -> Frame:
     """
     if n < k:
         raise ValueError(f"ambient dimension {n} too small for a {k}-frame")
-    rng = np.random.default_rng(seed)
+    rng = np.random.Generator(np.random.PCG64(seed))  # default_rng(seed), bitwise
     while True:
         q, rdiag = orthonormal_rows(rng.standard_normal((1, k, n)))
         if rdiag.min() > RANK_TOL:

@@ -1,0 +1,113 @@
+"""Curvature tensors as operators on Lambda^2, and the reaction Q on them.
+
+A curvature tensor is carried as its operator on Lambda^2, the symmetric
+N x N matrix M[(i<j), (k<l)] = R_ijkl with N = n(n-1)/2.  Its entries are
+exactly the distinct components of R up to sign.  In these terms
+
+    Q_ijkl = 2 (M M)[(ij), (kl)] + 2 (C[(i,k), (j,l)] - C[(i,l), (j,k)]),
+    C[(i,k), (j,l)] = sum_pq R_ipkq R_jplq.
+
+The matrix A[(i,k), (p,q)] = R_ipkq commutes with the pair swap on both
+sides, so C = A A^T splits over Sym^2 + Lambda^2.  On Lambda^2, Bianchi
+gives A = M / 2, so that block of 2 C is M M again.  On Sym^2, 2 C is
+Z W Z^T with Z[(i<=k), (p<=q)] = R_ipkq + R_iqkp and the weights W = 1 for
+p < q and 1/2 for p = q.  The products cost N^3 and (N + n)^3, not the n^6
+of the (n^2 x n^2) products of the index formula.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+
+import numpy as np
+
+__all__ = ["operator", "expand", "reaction"]
+
+
+_ZERO = np.zeros(1)
+
+
+@functools.cache
+def _pairs(n: int) -> np.ndarray:
+    """Flat offsets i n + j of the pairs i < j, in the order of M's rows."""
+    return np.array([i * n + j for i in range(n) for j in range(i + 1, n)], dtype=np.int32)
+
+
+@functools.cache
+def _plan(big: int) -> tuple[np.ndarray, ...]:
+    """Index plans (int32, O(N^2)) of ``reaction`` for N = big.
+
+    ``z1`` and ``z2`` pick the two terms of Z from the flattened
+    [M, -M, 0], ``weights`` are W, ``g1`` and ``g2`` pick the Sym^2 Gram
+    entries of C[(i,k),(j,l)] and C[(i,l),(j,k)] for the outputs
+    (i<j), (k<l), and ``p1`` and ``p2`` the Lambda^2 entries from the
+    flattened [M M, -M M, 0].
+    """
+    n = (1 + math.isqrt(1 + 8 * big)) // 2
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    syms = [(i, k) for i in range(n) for k in range(i, n)]
+    small = len(syms)
+    anti, sym = {}, {}
+    for p, (i, j) in enumerate(pairs):
+        anti[i, j] = anti[j, i] = p
+    for p, (i, k) in enumerate(syms):
+        sym[i, k] = sym[k, i] = p
+
+    def signed(a, b, c, d):
+        # Offset of the entry R_abcd = +-X[{a,b}, {c,d}] in the flattened
+        # [X, -X, 0]: the second block when one pair is reversed, the zero
+        # when a pair repeats an index.
+        if a == b or c == d:
+            return 2 * big * big
+        return anti[a, b] * big + anti[c, d] + big * big * ((a > b) != (c > d))
+
+    def table(entry, rows):
+        return np.array([[entry(*r, *c) for c in rows] for r in rows], dtype=np.int32)
+
+    def upper(entry):
+        # Z[(p,q), (i,k)] picks the entries of Z[(i,k), (p,q)] from M's
+        # transpose, so Z is symmetric on a symmetric M: reading every
+        # entry from the upper triangle makes it symmetric on every M.
+        return lambda i, k, p, q: entry(i, k, p, q) if sym[i, k] <= sym[p, q] else entry(p, q, i, k)
+
+    return (
+        table(upper(lambda i, k, p, q: signed(i, p, k, q)), syms),
+        table(upper(lambda i, k, p, q: signed(i, q, k, p)), syms),
+        np.array([0.5 if i == k else 1.0 for i, k in syms]),
+        table(lambda i, j, k, l: sym[i, k] * small + sym[j, l], pairs),
+        table(lambda i, j, k, l: sym[i, l] * small + sym[j, k], pairs),
+        table(lambda i, j, k, l: signed(i, k, j, l), pairs),
+        table(lambda i, j, k, l: signed(i, l, j, k), pairs),
+    )
+
+
+def operator(r4: np.ndarray) -> np.ndarray:
+    """The Lambda^2 operator M[(i<j), (k<l)] = R_ijkl of an (n, n, n, n) array."""
+    n = r4.shape[0]
+    pairs = _pairs(n)
+    return r4.reshape(n * n, n * n)[np.ix_(pairs, pairs)]
+
+
+def expand(m: np.ndarray, n: int) -> np.ndarray:
+    """The (n, n, n, n) array of a Lambda^2 operator: M scattered to the
+    entries i < j, k < l, then completed by two signed transposes."""
+    pairs = _pairs(n)
+    full = np.zeros((n * n, n * n))
+    full[np.ix_(pairs, pairs)] = m
+    full = full.reshape(n, n, n, n)
+    full = full - full.transpose(1, 0, 2, 3)
+    return full - full.transpose(0, 1, 3, 2)
+
+
+def reaction(m: np.ndarray) -> np.ndarray:
+    """Q(R) on the Lambda^2 operator M of R: the entries (i<j), (k<l) of
+    Q_ijkl = sum_pq [ R_ijpq R_klpq + 2 (R_ipkq R_jplq - R_iplq R_jpkq) ],
+    through the Sym^2 product and M M (see the module docstring)."""
+    z1, z2, weights, g1, g2, p1, p2 = _plan(m.shape[0])
+    signed = np.concatenate((m.ravel(), -m.ravel(), _ZERO))
+    z = signed.take(z1) + signed.take(z2)
+    gram = ((z * weights) @ z).ravel()  # Z W Z^T, as Z is symmetric
+    sq = m @ m
+    signed = np.concatenate((sq.ravel(), -sq.ravel(), _ZERO))
+    return 2.0 * sq + ((gram.take(g1) - gram.take(g2)) + (signed.take(p1) - signed.take(p2)))

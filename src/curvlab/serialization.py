@@ -25,8 +25,6 @@ __all__ = [
     "read_tensor",
     "frame_to_json",
     "frame_from_json",
-    "write_frame",
-    "read_frame",
     "trace_to_csv",
     "trace_from_csv",
     "write_trace",
@@ -118,16 +116,6 @@ def frame_from_json(text: str) -> Frame:
     if not isinstance(n, int) or not isinstance(vectors, list):
         raise ValueError("frame JSON has wrong field types")
     return Frame(n=n, vectors=np.asarray(vectors, dtype=float))
-
-
-def write_frame(path: str, f: Frame) -> None:
-    with open(path, "w") as fh:
-        fh.write(frame_to_json(f))
-
-
-def read_frame(path: str) -> Frame:
-    with open(path) as fh:
-        return frame_from_json(fh.read())
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from curvlab import flow
+from curvlab import blas, flow, lambda2
 from curvlab.conditions import MinimizeOpts, isotropic_curvature
 from curvlab.flow import (
     FlowBlowupError,
@@ -18,6 +22,7 @@ from curvlab.flow import (
     step,
 )
 from curvlab.frames import complete_basis, random_frame
+from curvlab.serialization import write_tensor
 from curvlab.tensors import (
     CurvatureTensor,
     product,
@@ -37,12 +42,44 @@ def test_reaction_zero_and_sphere_regression():
     q = quadratic_reaction(_zero(4))
     assert q.max_abs() == 0.0
     # frozen regression: Q(sphere(n, kappa)) = sphere(n, 2 (n-1) kappa^2)
-    for n, kappa in ((4, 1.0), (5, 0.5), (6, -1.0)):
+    for n, kappa in ((3, 0.8), (4, 1.0), (5, 0.5), (6, -1.0), (7, 1.3), (8, 0.9), (9, 1.0), (10, -0.6), (11, 1.1), (12, 0.7)):
         q = quadratic_reaction(sphere(n, kappa))
         expect = sphere(n, 2.0 * (n - 1) * kappa**2)
         assert np.max(np.abs(q.comps - expect.comps)) < 1e-12
     q4 = quadratic_reaction(sphere(4, 1.0))
     assert q4.array[0, 1, 0, 1] == pytest.approx(6.0, abs=1e-13)  # c(4) = 6
+
+
+def _reaction_oracle(r4):
+    # The index formula of Q on the dense array, one einsum per term.
+    def term(spec):
+        return np.einsum(spec, r4, r4, optimize=True)
+
+    return term("ijpq,klpq->ijkl") + 2.0 * (term("ipkq,jplq->ijkl") - term("iplq,jpkq->ijkl"))
+
+
+def test_reaction_kernel_matches_index_formula():
+    for n in range(2, 17):
+        r = random_tensor([n, 6], n)
+        expect = _reaction_oracle(r.array)
+        scale = np.abs(expect).max()
+        raw = lambda2.reaction(lambda2.operator(r.array))
+        assert raw.shape == (n * (n - 1) // 2,) * 2
+        assert np.abs(raw - lambda2.operator(expect)).max() <= 1e-13 * scale
+        assert np.abs(quadratic_reaction(r).array - expect).max() <= 1e-13 * scale
+
+
+def test_lambda2_round_trip_is_exact():
+    rng = np.random.default_rng(11)
+    for n in range(2, 13):
+        big = n * (n - 1) // 2
+        m = rng.standard_normal((big, big))
+        full = lambda2.expand(m, n)
+        assert np.array_equal(lambda2.operator(full), m)
+        assert np.array_equal(full, -full.transpose(1, 0, 2, 3))
+        assert np.array_equal(full, -full.transpose(0, 1, 3, 2))
+        r = sphere(n, 0.7)
+        assert np.array_equal(lambda2.expand(lambda2.operator(r.array), n), r.array)
 
 
 def test_reaction_preserves_symmetry_class():
@@ -242,3 +279,43 @@ def test_flow_opts_validation():
         FlowOpts(stride=0)
     with pytest.raises(ValueError):
         integrate(sphere(4, 1.0), -1.0, FlowOpts(minimize=LIGHT))
+
+
+def test_single_threaded_pins_and_restores():
+    controls = blas.thread_controls()
+    if controls is None:
+        pytest.skip("numpy's bundled OpenBLAS exports no thread control")
+    get, set_ = controls
+    inner = blas.single_threaded(get)
+    outer = blas.single_threaded(lambda: (get(), inner(), get()))
+    before = get()
+    set_(2)
+    try:
+        assert outer() == (1, 1, 1)
+        assert get() == 2
+    finally:
+        set_(before)
+
+
+def test_missing_thread_control_is_reported(monkeypatch, capsys):
+    monkeypatch.setattr(blas, "_LIB_DIRS", ("no-such-dir",))
+    assert blas.thread_controls.__wrapped__() is None
+    assert "cannot pin BLAS threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [10, 14])
+def test_flow_bytes_do_not_depend_on_blas_threads(tmp_path, n):
+    # Unpinned, n = 14 prints different last digits under 1 and 2 threads:
+    # its N x N products are past OpenBLAS's threading threshold.
+    r = random_tensor([20070, n], n)
+    path = tmp_path / "r.json"
+    write_tensor(str(path), CurvatureTensor(n=n, comps=r.comps * (0.1 / r.max_abs())))
+    traces = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"trace{threads}.csv"
+        argv = ["flow", "--tensor", str(path), "--t-end", "0.1", "--stride", "5", "--restarts", "4", "--seed", "3", "--out", str(out)]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-m", "curvlab", *argv], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        traces.append(out.read_bytes())
+    assert traces[0] == traces[1]

@@ -85,6 +85,18 @@ def test_random_frame_deterministic():
         random_frame(0, 5, k=0)
 
 
+def test_pcg64_draws_are_default_rng_draws():
+    # random_frame and the multistart starts build their generator from
+    # PCG64 directly; the stream is bitwise that of default_rng.
+    for seed, i, k, n in ((0, 0, 4, 4), (3, 7, 2, 9), (62, 63, 4, 14), (2**40 + 5, 1, 4, 6)):
+        direct = np.random.Generator(np.random.PCG64([seed, i])).standard_normal((k, n))
+        assert np.array_equal(direct, np.random.default_rng([seed, i]).standard_normal((k, n)))
+    assert np.array_equal(
+        np.random.Generator(np.random.PCG64(5)).standard_normal((3, 5)),
+        np.random.default_rng(5).standard_normal((3, 5)),
+    )
+
+
 def test_lift_frame_formulas():
     f = random_frame(1, 5)
     lifted = lift_frame(f, Weights(1.0, 1.0))
