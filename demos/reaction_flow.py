@@ -28,7 +28,7 @@ def sphere_accuracy():
     for row in trace.rows[:: max(1, len(trace.rows) // 5)]:
         exact = sphere_kappa(4, 1.0, row.t)
         print(f"  t={row.t:5.3f}  kmin={row.kmin:.8f}  exact={exact:.8f}  err_est={row.err_est:.1e}")
-    final = trace.final_state.r.array[0, 1, 0, 1]
+    final = trace.final.array[0, 1, 0, 1]
     print(f"  final |kappa - exact| = {abs(final - sphere_kappa(4, 1.0, 0.1)):.2e}")
     print()
 

@@ -27,7 +27,6 @@ from .frames import (
     complete_basis,
     cyclic_frames,
     lift_frame,
-    orthonormalize,
     random_block_rotation,
     random_frame,
     random_unitary,
@@ -54,16 +53,13 @@ from .flow import (
     ConeMarginResult,
     FlowBlowupError,
     FlowOpts,
-    FlowState,
     FlowTrace,
     TraceRow,
     cone_margin_experiment,
     decomposition_residual,
-    decomposition_sums,
     integrate,
     quadratic_reaction,
     sphere_kappa,
-    step,
 )
 
 __version__ = "0.1.0"
@@ -86,7 +82,6 @@ __all__ = [
     "complete_basis",
     "cyclic_frames",
     "lift_frame",
-    "orthonormalize",
     "random_block_rotation",
     "random_frame",
     "random_unitary",
@@ -109,14 +104,11 @@ __all__ = [
     "ConeMarginResult",
     "FlowBlowupError",
     "FlowOpts",
-    "FlowState",
     "FlowTrace",
     "TraceRow",
     "cone_margin_experiment",
     "decomposition_residual",
-    "decomposition_sums",
     "integrate",
     "quadratic_reaction",
     "sphere_kappa",
-    "step",
 ]

@@ -62,12 +62,6 @@ def _frame_payload(f: Frame) -> list[list[float]]:
     return [[float(x) for x in row] for row in f.vectors]
 
 
-def _weights_payload(w: Weights | None):
-    if w is None:
-        return None
-    return {"lam": w.lam, "mu": w.mu}
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -98,46 +92,29 @@ def _cmd_check(args) -> int:
     r = ser.read_tensor(args.tensor)
     seed = _resolve_seed(args.seed)
     opts = MinimizeOpts(restarts=args.restarts, seed=seed, margin=args.margin)
+    if args.condition == "quarter-pinch":
+        ok, rep, kmax_rep = quarter_pinch_reports(r, opts)
+        extra = {
+            "kmax": -kmax_rep.min_value,
+            "restarts": rep.restarts + kmax_rep.restarts,
+            "converged": rep.converged and kmax_rep.converged,
+        }
+    else:
+        ok, rep = (check_nic if args.condition == "nic" else check_pic2)(r, opts)
+        extra = {"restarts": rep.restarts, "grad_norm": rep.grad_norm, "converged": rep.converged}
     report = {
         "condition": args.condition,
         "margin": opts.margin,
         "n": r.n,
-        "restarts": opts.restarts,
         "seed": seed,
         "timestamp": _timestamp(),
+        "decision": ok,
+        "min_value": rep.min_value,
+        "boundary": rep.boundary,
+        "frame": _frame_payload(rep.argmin_frame),
+        "weights": None,
+        **extra,
     }
-    if args.condition == "nic":
-        ok, rep = check_nic(r, opts)
-    elif args.condition == "pic2":
-        ok, rep = check_pic2(r, opts)
-    else:
-        ok, kmin_rep, kmax_rep = quarter_pinch_reports(r, opts)
-        report.update(
-            {
-                "decision": ok,
-                "min_value": kmin_rep.min_value,
-                "kmax": -kmax_rep.min_value,
-                "boundary": kmin_rep.boundary,
-                "frame": _frame_payload(kmin_rep.argmin_frame),
-                "weights": None,
-                "restarts": kmin_rep.restarts + kmax_rep.restarts,
-                "converged": kmin_rep.converged and kmax_rep.converged,
-            }
-        )
-        sys.stdout.write(ser.dumps_json(report))
-        return 0 if ok else 1
-    report.update(
-        {
-            "decision": ok,
-            "min_value": rep.min_value,
-            "boundary": rep.boundary,
-            "frame": _frame_payload(rep.argmin_frame),
-            "weights": _weights_payload(rep.argmin_weights),
-            "restarts": rep.restarts,
-            "grad_norm": rep.grad_norm,
-            "converged": rep.converged,
-        }
-    )
     sys.stdout.write(ser.dumps_json(report))
     return 0 if ok else 1
 
@@ -147,17 +124,18 @@ def _cmd_minimize(args) -> int:
     seed = _resolve_seed(args.seed)
     opts = MinimizeOpts(restarts=args.restarts, seed=seed)
     objective = args.objective.replace("-", "_")
-    weights = None
+    weights = payload = None
     if objective == "lambda_mu":
         if args.lam is None or args.mu is None:
             raise _CliError("--objective lambda-mu needs --lambda and --mu")
         weights = Weights(args.lam, args.mu)
+        payload = {"lam": args.lam, "mu": args.mu}
     rep = minimize_frame(r, objective, opts, weights=weights)
     report = {
         "objective": args.objective,
         "min_value": rep.min_value,
         "frame": _frame_payload(rep.argmin_frame),
-        "weights": _weights_payload(rep.argmin_weights),
+        "weights": payload,
         "restarts": rep.restarts,
         "iterations": rep.iterations,
         "grad_norm": rep.grad_norm,
@@ -175,9 +153,12 @@ def identity_battery(suite: str, trials: int, seed: int) -> dict:
 
     Dimensions cycle through 4..8; weights are sampled uniformly from
     [-1, 1]^2.  Returns a summary dict with the max residual and verdict.
+    At least one trial is required, so that a pass always means something.
     """
     if suite not in IDENTITY_TOLS:
         raise _CliError(f"unknown identity suite {suite!r}")
+    if trials < 1:
+        raise _CliError(f"--trials must be at least 1, got {trials}")
     tol = IDENTITY_TOLS[suite]
     worst = 0.0
     for i in range(trials):
@@ -226,12 +207,10 @@ def _cmd_flow(args) -> int:
         kwargs["ode_tol"] = None
     opts = FlowOpts(**kwargs)
     trace = integrate(r, args.t_end, opts)
-    text = ser.trace_to_csv(trace)
     if args.out is None:
-        sys.stdout.write(text)
+        sys.stdout.write(ser.trace_to_csv(trace))
     else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        ser.write_trace(args.out, trace)
     return 0
 
 

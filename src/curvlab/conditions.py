@@ -86,21 +86,19 @@ class MinimizeOpts:
     ``restarts`` counts the random starts; warm-start frames supplied by the
     caller come first and share the deterministic tie-break (lowest value,
     then lowest start index).  ``margin`` is the decision margin used by the
-    condition checkers.
+    condition checkers.  The descent's iteration budget and tolerances are
+    the ``stiefel`` module constants.
     """
 
     restarts: int = 64
-    max_iters: int = 500
-    step_tol: float = 1e-10
-    grad_tol: float = 1e-8
     seed: int = 0
     margin: float = 1e-7
 
     def __post_init__(self):
-        if self.restarts < 1 or self.max_iters < 1:
-            raise ValueError("restarts and max_iters must be positive")
-        if self.step_tol <= 0 or self.grad_tol <= 0 or self.margin <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.restarts < 1:
+            raise ValueError("restarts must be positive")
+        if not (np.isfinite(self.margin) and self.margin > 0):
+            raise ValueError("margin must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -108,17 +106,15 @@ class ConditionReport:
     """Outcome of a frame-space minimization.
 
     ``min_value`` is the best local minimum found, ``argmin_frame`` the frame
-    achieving it, ``argmin_weights`` the fixed weights of a ``lambda_mu``
-    search (None for the other objectives), and ``converged`` whether the
-    gradient tolerance was met there.  The checkers set ``boundary`` when
-    the condition holds on the edge of the cone: a minimum at numerical
-    zero (flat directions, borderline models), or for quarter-pinching
-    ``Kmax = 4 Kmin`` within the margin.
+    achieving it, and ``converged`` whether the gradient tolerance was met
+    there.  The checkers set ``boundary`` when the condition holds on the
+    edge of the cone: a minimum at numerical zero (flat directions,
+    borderline models), or for quarter-pinching ``Kmax = 4 Kmin`` within
+    the margin.
     """
 
     min_value: float
     argmin_frame: Frame
-    argmin_weights: Weights | None
     restarts: int
     iterations: int
     grad_norm: float
@@ -257,7 +253,6 @@ class _FrameObjective:
             raise ValueError(f"unknown objective kind {kind!r}")
         if kind == "lambda_mu" and weights is None:
             raise ValueError("lambda_mu objective needs weights")
-        self.weights = weights if kind == "lambda_mu" else None
         sign = -1.0 if negate else 1.0
         self.rows = 2 if kind == "sectional" else 4
         basis = _TWO_FRAME_BASIS if kind == "sectional" else _FOUR_FRAME_BASIS
@@ -349,7 +344,7 @@ def minimize_frame(
         One of ``isotropic``, ``lambda_mu`` (requires ``weights``),
         ``sectional``.
     opts : MinimizeOpts
-        Restart count, iteration budget, tolerances, seed.
+        Restart count and seed.
     negate : bool
         Minimize the negated functional (used to locate maxima).
     init_frames : tuple of Frame
@@ -373,12 +368,11 @@ def minimize_frame(
     # Generator(PCG64(seed)) is default_rng(seed) without its wrapper.
     draws = [np.random.Generator(np.random.PCG64([opts.seed, i])).standard_normal((obj.rows, r.n)) for i in range(opts.restarts)]
     v0 = _start_stack(np.stack(warm + draws), len(warm), opts.seed)
-    vals, frames, iters, gnorms, convs, _ = descend(obj, v0, opts)
+    vals, frames, iters, gnorms, convs, _ = descend(obj, v0)
     best = int(np.argmin(vals))  # lowest value, then lowest start index
     return ConditionReport(
         min_value=float(vals[best]),
         argmin_frame=Frame(n=r.n, vectors=frames[best]),
-        argmin_weights=obj.weights,
         restarts=len(v0),
         iterations=int(iters[best]),
         grad_norm=float(gnorms[best]),
@@ -477,20 +471,22 @@ def holonomy_orbit_invariance(
     group,
     samples: int = 200,
     seed: int = 0,
-    zero_tol: float = ZERO_FRAME_TOL,
 ) -> float:
     """Max |isotropic curvature| over a sampled holonomy orbit of a zero frame.
 
-    The input frame must already have isotropic curvature below ``zero_tol``
-    and the group's ambient dimension must match the tensor's.  For tensors
+    The input frame must already have isotropic curvature below
+    ``ZERO_FRAME_TOL``, the group's ambient dimension must match the
+    tensor's, and ``samples`` must be positive.  For tensors
     actually invariant under the group, the returned maximum stays at the
     scale of the input residual.
     """
     if group.n != r.n:
         raise ValueError(f"group acts on R^{group.n} but tensor lives on R^{r.n}")
+    if samples < 1:
+        raise ValueError("samples must be positive")
     u0 = abs(isotropic_curvature(r, frame))
-    if u0 >= zero_tol:
-        raise ValueError(f"frame is not a zero frame: |u| = {u0:.3e} >= {zero_tol:.0e}")
+    if u0 >= ZERO_FRAME_TOL:
+        raise ValueError(f"frame is not a zero frame: |u| = {u0:.3e} >= {ZERO_FRAME_TOL:.0e}")
     worst = 0.0
     for s in range(samples):
         g = group.sample([seed, s])

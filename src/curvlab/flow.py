@@ -14,9 +14,9 @@ The integrator's state is the curvature operator on Lambda^2, the
 symmetric N x N matrix M[(i<j), (k<l)] = R_ijkl with N = n(n-1)/2, and Q
 is evaluated on it directly (``lambda2``).  The dense n^4 tensor is built
 only where a ``CurvatureTensor`` is needed: the diagnostic rows, the final
-state and ``quadratic_reaction``.  ``step`` and ``integrate`` share one
-RK4 stepper; they, ``quadratic_reaction`` and ``decomposition_residual``
-share the one Q kernel.  BLAS runs on one thread
+tensor and ``quadratic_reaction``.  ``integrate`` runs the one RK4
+stepper; it, ``quadratic_reaction`` and ``decomposition_residual`` share
+the one Q kernel.  BLAS runs on one thread
 (``blas.single_threaded``), so the same input gives the same bytes on any
 core count.
 """
@@ -35,22 +35,24 @@ from .lambda2 import reaction as _reaction_raw  # looked up per call, so tests c
 from .tensors import CurvatureTensor, SYM_TOL_DEFAULT, pad_euclidean, project_curvature, scalar_curvature
 
 __all__ = [
-    "FlowState",
     "TraceRow",
     "FlowTrace",
     "FlowOpts",
     "FlowBlowupError",
     "ConeMarginResult",
     "quadratic_reaction",
-    "decomposition_sums",
     "decomposition_residual",
-    "step",
     "integrate",
     "cone_margin_experiment",
     "sphere_kappa",
 ]
 
 TRACE_COLUMNS = ("t", "kmin", "kmax", "min_iso", "min_pic2", "scalar", "dt", "err_est")
+
+# Richardson halvings allowed per step before a step-size underflow, and
+# the max |component| past which integration aborts as a blow-up.
+MAX_HALVINGS = 40
+BLOWUP_CAP = 1e12
 
 
 class FlowBlowupError(RuntimeError):
@@ -61,18 +63,6 @@ class FlowBlowupError(RuntimeError):
         self.t = t
         self.size = size
         self.cap = cap
-
-
-@dataclass(frozen=True)
-class FlowState:
-    """A point on a reaction trajectory."""
-
-    t: float
-    r: CurvatureTensor
-
-    def __post_init__(self):
-        if not np.isfinite(self.t):
-            raise ValueError("time must be finite")
 
 
 @dataclass(frozen=True)
@@ -97,12 +87,12 @@ class TraceRow:
 class FlowTrace:
     """Diagnostic rows of a trajectory, strictly increasing in time.
 
-    ``final_state`` carries the end-of-integration tensor when the trace
-    was produced by ``integrate`` (it is None for traces read from disk).
+    ``final`` is the tensor at ``rows[-1].t`` when the trace was produced
+    by ``integrate`` (None for traces read from disk).
     """
 
     rows: tuple[TraceRow, ...]
-    final_state: FlowState | None = None
+    final: CurvatureTensor | None = None
 
     def __post_init__(self):
         if not self.rows:
@@ -128,18 +118,14 @@ class FlowOpts:
     dt: float = 0.01
     ode_tol: float | None = 1e-9
     normalize: bool = False
-    blowup_cap: float = 1e12
     stride: int = 1
     minimize: MinimizeOpts = field(default=MinimizeOpts(restarts=8))
-    max_halvings: int = 40
 
     def __post_init__(self):
         if self.dt <= 0 or not np.isfinite(self.dt):
             raise ValueError("dt must be positive and finite")
         if self.ode_tol is not None and self.ode_tol <= 0:
             raise ValueError("ode_tol must be positive or None")
-        if self.blowup_cap <= 0:
-            raise ValueError("blowup_cap must be positive")
         if self.stride < 1:
             raise ValueError("stride must be at least 1")
 
@@ -187,7 +173,12 @@ def _frame_components(r: CurvatureTensor, frame: Frame) -> np.ndarray:
 
 
 def _block_sums(s: np.ndarray) -> tuple[float, float, float]:
-    """(I1, I2, I3) from the components ``s`` given by ``_frame_components``."""
+    """The block sums (I1, I2, I3) of the reaction decomposition.
+
+    The common summand is evaluated on the components ``s`` given by
+    ``_frame_components``; the blocks split the (p, q) index range at 4:
+    both small, small-large, both large.  For n = 4 the last two are empty.
+    """
     a = s[0, :, 0, :] + s[1, :, 1, :]
     b = s[2, :, 2, :] + s[3, :, 3, :]
     c = s[0, 1, :, :] * s[2, 3, :, :]
@@ -195,17 +186,6 @@ def _block_sums(s: np.ndarray) -> tuple[float, float, float]:
     e = (s[0, :, 3, :] - s[1, :, 2, :]) * (s[3, :, 0, :] - s[2, :, 1, :])
     t = a * b - c - d - e
     return float(t[:4, :4].sum()), float(t[:4, 4:].sum()), float(t[4:, 4:].sum())
-
-
-def decomposition_sums(r: CurvatureTensor, frame: Frame) -> tuple[float, float, float]:
-    """The three block sums of the reaction decomposition.
-
-    The common summand is evaluated on curvature components in a completed
-    orthonormal basis whose first four vectors are the frame; the blocks
-    split the (p, q) index range at 4: both small, small-large, both large.
-    For n = 4 the last two are empty.
-    """
-    return _block_sums(_frame_components(r, frame))
 
 
 def decomposition_residual(r: CurvatureTensor, frame: Frame) -> float:
@@ -242,17 +222,6 @@ def _rk4(y: np.ndarray, h: float, k1: np.ndarray | None = None) -> np.ndarray:
         return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-@single_threaded
-def step(state: FlowState, dt: float) -> FlowState:
-    """One classical fourth-order Runge-Kutta step of dR/dt = Q(R)."""
-    if dt <= 0 or not np.isfinite(dt):
-        raise ValueError("dt must be positive and finite")
-    y1 = _rk4(operator(state.r.array), dt)
-    if not np.all(np.isfinite(y1)):
-        raise FlowBlowupError(state.t + dt, float("inf"), float("inf"))
-    return FlowState(t=state.t + dt, r=_tensor(y1, state.r.n))
-
-
 class _Diagnostics:
     """Warm-started per-row minimizations for trace diagnostics."""
 
@@ -287,12 +256,14 @@ def integrate(r0: CurvatureTensor, t_end: float, opts: FlowOpts | None = None) -
     max |full - halved| / 15 drops below ``opts.ode_tol``; the halved
     result is the one accepted.  With ``ode_tol=None`` the full fixed-step
     result is used and the estimate is only recorded.  The blow-up guard
-    aborts with FlowBlowupError when components pass ``opts.blowup_cap``.
+    aborts with FlowBlowupError when components pass ``BLOWUP_CAP``, and
+    more than ``MAX_HALVINGS`` halvings of one step are a step-size
+    underflow (RuntimeError).
 
     The state is the Lambda^2 operator of R, whose entries are exactly the
     distinct components of R up to sign, so the maxima above are the same
     as over the full array; the tensor is built only for diagnostic rows
-    and the final state.
+    and the final tensor.
     """
     opts = opts or FlowOpts()
     if t_end <= 0 or not np.isfinite(t_end):
@@ -322,20 +293,20 @@ def integrate(r0: CurvatureTensor, t_end: float, opts: FlowOpts | None = None) -
             if opts.ode_tol is None or err <= opts.ode_tol:
                 break
             halvings += 1
-            if halvings > opts.max_halvings:
+            if halvings > MAX_HALVINGS:
                 raise RuntimeError(f"step size underflow at t = {t:.6g}: error estimate {err:.3e}")
             h *= 0.5
         y = full if opts.ode_tol is None else halved
         if not np.all(np.isfinite(y)):
-            raise FlowBlowupError(t + h, float("inf"), opts.blowup_cap)
+            raise FlowBlowupError(t + h, float("inf"), BLOWUP_CAP)
         if opts.normalize:
             s_new = _scalar(y)
             if abs(s_new) < 1e-300 or (s_new > 0) != (scalar0 > 0):
                 raise ValueError(f"normalization failed at t = {t + h:.6g}: scalar curvature degenerated")
             y = y * (scalar0 / s_new)
         size = float(np.abs(y).max())
-        if size > opts.blowup_cap:
-            raise FlowBlowupError(t + h, size, opts.blowup_cap)
+        if size > BLOWUP_CAP:
+            raise FlowBlowupError(t + h, size, BLOWUP_CAP)
         t += h
         steps += 1
         err_since_row = max(err_since_row, err)
@@ -343,8 +314,7 @@ def integrate(r0: CurvatureTensor, t_end: float, opts: FlowOpts | None = None) -
             r_now = _tensor(y, n)
             rows.append(diag.row(t, r_now, h, err_since_row))
             err_since_row = 0.0
-    final = FlowState(t=t, r=_tensor(y, n))
-    return FlowTrace(rows=tuple(rows), final_state=final)
+    return FlowTrace(rows=tuple(rows), final=_tensor(y, n))
 
 
 @dataclass(frozen=True)

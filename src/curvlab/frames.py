@@ -17,7 +17,6 @@ from .tensors import standard_complex_structure
 
 __all__ = [
     "Frame",
-    "orthonormalize",
     "random_frame",
     "lift_frame",
     "cyclic_frames",
@@ -72,26 +71,12 @@ class Frame:
         return self
 
 
-def orthonormalize(matrix, rank_tol: float = RANK_TOL) -> Frame:
-    """Orthonormalize the rows of a k x n matrix into a Frame spanning the
-    same flag, by the sign-fixed QR ``stiefel.orthonormal_rows``.
-
-    Raises ValueError on rank deficiency, |R_jj| <= ``rank_tol``.
-    """
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or not 0 < m.shape[0] <= m.shape[1]:
-        raise ValueError(f"expected a k x n matrix with 0 < k <= n, got shape {m.shape}")
-    q, rdiag = orthonormal_rows(m[None])
-    if rdiag.min() <= rank_tol:
-        raise ValueError(f"rank deficiency: |R_jj| {rdiag.min():.3e} <= {rank_tol:.0e}")
-    return Frame(n=m.shape[1], vectors=q[0])
-
-
 def random_frame(seed, n: int, k: int = 4) -> Frame:
     """Orthonormalization of a seeded standard-normal k x n matrix.
 
-    ``orthonormalize`` of ``np.random.default_rng(seed).standard_normal((k, n))``:
-    deterministic per seed, with a rotation invariant row distribution.
+    The sign-fixed QR ``stiefel.orthonormal_rows`` of
+    ``np.random.default_rng(seed).standard_normal((k, n))``: deterministic
+    per seed, with a rotation invariant row distribution.
     Start i of ``minimize_frame`` at seed s is bitwise
     ``random_frame([s, i], n, k)``.  Draws again from the same generator in
     the (measure-zero) event of rank failure.
@@ -154,30 +139,26 @@ def complete_basis(frame: Frame) -> np.ndarray:
     return np.vstack([frame.vectors, q[0, k:]])
 
 
-def _check_unitary(u: np.ndarray, m: int, tol: float) -> None:
-    n = 2 * m
-    if u.shape != (n, n):
-        raise ValueError(f"expected a {n} x {n} matrix, got {u.shape}")
-    ortho = float(np.max(np.abs(u.T @ u - np.eye(n))))
-    if ortho > tol:
-        raise ValueError(f"matrix is not orthogonal: residual {ortho:.3e} > {tol:.0e}")
-    j = standard_complex_structure(m)
-    comm = float(np.max(np.abs(u @ j - j @ u)))
-    if comm > tol:
-        raise ValueError(f"matrix does not commute with J: residual {comm:.3e} > {tol:.0e}")
-
-
-def unitary_action(frame: Frame, u: np.ndarray, tol: float = ORTHO_TOL) -> Frame:
+def unitary_action(frame: Frame, u: np.ndarray) -> Frame:
     """Apply a unitary holonomy element (orthogonal, J-commuting) to a frame.
 
     Rows map by ``e_i -> U e_i``.  U must be orthogonal and commute with the
-    standard complex structure on R^{2m} to within ``tol``.
+    standard complex structure on R^{2m} to within ``ORTHO_TOL``.
     """
-    if frame.n % 2 != 0:
+    n = frame.n
+    if n % 2 != 0:
         raise ValueError("unitary action needs an even ambient dimension")
     u = np.asarray(u, dtype=float)
-    _check_unitary(u, frame.n // 2, tol)
-    return Frame(n=frame.n, vectors=frame.vectors @ u.T)
+    if u.shape != (n, n):
+        raise ValueError(f"expected a {n} x {n} matrix, got {u.shape}")
+    ortho = float(np.max(np.abs(u.T @ u - np.eye(n))))
+    if ortho > ORTHO_TOL:
+        raise ValueError(f"matrix is not orthogonal: residual {ortho:.3e} > {ORTHO_TOL:.0e}")
+    j = standard_complex_structure(n // 2)
+    comm = float(np.max(np.abs(u @ j - j @ u)))
+    if comm > ORTHO_TOL:
+        raise ValueError(f"matrix does not commute with J: residual {comm:.3e} > {ORTHO_TOL:.0e}")
+    return Frame(n=n, vectors=frame.vectors @ u.T)
 
 
 def random_unitary(seed, m: int) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""File formats: tensor JSON, frame JSON, trace CSV.
+"""File formats: tensor JSON and trace CSV.
 
 Writers emit floating-point values with 17 significant digits so that a
 write/read cycle reproduces IEEE doubles bit for bit.
@@ -13,7 +13,6 @@ import json
 import numpy as np
 
 from .flow import TRACE_COLUMNS, FlowTrace, TraceRow
-from .frames import Frame
 from .tensors import CurvatureTensor
 
 __all__ = [
@@ -23,8 +22,6 @@ __all__ = [
     "tensor_from_json",
     "write_tensor",
     "read_tensor",
-    "frame_to_json",
-    "frame_from_json",
     "trace_to_csv",
     "trace_from_csv",
     "write_trace",
@@ -85,7 +82,15 @@ def tensor_from_json(text: str) -> CurvatureTensor:
     comps = data["components"]
     if not isinstance(n, int) or not isinstance(comps, list):
         raise ValueError("tensor JSON has wrong field types")
-    return CurvatureTensor(n=n, comps=np.asarray(comps, dtype=float))
+    # one vectorized conversion: ragged nesting raises, and any entry that
+    # is not a number leaves a string or object dtype
+    try:
+        arr = np.asarray(comps)
+    except ValueError:
+        arr = None
+    if arr is None or arr.ndim != 1 or arr.dtype.kind not in "iuf":
+        raise ValueError("tensor JSON components must be a flat list of numbers")
+    return CurvatureTensor(n=n, comps=arr)
 
 
 def write_tensor(path: str, r: CurvatureTensor) -> None:
@@ -96,26 +101,6 @@ def write_tensor(path: str, r: CurvatureTensor) -> None:
 def read_tensor(path: str) -> CurvatureTensor:
     with open(path) as fh:
         return tensor_from_json(fh.read())
-
-
-# ---------------------------------------------------------------------------
-# Frames
-
-
-def frame_to_json(f: Frame) -> str:
-    rows = ", ".join("[" + ", ".join(fmt17(x) for x in row) + "]" for row in f.vectors)
-    return f'{{"n": {f.n}, "vectors": [{rows}]}}\n'
-
-
-def frame_from_json(text: str) -> Frame:
-    data = json.loads(text)
-    if not isinstance(data, dict) or set(data) != {"n", "vectors"}:
-        raise ValueError('frame JSON must be an object with keys "n" and "vectors"')
-    n = data["n"]
-    vectors = data["vectors"]
-    if not isinstance(n, int) or not isinstance(vectors, list):
-        raise ValueError("frame JSON has wrong field types")
-    return Frame(n=n, vectors=np.asarray(vectors, dtype=float))
 
 
 # ---------------------------------------------------------------------------

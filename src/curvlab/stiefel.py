@@ -3,8 +3,8 @@
 ``descend`` minimizes a smooth function of orthonormal k-frames in R^n
 from a stack of orthonormal starts shaped (S, k, n).  The objective is any
 object whose ``batch(v)`` returns the values (S,) and Euclidean gradients
-(S, k, n) on a stack of frames; ``opts`` supplies ``max_iters``,
-``step_tol`` and ``grad_tol`` (``conditions.MinimizeOpts``).
+(S, k, n) on a stack of frames; the iteration budget and the step and
+gradient tolerances are the module constants below.
 
 All starts descend together as one batch, projected gradient descent with
 a Barzilai-Borwein trial step, Armijo backtracking and a QR retraction
@@ -18,6 +18,10 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.linalg import _umath_linalg
+
+MAX_ITERS = 500
+STEP_TOL = 1e-10
+GRAD_TOL = 1e-8
 
 
 def dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -52,13 +56,13 @@ def orthonormal_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.multiply(q.transpose(0, 2, 1), signs[:, :, None], order="C"), signs * diag
 
 
-def _line_search(obj, v, p, val, slope, gnorm, trial, opts, tries: int = 60):
+def _line_search(obj, v, p, val, slope, gnorm, trial, tries: int = 60):
     """Armijo backtracking along -p for every start of a batch.
 
     Start s tries the retraction of v[s] - t p[s] for t = trial[s],
     trial[s] / 2, ... and accepts the first whose value is at most
     val[s] - t slope[s]; it gives up after ``tries`` trials or once
-    t gnorm[s] < ``opts.step_tol``.  The starts still searching are
+    t gnorm[s] < ``STEP_TOL``.  The starts still searching are
     evaluated together, gathered into a smaller batch only when some of
     the batch stopped.  Returns the trial frames, values and gradients
     (accepted where ``ok``), the last steps and the mask ``ok``.
@@ -69,26 +73,26 @@ def _line_search(obj, v, p, val, slope, gnorm, trial, opts, tries: int = 60):
     if tries == 1 or ok.all():
         return v_try, f_try, g_try, trial, ok
     half = 0.5 * trial
-    retry = ~(ok | (half * gnorm < opts.step_tol))
+    retry = ~(ok | (half * gnorm < STEP_TOL))
     if retry.all():
-        return _line_search(obj, v, p, val, slope, gnorm, half, opts, tries - 1)
+        return _line_search(obj, v, p, val, slope, gnorm, half, tries - 1)
     if retry.any():
         trial = trial.copy()
-        sub = _line_search(obj, *(x[retry] for x in (v, p, val, slope, gnorm, half)), opts, tries - 1)
+        sub = _line_search(obj, *(x[retry] for x in (v, p, val, slope, gnorm, half)), tries - 1)
         for x, y in zip((v_try, f_try, g_try, trial, ok), sub):
             x[retry] = y
     return v_try, f_try, g_try, trial, ok
 
 
-def descend(obj, v0: np.ndarray, opts):
+def descend(obj, v0: np.ndarray):
     """Monotone projected gradient descent from a stack of orthonormal
     starts (S, k, n).
 
     All starts descend together as one batch.  Each steps along its
     negative tangent-projected gradient with its own Barzilai-Borwein trial
     step and Armijo backtracking, retracting by row re-orthonormalization.
-    Each stops on its own (gradient below ``opts.grad_tol``, a line search
-    that fails by step tolerance or 60 halvings, ``opts.max_iters``) and
+    Each stops on its own (gradient below ``GRAD_TOL``, a line search that
+    fails by step tolerance or 60 halvings, ``MAX_ITERS`` iterations) and
     then leaves the batch.  Each retracted frame goes through ``obj.batch``
     once, for value and gradient together, so the accepted trial's
     gradient is reused.
@@ -114,11 +118,11 @@ def descend(obj, v0: np.ndarray, opts):
         out_iters[ids[gone]] = it
 
     step = 1.0 / np.maximum(1.0, gnorm)
-    live = ~(gnorm < opts.grad_tol)
+    live = ~(gnorm < GRAD_TOL)
     ids, v, p, val, gnorm, step = (x[live] for x in (ids, v, p, val, gnorm, step))
-    while ids.size and it < opts.max_iters:
+    while ids.size and it < MAX_ITERS:
         it += 1
-        v_try, f_try, g_try, trial, ok = _line_search(obj, v, p, val, 1e-4 * gnorm * gnorm, gnorm, step, opts)
+        v_try, f_try, g_try, trial, ok = _line_search(obj, v, p, val, 1e-4 * gnorm * gnorm, gnorm, step)
         if not ok.all():
             # the line search failed: these starts stop where they are
             retire(~ok)
@@ -136,9 +140,9 @@ def descend(obj, v0: np.ndarray, opts):
         step = bb if curved.all() else np.where(curved, bb, np.minimum(trial * 2.0, 1e6))
         v, p, val, gnorm = v_try, p_try, f_try, np.sqrt(dots(p_try, p_try))
         history.append((ids, val))
-        live = ~(gnorm < opts.grad_tol)
+        live = ~(gnorm < GRAD_TOL)
         if not live.all():
             retire(~live)
             ids, v, p, val, gnorm, step = (x[live] for x in (ids, v, p, val, gnorm, step))
     retire(np.ones(len(ids), dtype=bool))
-    return out_val, out_v, out_iters, out_gnorm, out_gnorm < opts.grad_tol, history
+    return out_val, out_v, out_iters, out_gnorm, out_gnorm < GRAD_TOL, history

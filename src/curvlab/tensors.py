@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 SYM_TOL_DEFAULT = 1e-9
-PLANE_TOL_DEFAULT = 1e-12
+PLANE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -155,19 +155,19 @@ def project_curvature(raw, n: int, sym_tol: float = SYM_TOL_DEFAULT) -> Curvatur
     return CurvatureTensor(n=n, comps=out.reshape(-1), sym_tol=sym_tol)
 
 
-def sectional(r: CurvatureTensor, x, y, plane_tol: float = PLANE_TOL_DEFAULT) -> float:
+def sectional(r: CurvatureTensor, x, y) -> float:
     """Sectional curvature of the plane spanned by x and y.
 
     Uses ``R(X, Y, X, Y) / (|X|^2 |Y|^2 - <X, Y>^2)``; the denominator is the
-    Gram determinant of the pair and must exceed ``plane_tol``.
+    Gram determinant of the pair and must exceed ``PLANE_TOL``.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != (r.n,) or y.shape != (r.n,):
         raise ValueError(f"vectors must have shape ({r.n},)")
     gram = float(x @ x) * float(y @ y) - float(x @ y) ** 2
-    if gram <= plane_tol:
-        raise ValueError(f"degenerate plane: Gram determinant {gram:.3e} <= {plane_tol:.3e}")
+    if gram <= PLANE_TOL:
+        raise ValueError(f"degenerate plane: Gram determinant {gram:.3e} <= {PLANE_TOL:.3e}")
     return r(x, y, x, y) / gram
 
 

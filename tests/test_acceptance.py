@@ -132,12 +132,12 @@ def test_acceptance_06_holonomy_invariance(acceptance):
 def test_acceptance_07_ode_correctness(acceptance):
     light = MinimizeOpts(restarts=1, seed=0)
     trace = integrate(sphere(4, 1.0), 0.05, FlowOpts(dt=0.01, ode_tol=1e-9, stride=10**9, minimize=light))
-    err_closed = abs(trace.final_state.r.array[0, 1, 0, 1] - sphere_kappa(4, 1.0, 0.05))
+    err_closed = abs(trace.final.array[0, 1, 0, 1] - sphere_kappa(4, 1.0, 0.05))
 
     errs = []
     for dt in (0.02, 0.01):
         t = integrate(sphere(4, 1.0), 0.08, FlowOpts(dt=dt, ode_tol=None, stride=10**9, minimize=light))
-        errs.append(abs(t.final_state.r.array[0, 1, 0, 1] - sphere_kappa(4, 1.0, 0.08)))
+        errs.append(abs(t.final.array[0, 1, 0, 1] - sphere_kappa(4, 1.0, 0.08)))
     order = float(np.log2(errs[0] / errs[1]))
 
     ok = err_closed < 1e-8 and 3.7 <= order <= 4.3

@@ -202,10 +202,17 @@ def test_usage_and_io_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"n": 4}')
     assert run(["check", "--condition", "nic", "--tensor", str(bad)]) == 2
+    bad.write_text('{"n": 2, "components": [{}' + ", 1" * 15 + "]}")
+    assert run(["check", "--condition", "nic", "--tensor", str(bad)]) == 2
     f1 = _write(tmp_path, "f1.json", sphere(2, 1.0))
     assert run(["model", "--kind", "product", "--factor", f1, "--out", str(tmp_path / "o.json")]) == 2
-    err = capsys.readouterr().err
+    for trials in ("0", "-5"):
+        assert run(["identity", "--suite", "lift", "--trials", trials]) == 2
+    assert run(["check", "--condition", "nic", "--tensor", f1, "--margin", "nan"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
     assert "curvlab:" in err
+    assert "margin" in err and "--trials" in err
 
 
 def test_module_entry_point(tmp_path):

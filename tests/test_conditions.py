@@ -187,7 +187,7 @@ def test_descend_is_monotone():
     r = random_tensor(21, 5)
     obj = frame_objective(r, "isotropic")
     v0 = np.stack([random_frame(seed, 5).vectors for seed in range(5)])
-    *_, history = descend(obj, v0, MinimizeOpts())
+    *_, history = descend(obj, v0)
     per_start = [[] for _ in range(len(v0))]
     for ids, vals in history:
         for i, f in zip(ids, vals):
@@ -222,13 +222,12 @@ def test_descend_contracts_each_frame_once(monkeypatch):
 def test_descend_batch_independence_and_tie_break():
     # a start's value, frame and iteration count do not depend on the other
     # starts of its batch
-    opts = MinimizeOpts()
     for kind, negate, n in (("isotropic", False, 6), ("sectional", True, 7)):
         obj = frame_objective(random_tensor([n, 41], n), kind, negate=negate)
         v0 = np.stack([random_frame([n, i, 42], n, k=obj.rows).vectors for i in range(64)])
-        vals, frames, iters, gnorms, convs, _ = descend(obj, v0, opts)
+        vals, frames, iters, gnorms, convs, _ = descend(obj, v0)
         for i in (0, 17, 63):
-            val, frame, it, gnorm, conv, _ = descend(obj, v0[i : i + 1], opts)
+            val, frame, it, gnorm, conv, _ = descend(obj, v0[i : i + 1])
             assert val[0] == vals[i]
             assert np.array_equal(frame[0], frames[i])
             assert it[0] == iters[i] and gnorm[0] == gnorms[i] and conv[0] == convs[i]
@@ -237,7 +236,7 @@ def test_descend_batch_independence_and_tie_break():
     # minimize_frame orthonormalizes the warm starts with the start stack
     r = random_tensor(5, 6)
     warm = random_frame(9, 6)
-    vals, frames, iters, *_ = descend(frame_objective(r, "isotropic"), orthonormal_rows(np.stack([warm.vectors] * 2))[0], opts)
+    vals, frames, iters, *_ = descend(frame_objective(r, "isotropic"), orthonormal_rows(np.stack([warm.vectors] * 2))[0])
     assert vals[0] == vals[1] and np.array_equal(frames[0], frames[1]) and iters[0] == iters[1]
     rep = minimize_frame(r, "isotropic", MinimizeOpts(restarts=1), init_frames=(warm, warm))
     assert rep.min_value == vals[0] and np.array_equal(rep.argmin_frame.vectors, frames[0])
@@ -273,7 +272,7 @@ class _Starts(Exception):
 
 
 def _start_stack_of(monkeypatch, *args, **kwargs) -> np.ndarray:
-    def stop(obj, v0, opts):
+    def stop(obj, v0):
         raise _Starts(v0)
 
     monkeypatch.setattr(conditions, "descend", stop)
@@ -363,11 +362,12 @@ def test_lambda_mu_minimization():
     r = sphere(4, 1.0)
     rep = minimize_frame(r, "lambda_mu", FAST, weights=Weights(0.5, 1.0 / 3.0))
     assert rep.min_value == pytest.approx(25.0 / 18.0, abs=1e-9)
-    assert rep.argmin_weights == Weights(0.5, 1.0 / 3.0)
 
     rep = minimize_frame(r, "lambda_mu", FAST, weights=Weights(0.0, 0.0))
     assert rep.min_value == pytest.approx(1.0, abs=1e-9)  # lam = mu = 0 picks K13
-    assert minimize_frame(r, "isotropic", FAST, weights=Weights(0.5, 0.5)).argmin_weights is None
+    # weights are ignored outside the lambda_mu objective
+    iso = minimize_frame(r, "isotropic", FAST, weights=Weights(0.5, 0.5))
+    assert iso.min_value == pytest.approx(4.0, abs=1e-9)
 
 
 def test_check_nic():
@@ -387,7 +387,6 @@ def test_check_pic2():
     assert ok
     assert rep.boundary  # flat padding directions sit on the boundary
     assert rep.argmin_frame.n == 6
-    assert rep.argmin_weights is None
     assert rep.restarts == FAST.restarts
     # the sphere's (0, 0) family value K13 = 1 is a padded isotropic value
     k13 = minimize_frame(sphere(4, 1.0), "lambda_mu", FAST, weights=Weights(0.0, 0.0))
@@ -474,6 +473,9 @@ def test_holonomy_errors():
     mixed = Frame(n=4, vectors=np.array([e[0], e[1], e[2], e[3]]))
     with pytest.raises(ValueError, match="group acts"):
         holonomy_orbit_invariance(prod, mixed, ProductBlockGroup((2, 3)))
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match="samples"):
+            holonomy_orbit_invariance(prod, mixed, ProductBlockGroup((2, 2)), samples=samples)
 
 
 def test_holonomy_negative_control():
@@ -498,5 +500,6 @@ def test_weights_and_opts_validation():
         Weights(0.0, np.nan)
     with pytest.raises(ValueError):
         MinimizeOpts(restarts=0)
-    with pytest.raises(ValueError):
-        MinimizeOpts(grad_tol=-1.0)
+    for margin in (0.0, -1e-7, np.nan, np.inf):
+        with pytest.raises(ValueError, match="margin"):
+            MinimizeOpts(margin=margin)

@@ -3,16 +3,17 @@ import pytest
 
 from curvlab.conditions import Weights
 from curvlab.frames import (
+    RANK_TOL,
     Frame,
     complete_basis,
     cyclic_frames,
     lift_frame,
-    orthonormalize,
     random_block_rotation,
     random_frame,
     random_unitary,
     unitary_action,
 )
+from curvlab.stiefel import orthonormal_rows
 from curvlab.tensors import standard_complex_structure
 
 
@@ -35,24 +36,31 @@ def test_frame_immutable():
         f.vectors[0, 0] = 2.0
 
 
+def _qr_rows(m):
+    """The one-matrix stack of ``orthonormal_rows``: rows and |R_jj|."""
+    q, rdiag = orthonormal_rows(np.asarray(m, dtype=float)[None])
+    return q[0], rdiag[0]
+
+
 def test_orthonormalize_fixed_points():
     e = np.eye(6)[:4]
-    out = orthonormalize(e)
-    assert np.max(np.abs(out.vectors - e)) < 1e-14
+    q, _ = _qr_rows(e)
+    assert np.max(np.abs(q - e)) < 1e-14
 
     m = np.array([np.eye(4)[0], np.eye(4)[0] + np.eye(4)[1], np.eye(4)[2], np.eye(4)[3]])
-    out = orthonormalize(m)
-    assert np.max(np.abs(out.vectors - np.eye(4))) < 1e-14
+    q, _ = _qr_rows(m)
+    assert np.max(np.abs(q - np.eye(4))) < 1e-14
 
 
 def test_orthonormalize_random_and_rank():
     rng = np.random.default_rng(0)
     for _ in range(20):
         m = rng.standard_normal((4, 6))
-        assert orthonormalize(m).gram_residual() < 1e-12
-    with pytest.raises(ValueError, match="rank"):
-        rows = rng.standard_normal((3, 5))
-        orthonormalize(np.vstack([rows, rows[0] + rows[1]]))
+        q, rdiag = _qr_rows(m)
+        assert Frame(n=6, vectors=q).gram_residual() < 1e-12
+        assert rdiag.min() > RANK_TOL
+    rows = rng.standard_normal((3, 5))
+    assert _qr_rows(np.vstack([rows, rows[0] + rows[1]]))[1].min() <= RANK_TOL
 
 
 def test_orthonormalize_keeps_the_flag():
@@ -62,15 +70,12 @@ def test_orthonormalize_keeps_the_flag():
     for k, n in ((1, 3), (2, 2), (2, 5), (3, 7), (4, 4), (4, 9)):
         for _ in range(10):
             m = rng.standard_normal((k, n))
-            v = orthonormalize(m).vectors
+            v = _qr_rows(m)[0]
             for j in range(k):
                 coef = np.linalg.lstsq(m[: j + 1].T, v[j], rcond=None)[0]
                 assert np.max(np.abs(m[: j + 1].T @ coef - v[j])) < 1e-12
                 assert v[j] @ m[j] > 0.0
-    with pytest.raises(ValueError, match="rank deficiency"):
-        orthonormalize(np.vstack([m[:3], m[0]]))
-    with pytest.raises(ValueError, match="k <= n"):
-        orthonormalize(np.zeros((0, 4)))
+    assert _qr_rows(np.vstack([m[:3], m[0]]))[1].min() <= RANK_TOL
 
 
 def test_random_frame_deterministic():

@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 
 from curvlab.flow import FlowTrace, TraceRow
-from curvlab.frames import random_frame
 from curvlab.serialization import (
     dumps_json,
     fmt17,
-    frame_from_json,
-    frame_to_json,
     read_tensor,
     read_trace,
     tensor_from_json,
@@ -60,15 +57,14 @@ def test_tensor_json_rejects_malformed():
         tensor_from_json('{"n": 4, "components": [1.0, 2.0]}')
     with pytest.raises(json.JSONDecodeError):
         tensor_from_json("not json")
-
-
-def test_frame_round_trip():
-    f = random_frame(7, 6)
-    back = frame_from_json(frame_to_json(f))
-    assert back.n == f.n
-    assert np.array_equal(back.vectors, f.vectors)
-    with pytest.raises(ValueError):
-        frame_from_json('{"n": 4, "rows": []}')
+    with pytest.raises(ValueError, match="numbers"):
+        tensor_from_json('{"n": 2, "components": [{}' + ", 1" * 15 + "]}")
+    with pytest.raises(ValueError, match="numbers"):
+        tensor_from_json('{"n": 2, "components": [[1, 2], [3]]}')
+    with pytest.raises(ValueError, match="flat"):
+        tensor_from_json('{"n": 2, "components": [[' + ", ".join(["0"] * 16) + "]]}")
+    with pytest.raises(ValueError, match="numbers"):
+        tensor_from_json('{"n": 2, "components": [' + ", ".join(['"0"'] * 16) + "]}")
 
 
 def test_trace_round_trip(tmp_path):
@@ -83,7 +79,7 @@ def test_trace_round_trip(tmp_path):
     assert len(back.rows) == 2
     for got, expect in zip(back.rows, rows):
         assert got.astuple() == expect.astuple()
-    assert back.final_state is None
+    assert back.final is None
 
 
 def test_trace_csv_header_and_shape_errors():
