@@ -96,12 +96,19 @@ def _cmd_check(args) -> int:
         ok, rep, kmax_rep = quarter_pinch_reports(r, opts)
         extra = {
             "kmax": -kmax_rep.min_value,
+            "kmax_upper_bound": -kmax_rep.lower_bound,
             "restarts": rep.restarts + kmax_rep.restarts,
             "converged": rep.converged and kmax_rep.converged,
+            "certified": rep.certified and kmax_rep.certified,
         }
     else:
         ok, rep = (check_nic if args.condition == "nic" else check_pic2)(r, opts)
-        extra = {"restarts": rep.restarts, "grad_norm": rep.grad_norm, "converged": rep.converged}
+        extra = {
+            "restarts": rep.restarts,
+            "grad_norm": rep.grad_norm,
+            "converged": rep.converged,
+            "certified": rep.certified,
+        }
     report = {
         "condition": args.condition,
         "margin": opts.margin,
@@ -110,9 +117,9 @@ def _cmd_check(args) -> int:
         "timestamp": _timestamp(),
         "decision": ok,
         "min_value": rep.min_value,
+        "lower_bound": rep.lower_bound,
         "boundary": rep.boundary,
         "frame": _frame_payload(rep.argmin_frame),
-        "weights": None,
         **extra,
     }
     sys.stdout.write(ser.dumps_json(report))
@@ -134,6 +141,8 @@ def _cmd_minimize(args) -> int:
     report = {
         "objective": args.objective,
         "min_value": rep.min_value,
+        "lower_bound": rep.lower_bound,
+        "certified": rep.certified,
         "frame": _frame_payload(rep.argmin_frame),
         "weights": payload,
         "restarts": rep.restarts,

@@ -27,20 +27,27 @@ its own Barzilai-Borwein step, Armijo backtracking and stop rules, on a
 path independent of its batch.  Random start i, the k x n draw of
 ``default_rng([seed, i])``, is bitwise ``random_frame([seed, i], n, k)``.
 
-The minimizers are heuristic certificates: the frame manifold is compact
-and low dimensional, so seeded multistart local descent is reliable at
-this scale, but a reported minimum is an upper bound on the true one, not
-a proof.
+A reported minimum is the value of a frame, so it is an upper bound on
+the true minimum.  For ``isotropic`` and ``sectional`` the search also
+computes a lower bound from the eigenvalues of the curvature operator M on
+Lambda^2 (``_lower_bound``), and it is certified when the gap closes: the
+batch stops as soon as one start comes within ``GAP_TOL`` (relative to
+max(1, max |R|)) of the lower bound, and that minimum is then exact up to
+the tolerance.  Otherwise the minimum stays a heuristic upper bound: the
+frame manifold is compact and low dimensional, so seeded multistart local
+descent is reliable at this scale, but not a proof.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .blas import single_threaded
 from .frames import RANK_TOL, Frame, cyclic_frames, lift_frame, random_block_rotation, random_frame, random_unitary, unitary_action
+from .lambda2 import operator
 from .stiefel import descend, dots, orthonormal_rows
 from .tensors import CurvatureTensor, pad_euclidean
 
@@ -63,6 +70,9 @@ __all__ = [
 ]
 
 ZERO_FRAME_TOL = 1e-9
+# A search stops, certified, once a start's value is within GAP_TOL *
+# max(1, max |R|) of the lower bound.
+GAP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -105,12 +115,15 @@ class MinimizeOpts:
 class ConditionReport:
     """Outcome of a frame-space minimization.
 
-    ``min_value`` is the best local minimum found, ``argmin_frame`` the frame
-    achieving it, and ``converged`` whether the gradient tolerance was met
-    there.  The checkers set ``boundary`` when the condition holds on the
-    edge of the cone: a minimum at numerical zero (flat directions,
-    borderline models), or for quarter-pinching ``Kmax = 4 Kmin`` within
-    the margin.
+    ``min_value`` is the best local minimum found and ``argmin_frame`` the
+    frame achieving it.  ``lower_bound`` is the eigenvalue bound below the
+    minimum (None for ``lambda_mu``), and ``certified`` says that the search
+    stopped with ``min_value`` within ``GAP_TOL`` of it.  ``converged`` is
+    true when the reported start met the gradient tolerance or the search
+    stopped certified.  The checkers set ``boundary`` when the condition
+    holds on the edge of the cone: a minimum at numerical zero (flat
+    directions, borderline models), or for quarter-pinching
+    ``Kmax = 4 Kmin`` within the margin.
     """
 
     min_value: float
@@ -120,10 +133,14 @@ class ConditionReport:
     grad_norm: float
     converged: bool
     boundary: bool = False
+    lower_bound: float | None = None
+    certified: bool = False
 
     def __post_init__(self):
         if not np.isfinite(self.min_value):
             raise ValueError("min_value must be finite")
+        if self.lower_bound is not None and not np.isfinite(self.lower_bound):
+            raise ValueError("lower_bound must be finite")
         if self.grad_norm < 0:
             raise ValueError("grad_norm must be nonnegative")
 
@@ -307,6 +324,99 @@ def frame_objective(r: CurvatureTensor, kind: str, weights: Weights | None = Non
     return _FrameObjective(r, kind, weights, negate)
 
 
+# ---------------------------------------------------------------------------
+# Eigenvalue lower bounds on the Lambda^2 operator (pairs ordered 12, 13,
+# 14, 23, 24, 34 at n = 4)
+
+# The Hodge star, the operator of e1234: it vanishes on decomposable
+# bivectors, so adding s * star leaves every sectional curvature unchanged.
+_STAR = np.fliplr(np.diag([1.0, -1.0, 1.0, 1.0, -1.0, 1.0]))
+
+
+def _thorpe_bound(m: np.ndarray, tol: float) -> float:
+    """max over s of lambda_min(m + s star) at n = 4, within ``tol``.
+
+    This is the minimum sectional curvature exactly (Thorpe 1972, *On the
+    curvature tensor of a positively curved 4-manifold*).  f(s) =
+    lambda_min(m + s star) is concave with slope u^T star u, u its unit
+    eigenvector, so the tangent at every probe bounds f from above.  The
+    search keeps probes a < b with slope > 0 at a and < 0 at b, probes
+    where their tangents cross, and stops once the crossing is within
+    ``tol`` of the best value: at once where the top of f is a kink of two
+    linear branches, as on CP^2, and by halving [a, b] where it is smooth.
+    Every s gives a valid bound, so stopping early only loosens it.
+    """
+
+    def probe(s: float) -> tuple[np.ndarray, float]:
+        w, u = np.linalg.eigh(m + s * _STAR)
+        return w, float(u[:, 0] @ _STAR @ u[:, 0])
+
+    w, slope = probe(0.0)
+    s = 0.0
+    f = best = float(w[0])
+    # f <= lambda_max - |s| and f(0) = lambda_min, so the top lies in
+    # [-span, span]; the lines lambda_max +- s bound f from above there,
+    # standing in for tangents until both ends have been probed
+    span = float(w[-1] - w[0])
+    a, fa, ga, b, fb, gb = -span, f, 1.0, span, f, -1.0
+    for _ in range(60):
+        if slope > 0:
+            a, fa, ga = s, f, slope
+        elif slope < 0:
+            b, fb, gb = s, f, slope
+        else:
+            break
+        s = (fb - fa + ga * a - gb * b) / (ga - gb)
+        if fa + ga * (s - a) - best <= tol:
+            break
+        w, slope = probe(s)
+        f = float(w[0])
+        best = max(best, f)
+    return best
+
+
+@functools.lru_cache(maxsize=1)
+def _block_spectrum(data: bytes, size: int) -> np.ndarray:
+    return np.linalg.eigvalsh(np.frombuffer(data).reshape(size, size))
+
+
+def _spectrum(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric m.
+
+    Zero rows, such as the pairs with a flat direction of a padded tensor,
+    carry zero eigenvalues and are split off.  The rest goes through
+    ``_block_spectrum``, which keeps its last result, so the searches of a
+    trace row (NIC, PIC2 on the padded tensor and, for n > 4, Kmin and
+    Kmax) share one eigvalsh.
+    """
+    keep = m.any(axis=1)
+    if not keep.all():
+        m = m[np.ix_(keep, keep)]
+    w = _block_spectrum(m.tobytes(), len(m))
+    return np.sort(np.concatenate((w, np.zeros(len(keep) - len(m)))))
+
+
+def _lower_bound(m: np.ndarray, kind: str, negate: bool, tol: float) -> float:
+    """A lower bound on the minimum of the ``isotropic`` or ``sectional``
+    functional, or of its negation, on the tensor whose Lambda^2 operator
+    is m.
+
+    An isotropic value is R(w1, w1) + R(w2, w2) for the orthogonal
+    bivectors w1 = e13 - e24 and w2 = e14 + e23 of squared norm 2, so by
+    Ky Fan it is at least 2 (lambda_1 + lambda_2).  A sectional value is
+    R(w, w) on a unit decomposable w, so at least lambda_1, and at n = 4
+    Thorpe's shift by the star makes that exact (``_thorpe_bound``).
+    """
+    if kind == "sectional" and len(m) == 6:
+        return _thorpe_bound(-m if negate else m, tol)
+    w = _spectrum(m)
+    if negate:
+        w = -w[::-1]
+    if kind == "isotropic":
+        return 2.0 * float(w[0] + w[1])
+    return float(w[0])
+
+
 def _start_stack(raw: np.ndarray, warm: int, seed) -> np.ndarray:
     """One sign-fixed QR of ``warm`` warm starts followed by the draws of
     ``default_rng([seed, i])``; a draw failing the rank test is replaced by
@@ -351,11 +461,17 @@ def minimize_frame(
         Warm starts, tried before the random restarts and sharing the
         deterministic tie-break; orthonormalized with the random starts.
 
+    For ``isotropic`` and ``sectional`` the eigenvalue lower bound of the
+    negated or plain functional is computed first, and the batch stops as
+    soon as one start is within ``GAP_TOL * max(1, max |R|)`` of it
+    (``stiefel.descend``'s ``stop_at``).
+
     Returns
     -------
     ConditionReport
-        Best local minimum found over all starts.  Heuristic certificate:
-        an upper bound on the global minimum of a nonconvex objective.
+        Best local minimum found over all starts, an upper bound on the
+        global minimum, with the lower bound; certified when the gap
+        closed.
     """
     opts = opts or MinimizeOpts()
     obj = _FrameObjective(r, objective, weights, negate)
@@ -368,15 +484,25 @@ def minimize_frame(
     # Generator(PCG64(seed)) is default_rng(seed) without its wrapper.
     draws = [np.random.Generator(np.random.PCG64([opts.seed, i])).standard_normal((obj.rows, r.n)) for i in range(opts.restarts)]
     v0 = _start_stack(np.stack(warm + draws), len(warm), opts.seed)
-    vals, frames, iters, gnorms, convs, _ = descend(obj, v0)
+    lower = stop_at = None
+    if objective != "lambda_mu":
+        m = operator(r.array)
+        gap = GAP_TOL * max(1.0, float(np.abs(m).max()))
+        # the Thorpe search may stop short of its top by half the gap
+        lower = _lower_bound(m, objective, negate, 0.5 * gap)
+        stop_at = lower + gap
+    vals, frames, iters, gnorms, convs, _ = descend(obj, v0, stop_at)
     best = int(np.argmin(vals))  # lowest value, then lowest start index
+    certified = stop_at is not None and bool(vals[best] <= stop_at)
     return ConditionReport(
         min_value=float(vals[best]),
         argmin_frame=Frame(n=r.n, vectors=frames[best]),
         restarts=len(v0),
         iterations=int(iters[best]),
         grad_norm=float(gnorms[best]),
-        converged=bool(convs[best]),
+        converged=bool(convs[best]) or certified,
+        lower_bound=lower,
+        certified=certified,
     )
 
 
@@ -387,8 +513,9 @@ def minimize_frame(
 def check_nic(r: CurvatureTensor, opts: MinimizeOpts | None = None) -> tuple[bool, ConditionReport]:
     """Nonnegative isotropic curvature, decided by multistart minimization.
 
-    True iff the reported minimum is at least ``-opts.margin``.  Heuristic
-    certificate (see module docstring).
+    True iff the reported minimum is at least ``-opts.margin``; the
+    report's ``lower_bound`` and ``certified`` say how far that minimum is
+    proven (see module docstring).
     """
     opts = opts or MinimizeOpts()
     report = minimize_frame(r, "isotropic", opts)
@@ -415,9 +542,10 @@ def quarter_pinch_reports(
 
     The condition is ``Kmin >= 0`` and ``Kmax <= 4 Kmin`` over all 2-planes,
     decided within ``opts.margin``.  ``Kmin`` is the first report's
-    ``min_value`` and ``Kmax`` the negated ``min_value`` of the second.  The
-    first report's ``boundary`` is set when the condition holds with
-    ``Kmin`` at zero or ``Kmax = 4 Kmin`` within the margin.
+    ``min_value`` and ``Kmax`` the negated ``min_value`` of the second, and
+    their ``lower_bound`` fields bound ``Kmin`` from below and ``-Kmax``
+    from below.  The first report's ``boundary`` is set when the condition
+    holds with ``Kmin`` at zero or ``Kmax = 4 Kmin`` within the margin.
     """
     opts = opts or MinimizeOpts()
     kmin_rep = minimize_frame(r, "sectional", opts)

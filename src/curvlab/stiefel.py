@@ -11,7 +11,8 @@ a Barzilai-Borwein trial step, Armijo backtracking and a QR retraction
 (Edelman-Arias-Smith 1998; Wen-Yin 2013), each start with its own step and
 stopping.  Every stacked product is one small matmul or LAPACK call per
 start, so a start's path does not depend on which other starts share its
-batch.
+batch.  A caller that knows a lower bound on the minimum passes
+``stop_at``, and the whole batch stops once one start reaches it.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ def _line_search(obj, v, p, val, slope, gnorm, trial, tries: int = 60):
     return v_try, f_try, g_try, trial, ok
 
 
-def descend(obj, v0: np.ndarray):
+def descend(obj, v0: np.ndarray, stop_at: float | None = None):
     """Monotone projected gradient descent from a stack of orthonormal
     starts (S, k, n).
 
@@ -97,11 +98,19 @@ def descend(obj, v0: np.ndarray):
     once, for value and gradient together, so the accepted trial's
     gradient is reused.
 
+    ``stop_at`` is a value no frame can go much below, a lower bound on
+    the minimum plus a tolerance.  The batch is checked after its first
+    evaluation and after every iteration: once a start still descending
+    has a value at most ``stop_at``, every start stops where it is.  A
+    start's path up to that point does not depend on its batch, but where
+    the batch stops does.
+
     Returns per-start arrays (values, frames, iterations, grad norms,
     converged) and the history of accepted objective values: the start
     values of every start, then per iteration the indices of the starts
     that took a step and their new values.
     """
+    stop = -np.inf if stop_at is None else stop_at
     v = np.asarray(v0, dtype=float)
     val, grad = obj.batch(v)
     p = tangent_project(grad, v)
@@ -118,7 +127,7 @@ def descend(obj, v0: np.ndarray):
         out_iters[ids[gone]] = it
 
     step = 1.0 / np.maximum(1.0, gnorm)
-    live = ~(gnorm < GRAD_TOL)
+    live = ~((gnorm < GRAD_TOL) | (val <= stop).any())
     ids, v, p, val, gnorm, step = (x[live] for x in (ids, v, p, val, gnorm, step))
     while ids.size and it < MAX_ITERS:
         it += 1
@@ -140,9 +149,12 @@ def descend(obj, v0: np.ndarray):
         step = bb if curved.all() else np.where(curved, bb, np.minimum(trial * 2.0, 1e6))
         v, p, val, gnorm = v_try, p_try, f_try, np.sqrt(dots(p_try, p_try))
         history.append((ids, val))
-        live = ~(gnorm < GRAD_TOL)
-        if not live.all():
-            retire(~live)
-            ids, v, p, val, gnorm, step = (x[live] for x in (ids, v, p, val, gnorm, step))
+        reached = val <= stop
+        done = (gnorm < GRAD_TOL) | reached
+        if done.any():
+            # a start at stop_at stops the whole batch
+            done |= reached.any()
+            retire(done)
+            ids, v, p, val, gnorm, step = (x[~done] for x in (ids, v, p, val, gnorm, step))
     retire(np.ones(len(ids), dtype=bool))
     return out_val, out_v, out_iters, out_gnorm, out_gnorm < GRAD_TOL, history

@@ -76,10 +76,10 @@ def test_check_pic2_sphere_sits_on_boundary(tmp_path, capsys):
     assert report["boundary"] is True
     assert abs(report["min_value"]) <= 1e-7
     assert report["restarts"] == 4
-    assert report["weights"] is None
+    assert report["lower_bound"] == 0.0 and report["certified"] is True
     assert set(report) == {
-        "boundary", "condition", "converged", "decision", "frame", "grad_norm", "margin",
-        "min_value", "n", "restarts", "seed", "timestamp", "weights",
+        "boundary", "certified", "condition", "converged", "decision", "frame", "grad_norm",
+        "lower_bound", "margin", "min_value", "n", "restarts", "seed", "timestamp",
     }
     assert len(report["frame"]) == 4 and len(report["frame"][0]) == 6
     # the sphere's (0, 0) family value K13 = 1 bounds the padded minimum from above
@@ -99,6 +99,10 @@ def test_check_quarter_pinch_product_fails(tmp_path, capsys):
     assert report["decision"] is False
     assert abs(report["min_value"]) <= 1e-7
     assert report["kmax"] == pytest.approx(1.0, abs=1e-7)
+    # Thorpe's bounds are exact at n = 4: Kmin >= 0 and Kmax <= 1
+    assert report["lower_bound"] == pytest.approx(0.0, abs=1e-12)
+    assert report["kmax_upper_bound"] == pytest.approx(1.0, abs=1e-12)
+    assert report["certified"] is True and "weights" not in report
 
 
 def test_minimize_lambda_mu(tmp_path, capsys):
@@ -112,6 +116,7 @@ def test_minimize_lambda_mu(tmp_path, capsys):
     assert report["min_value"] == pytest.approx(25.0 / 16.0, abs=1e-8)
     assert report["weights"] == {"lam": 0.5, "mu": 0.5}
     assert report["converged"] is True
+    assert report["lower_bound"] is None and report["certified"] is False
 
     assert run(["minimize", "--objective", "lambda-mu", "--tensor", path]) == 2
     assert "--lambda" in capsys.readouterr().err
@@ -124,6 +129,8 @@ def test_minimize_sectional_product(tmp_path, capsys):
     assert code == 0
     assert abs(report["min_value"]) <= 1e-8
     assert report["weights"] is None
+    assert report["lower_bound"] == pytest.approx(0.0, abs=1e-12)
+    assert report["certified"] is True and report["converged"] is True
 
 
 def test_identity_batteries_pass(capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from curvlab import conditions, stiefel
+from curvlab import conditions, lambda2, stiefel
 from curvlab.conditions import (
     MinimizeOpts,
     ProductBlockGroup,
@@ -272,7 +272,7 @@ class _Starts(Exception):
 
 
 def _start_stack_of(monkeypatch, *args, **kwargs) -> np.ndarray:
-    def stop(obj, v0):
+    def stop(obj, v0, stop_at=None):
         raise _Starts(v0)
 
     monkeypatch.setattr(conditions, "descend", stop)
@@ -355,6 +355,86 @@ def test_minimize_warm_start_and_validation():
         minimize_frame(prod, "lambda_mu", FAST)
     with pytest.raises(ValueError, match="too small"):
         minimize_frame(sphere(3, 1.0), "isotropic", FAST)
+
+
+def _full_minimum(r, kind, negate):
+    """The minimum of an unstopped 64-start descent."""
+    obj = frame_objective(r, kind, negate=negate)
+    v0 = np.stack([random_frame([r.n, i, 71], r.n, k=obj.rows).vectors for i in range(64)])
+    return descend(obj, v0)[0].min()
+
+
+def test_lower_bounds_are_sound():
+    # the eigenvalue bound never exceeds a frame value; Thorpe's sectional
+    # bounds are exact at n = 4, so raising the bounds by 1e-6 fails here
+    for n in range(4, 10):
+        for r in (random_tensor([n, 72], n), combine(1.0, sphere(n, 1.0), 0.3, random_tensor([n, 73], n))):
+            m = lambda2.operator(r.array)
+            for kind, negate in (("isotropic", False), ("isotropic", True), ("sectional", False), ("sectional", True)):
+                lower = conditions._lower_bound(m, kind, negate, 1e-13)
+                full = _full_minimum(r, kind, negate)
+                assert lower <= full + 1e-12, (n, kind, negate)
+                assert n > 4 or kind == "isotropic" or lower >= full - 1e-9, negate
+    padded = pad_euclidean(random_tensor(74, 4), 2)
+    m = lambda2.operator(padded.array)
+    assert conditions._lower_bound(m, "isotropic", False, 1e-13) <= _full_minimum(padded, "isotropic", False) + 1e-12
+
+
+def test_lower_bounds_tight_on_zoo():
+    s4, cp2 = sphere(4, 1.0), fubini_study(2, 4.0)
+    zoo = [s4, cp2, product(sphere(2, 1.0), sphere(2, 1.0)), product(sphere(2, 1.0), sphere(3, 1.0)), combine(1.0, s4, 0.3, cp2)]
+    for r, nic in zip(zoo, (4.0, 0.0, 0.0, 0.0, 4.0)):
+        ok, rep = check_nic(r, FAST)
+        assert rep.lower_bound == pytest.approx(nic, abs=1e-9)
+        assert rep.certified and rep.converged
+        assert abs(rep.min_value - rep.lower_bound) <= conditions.GAP_TOL * max(1.0, r.max_abs())
+        ok, rep = check_pic2(r, FAST)
+        assert rep.lower_bound == pytest.approx(0.0, abs=1e-9) and rep.certified
+    # Thorpe's shifted bounds at n = 4: Kmin and Kmax exactly
+    for r, kmin, kmax in ((cp2, 1.0, 4.0), (zoo[4], 1.3, 2.2)):
+        ok, kmin_rep, kmax_rep = quarter_pinch_reports(r, FAST)
+        assert kmin_rep.lower_bound == pytest.approx(kmin, abs=1e-9)
+        assert -kmax_rep.lower_bound == pytest.approx(kmax, abs=1e-9)
+        assert kmin_rep.certified and kmax_rep.certified
+    # unshifted, lambda_min is 0 on CP^2; the lambda_mu family has no bound
+    assert np.linalg.eigvalsh(lambda2.operator(cp2.array))[0] == pytest.approx(0.0, abs=1e-12)
+    assert minimize_frame(cp2, "lambda_mu", FAST, weights=Weights(0.5, 0.5)).lower_bound is None
+
+
+def test_descend_stops_at_the_bound():
+    # the same stack with and without stop_at: the stopped minimum is a
+    # frame value within the gap of the full minimum
+    gap = conditions.GAP_TOL * 4.0
+    for r, kind, negate, lower in (
+        (fubini_study(2, 4.0), "sectional", False, 1.0),
+        (fubini_study(2, 4.0), "sectional", True, -4.0),
+        (pad_euclidean(sphere(4, 1.0), 2), "isotropic", False, 0.0),
+    ):
+        obj = frame_objective(r, kind, negate=negate)
+        v0 = np.stack([random_frame([r.n, i, 75], r.n, k=obj.rows).vectors for i in range(16)])
+        full_vals, _, full_iters, *_ = descend(obj, v0)
+        vals, frames, iters, *_ = descend(obj, v0, lower + gap)
+        assert vals.min() <= lower + gap
+        assert full_vals.min() - 1e-14 <= vals.min() <= full_vals.min() + gap
+        assert iters.max() < full_iters.max()
+        best = int(np.argmin(vals))
+        assert obj.value(frames[best]) == vals[best]
+
+    # a certified report is converged though its gradient is not yet small
+    ok, rep = check_pic2(fubini_study(2, 4.0), FAST)
+    assert rep.certified and rep.converged and rep.grad_norm > stiefel.GRAD_TOL
+
+    # a warm start already at the bound stops the batch at iteration 0, and
+    # the report counts as converged because it is certified
+    prod = product(sphere(2, 1.0), sphere(2, 1.0))
+    mixed = Frame(n=4, vectors=np.eye(4))
+    obj = frame_objective(prod, "isotropic")
+    v0 = np.stack([mixed.vectors] + [random_frame([i, 76], 4).vectors for i in range(8)])
+    vals, _, iters, _, _, history = descend(obj, v0, conditions.GAP_TOL)
+    assert vals[0] == 0.0 and not iters.any() and len(history) == 1
+    rep = minimize_frame(prod, "isotropic", FAST, init_frames=(mixed,))
+    assert rep.iterations == 0 and rep.min_value == 0.0
+    assert rep.certified and rep.converged and rep.lower_bound == 0.0
 
 
 def test_lambda_mu_minimization():
