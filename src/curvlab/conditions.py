@@ -23,9 +23,10 @@ D = R(e_a, e_b, ., .) for a < b, with one small matmul per frame.
 
 The multistart search orthonormalizes its (S, k, n) stack of starts in one
 sign-fixed QR and descends it as one batch (``stiefel``), each start with
-its own Barzilai-Borwein step, Armijo backtracking and stop rules, on a
-path independent of its batch.  Random start i, the k x n draw of
-``default_rng([seed, i])``, is bitwise ``random_frame([seed, i], n, k)``.
+its own Barzilai-Borwein step, nonmonotone Armijo backtracking and stop
+rules, on a path independent of its batch.  Random start i, the k x n
+draw of ``default_rng([seed, i])``, is bitwise ``random_frame([seed, i],
+n, k)``.
 
 A reported minimum is the value of a frame, so it is an upper bound on
 the true minimum.  For ``isotropic`` and ``sectional`` the search also
@@ -338,27 +339,36 @@ def _thorpe_bound(m: np.ndarray, tol: float) -> float:
 
     This is the minimum sectional curvature exactly (Thorpe 1972, *On the
     curvature tensor of a positively curved 4-manifold*).  f(s) =
-    lambda_min(m + s star) is concave with slope u^T star u, u its unit
-    eigenvector, so the tangent at every probe bounds f from above.  The
-    search keeps probes a < b with slope > 0 at a and < 0 at b, probes
-    where their tangents cross, and stops once the crossing is within
-    ``tol`` of the best value: at once where the top of f is a kink of two
-    linear branches, as on CP^2, and by halving [a, b] where it is smooth.
-    Every s gives a valid bound, so stopping early only loosens it.
+    lambda_min(m + s star) is concave with slope u_0^T star u_0, u_j the
+    unit eigenvectors, so the tangent at every probe bounds f from above.
+    The search keeps probes a < b with slope > 0 at a and < 0 at b and
+    stops once the crossing of their tangents is within ``tol`` of the
+    best value.  Its probes alternate a Newton step from the best probe,
+    with f'' = 2 sum_j (u_j^T star u_0)^2 / (lambda_0 - lambda_j) by
+    eigenvalue perturbation, which closes in fast where the top of f is
+    smooth, and that tangent crossing, which finds the top at once where
+    it is a kink of two linear branches, as on CP^2.  Every s gives a
+    valid bound, so stopping early only loosens it.
     """
 
-    def probe(s: float) -> tuple[np.ndarray, float]:
+    def probe(s: float) -> tuple[np.ndarray, float, float]:
         w, u = np.linalg.eigh(m + s * _STAR)
-        return w, float(u[:, 0] @ _STAR @ u[:, 0])
+        c = u.T @ (_STAR @ u[:, 0])
+        # -f''; inf or nan where lambda_0 is a multiple eigenvalue
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bend = 2.0 * float(np.sum(c[1:] ** 2 / (w[1:] - w[0])))
+        return w, float(c[0]), bend
 
-    w, slope = probe(0.0)
+    w, slope, bend = probe(0.0)
     s = 0.0
     f = best = float(w[0])
+    s_best, slope_best, bend_best = s, slope, bend
     # f <= lambda_max - |s| and f(0) = lambda_min, so the top lies in
     # [-span, span]; the lines lambda_max +- s bound f from above there,
     # standing in for tangents until both ends have been probed
     span = float(w[-1] - w[0])
     a, fa, ga, b, fb, gb = -span, f, 1.0, span, f, -1.0
+    newton = True
     for _ in range(60):
         if slope > 0:
             a, fa, ga = s, f, slope
@@ -369,10 +379,35 @@ def _thorpe_bound(m: np.ndarray, tol: float) -> float:
         s = (fb - fa + ga * a - gb * b) / (ga - gb)
         if fa + ga * (s - a) - best <= tol:
             break
-        w, slope = probe(s)
+        if newton and bend_best > 0:
+            step = s_best + slope_best / bend_best
+            if a < step < b and step != s_best:
+                s = step
+        newton = not newton
+        w, slope, bend = probe(s)
         f = float(w[0])
-        best = max(best, f)
+        if f > best:
+            best, s_best, slope_best, bend_best = f, s, slope, bend
     return best
+
+
+# Orthonormal bases (columns) of the self-dual and anti-self-dual
+# bivectors, (e_p + star e_p) / sqrt 2 and (e_p - star e_p) / sqrt 2 for
+# p = 12, 13, 14.
+_HALVES = np.stack([np.eye(6)[:, :3] + sign * _STAR[:, :3] for sign in (1.0, -1.0)]) / np.sqrt(2.0)
+
+
+def _nic_bound(m: np.ndarray) -> float:
+    """The minimum isotropic curvature at n = 4, exactly: 2 min(a_1 + a_2,
+    c_1 + c_2) over the ascending eigenvalues a of m on the self-dual and
+    c on the anti-self-dual bivectors (Micallef-Moore 1988, *Minimal
+    two-spheres and the topology of manifolds with positive curvature on
+    totally isotropic two-planes*).  A frame's bivectors e13 - e24 and
+    e14 + e23 are an orthogonal pair in one half, of squared norm 2, and
+    the frames reach every such pair.
+    """
+    w = np.linalg.eigvalsh(_HALVES.transpose(0, 2, 1) @ m @ _HALVES)
+    return 2.0 * float((w[:, 0] + w[:, 1]).min())
 
 
 @functools.lru_cache(maxsize=1)
@@ -404,17 +439,32 @@ def _lower_bound(m: np.ndarray, kind: str, negate: bool, tol: float) -> float:
     An isotropic value is R(w1, w1) + R(w2, w2) for the orthogonal
     bivectors w1 = e13 - e24 and w2 = e14 + e23 of squared norm 2, so by
     Ky Fan it is at least 2 (lambda_1 + lambda_2).  A sectional value is
-    R(w, w) on a unit decomposable w, so at least lambda_1, and at n = 4
-    Thorpe's shift by the star makes that exact (``_thorpe_bound``).
+    R(w, w) on a unit decomposable w, so at least lambda_1.  At n = 4
+    both bounds are exact: the isotropic one on the halves of Lambda^2
+    (``_nic_bound``), the sectional one after Thorpe's shift by the star
+    (``_thorpe_bound``).
     """
-    if kind == "sectional" and len(m) == 6:
-        return _thorpe_bound(-m if negate else m, tol)
+    if len(m) == 6:
+        m = -m if negate else m
+        return _thorpe_bound(m, tol) if kind == "sectional" else _nic_bound(m)
     w = _spectrum(m)
     if negate:
         w = -w[::-1]
     if kind == "isotropic":
         return 2.0 * float(w[0] + w[1])
     return float(w[0])
+
+
+@functools.lru_cache(maxsize=4)
+def _draws(seed: int, restarts: int, k: int, n: int) -> np.ndarray:
+    """The k x n draws of ``default_rng([seed, i])`` for i < restarts, as a
+    read-only (restarts, k, n) array.  They depend on nothing else, and
+    every diagnostics row of a flow trace asks for the same few stacks
+    again, so the last four are kept."""
+    # Generator(PCG64(seed)) is default_rng(seed) without its wrapper.
+    draws = np.stack([np.random.Generator(np.random.PCG64([seed, i])).standard_normal((k, n)) for i in range(restarts)])
+    draws.flags.writeable = False
+    return draws
 
 
 def _start_stack(raw: np.ndarray, warm: int, seed) -> np.ndarray:
@@ -480,10 +530,9 @@ def minimize_frame(
     for f in init_frames:
         if f.require_rows(obj.rows).n != r.n:
             raise ValueError("warm-start frame has wrong ambient dimension")
-    warm = [f.vectors for f in init_frames]
-    # Generator(PCG64(seed)) is default_rng(seed) without its wrapper.
-    draws = [np.random.Generator(np.random.PCG64([opts.seed, i])).standard_normal((obj.rows, r.n)) for i in range(opts.restarts)]
-    v0 = _start_stack(np.stack(warm + draws), len(warm), opts.seed)
+    warm = np.reshape([f.vectors for f in init_frames], (-1, obj.rows, r.n))
+    raw = np.concatenate((warm, _draws(opts.seed, opts.restarts, obj.rows, r.n)))
+    v0 = _start_stack(raw, len(warm), opts.seed)
     lower = stop_at = None
     if objective != "lambda_mu":
         m = operator(r.array)

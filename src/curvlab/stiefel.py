@@ -1,4 +1,4 @@
-"""Monotone descent on stacks of Stiefel frames.
+"""Nonmonotone descent on stacks of Stiefel frames.
 
 ``descend`` minimizes a smooth function of orthonormal k-frames in R^n
 from a stack of orthonormal starts shaped (S, k, n).  The objective is any
@@ -7,11 +7,13 @@ object whose ``batch(v)`` returns the values (S,) and Euclidean gradients
 gradient tolerances are the module constants below.
 
 All starts descend together as one batch, projected gradient descent with
-a Barzilai-Borwein trial step, Armijo backtracking and a QR retraction
-(Edelman-Arias-Smith 1998; Wen-Yin 2013), each start with its own step and
-stopping.  Every stacked product is one small matmul or LAPACK call per
-start, so a start's path does not depend on which other starts share its
-batch.  A caller that knows a lower bound on the minimum passes
+a Barzilai-Borwein trial step, nonmonotone Armijo backtracking
+(Zhang-Hager 2004, *A nonmonotone line search technique and its
+application to unconstrained optimization*) and a QR retraction
+(Edelman-Arias-Smith 1998; Wen-Yin 2013), each start with its own step,
+reference value and stopping.  Every stacked product is one small matmul
+or LAPACK call per start, so a start's path does not depend on which
+other starts share its batch.  A caller that knows a lower bound on the minimum passes
 ``stop_at``, and the whole batch stops once one start reaches it.
 """
 
@@ -23,6 +25,10 @@ from numpy.linalg import _umath_linalg
 MAX_ITERS = 500
 STEP_TOL = 1e-10
 GRAD_TOL = 1e-8
+# Zhang-Hager weight of the past in the reference value a trial must
+# improve on: 0 is the monotone Armijo test, values near 1 an average of
+# the whole path.
+ETA = 0.85
 
 
 def dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -57,12 +63,12 @@ def orthonormal_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.multiply(q.transpose(0, 2, 1), signs[:, :, None], order="C"), signs * diag
 
 
-def _line_search(obj, v, p, val, slope, gnorm, trial, tries: int = 60):
+def _line_search(obj, v, p, ref, slope, gnorm, trial, tries: int = 60):
     """Armijo backtracking along -p for every start of a batch.
 
     Start s tries the retraction of v[s] - t p[s] for t = trial[s],
     trial[s] / 2, ... and accepts the first whose value is at most
-    val[s] - t slope[s]; it gives up after ``tries`` trials or once
+    ref[s] - t slope[s]; it gives up after ``tries`` trials or once
     t gnorm[s] < ``STEP_TOL``.  The starts still searching are
     evaluated together, gathered into a smaller batch only when some of
     the batch stopped.  Returns the trial frames, values and gradients
@@ -70,23 +76,23 @@ def _line_search(obj, v, p, val, slope, gnorm, trial, tries: int = 60):
     """
     v_try = orthonormal_rows(v - trial[:, None, None] * p)[0]
     f_try, g_try = obj.batch(v_try)
-    ok = f_try <= val - trial * slope
+    ok = f_try <= ref - trial * slope
     if tries == 1 or ok.all():
         return v_try, f_try, g_try, trial, ok
     half = 0.5 * trial
     retry = ~(ok | (half * gnorm < STEP_TOL))
     if retry.all():
-        return _line_search(obj, v, p, val, slope, gnorm, half, tries - 1)
+        return _line_search(obj, v, p, ref, slope, gnorm, half, tries - 1)
     if retry.any():
         trial = trial.copy()
-        sub = _line_search(obj, *(x[retry] for x in (v, p, val, slope, gnorm, half)), tries - 1)
+        sub = _line_search(obj, *(x[retry] for x in (v, p, ref, slope, gnorm, half)), tries - 1)
         for x, y in zip((v_try, f_try, g_try, trial, ok), sub):
             x[retry] = y
     return v_try, f_try, g_try, trial, ok
 
 
 def descend(obj, v0: np.ndarray, stop_at: float | None = None):
-    """Monotone projected gradient descent from a stack of orthonormal
+    """Nonmonotone projected gradient descent from a stack of orthonormal
     starts (S, k, n).
 
     All starts descend together as one batch.  Each steps along its
@@ -97,6 +103,15 @@ def descend(obj, v0: np.ndarray, stop_at: float | None = None):
     then leaves the batch.  Each retracted frame goes through ``obj.batch``
     once, for value and gradient together, so the accepted trial's
     gradient is reused.
+
+    The Armijo test is Zhang-Hager's: a trial must improve on a reference
+    value C, not on the current value, so the Barzilai-Borwein steps,
+    which are nonmonotone by design, are mostly taken as they come.  C
+    starts at the start value with weight Q = 1, and each accepted value f
+    updates Q to ``ETA`` Q + 1 and C to C + (f - C) / Q, the average of
+    the path's values weighted by ``ETA`` per step back.  Every accepted f
+    is at most C, so C never increases and no start ends above its start
+    value, but a start's values may rise on the way.
 
     ``stop_at`` is a value no frame can go much below, a lower bound on
     the minimum plus a tolerance.  The batch is checked after its first
@@ -119,6 +134,7 @@ def descend(obj, v0: np.ndarray, stop_at: float | None = None):
     history = [(ids, val)]
     out_val, out_v, out_gnorm = val.copy(), v.copy(), gnorm.copy()
     out_iters = np.zeros(len(v), dtype=int)
+    ref, weight = val, np.ones(len(v))
     it = 0
 
     def retire(gone: np.ndarray) -> None:
@@ -128,15 +144,15 @@ def descend(obj, v0: np.ndarray, stop_at: float | None = None):
 
     step = 1.0 / np.maximum(1.0, gnorm)
     live = ~((gnorm < GRAD_TOL) | (val <= stop).any())
-    ids, v, p, val, gnorm, step = (x[live] for x in (ids, v, p, val, gnorm, step))
+    ids, v, p, val, gnorm, step, ref, weight = (x[live] for x in (ids, v, p, val, gnorm, step, ref, weight))
     while ids.size and it < MAX_ITERS:
         it += 1
-        v_try, f_try, g_try, trial, ok = _line_search(obj, v, p, val, 1e-4 * gnorm * gnorm, gnorm, step)
+        v_try, f_try, g_try, trial, ok = _line_search(obj, v, p, ref, 1e-4 * gnorm * gnorm, gnorm, step)
         if not ok.all():
             # the line search failed: these starts stop where they are
             retire(~ok)
-            ids, v, p, val, gnorm, trial, v_try, f_try, g_try = (
-                x[ok] for x in (ids, v, p, val, gnorm, trial, v_try, f_try, g_try))
+            ids, v, p, val, gnorm, trial, v_try, f_try, g_try, ref, weight = (
+                x[ok] for x in (ids, v, p, val, gnorm, trial, v_try, f_try, g_try, ref, weight))
             if not ids.size:
                 break
         p_try = tangent_project(g_try, v_try)
@@ -148,6 +164,9 @@ def descend(obj, v0: np.ndarray, stop_at: float | None = None):
         bb = np.minimum(np.maximum(dots(s, s) / np.where(curved, sy, 1.0), 1e-12), 1e6)
         step = bb if curved.all() else np.where(curved, bb, np.minimum(trial * 2.0, 1e6))
         v, p, val, gnorm = v_try, p_try, f_try, np.sqrt(dots(p_try, p_try))
+        # f <= C, so f - C <= 0 and C cannot grow even by round-off
+        weight = ETA * weight + 1.0
+        ref = ref + (val - ref) / weight
         history.append((ids, val))
         reached = val <= stop
         done = (gnorm < GRAD_TOL) | reached
@@ -155,6 +174,6 @@ def descend(obj, v0: np.ndarray, stop_at: float | None = None):
             # a start at stop_at stops the whole batch
             done |= reached.any()
             retire(done)
-            ids, v, p, val, gnorm, step = (x[~done] for x in (ids, v, p, val, gnorm, step))
+            ids, v, p, val, gnorm, step, ref, weight = (x[~done] for x in (ids, v, p, val, gnorm, step, ref, weight))
     retire(np.ones(len(ids), dtype=bool))
     return out_val, out_v, out_iters, out_gnorm, out_gnorm < GRAD_TOL, history
