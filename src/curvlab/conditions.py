@@ -26,7 +26,9 @@ sign-fixed QR and descends it as one batch (``stiefel``), each start with
 its own Barzilai-Borwein step, nonmonotone Armijo backtracking and stop
 rules, on a path independent of its batch.  Random start i, the k x n
 draw of ``default_rng([seed, i])``, is bitwise ``random_frame([seed, i],
-n, k)``.
+n, k)``.  Several searches of one functional can share that batch
+(``minimize_searches``), each with its own sign, starts, bound and stop:
+Kmin and Kmax as one signed stack, or NIC on R with PIC2 on R x R^2.
 
 A reported minimum is the value of a frame, so it is an upper bound on
 the true minimum.  For ``isotropic`` and ``sectional`` the search also
@@ -42,6 +44,7 @@ descent is reliable at this scale, but not a proof.
 from __future__ import annotations
 
 import functools
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -61,6 +64,7 @@ __all__ = [
     "lift_identity_residual",
     "cyclic_sum_identity",
     "frame_objective",
+    "minimize_searches",
     "minimize_frame",
     "check_nic",
     "check_pic2",
@@ -194,6 +198,35 @@ def _lam_mu_coeffs(lam: float, mu: float) -> np.ndarray:
     return np.array([1.0, l2, m2, l2 * m2, -2.0 * lam * mu])
 
 
+# The frame pairs a < b of a k-frame, as the kernel's row indices: all
+# first members, then all second members.
+_PAIRS = {k: np.triu_indices(k, 1) for k in (2, 4)}
+_PAIR_ROWS = {k: np.concatenate(pairs) for k, pairs in _PAIRS.items()}
+
+
+def _grad_coeffs(coeffs: np.ndarray, basis: np.ndarray, k: int) -> np.ndarray:
+    """The kernel's gradient coefficients of the functional <S, F> with
+    S = coeffs @ basis, rows (d, pair a < b) and columns c.
+
+    S shares the pair symmetries of R, so all four slots contribute the
+    same derivative and the gradient is 4 S contracted with C.  S is
+    antisymmetric in its first pair, so that sum runs twice over the frame
+    pairs a < b:
+      G[d] = 8 sum_{a<b, c} S[a, b, c, d] R(e_a, e_b, e_c, .).
+    """
+    s = (coeffs @ basis).reshape(k, k, k, k)
+    first, second = _PAIRS[k]
+    return 8.0 * s[first, second].transpose(2, 0, 1).reshape(k * len(first), k)
+
+
+# The fixed kinds' coefficients, built once; a negated kind is their exact
+# negation, bitwise what the negated coefficients give.
+_GRAD_COEFFS = {
+    "isotropic": _grad_coeffs(_lam_mu_coeffs(1.0, 1.0), _FOUR_FRAME_BASIS, 4),
+    "sectional": _grad_coeffs(np.array([1.0]), _TWO_FRAME_BASIS, 2),
+}
+
+
 # ---------------------------------------------------------------------------
 # Functionals
 
@@ -262,8 +295,8 @@ class _FrameObjective:
 
     Every kind is <S, F> with S a fixed coefficient vector over a basis of
     symmetrized k^4 tensors: ``isotropic`` and ``lambda_mu`` (4-frames,
-    ``weights`` fixed), ``sectional`` (2-frames).  ``negate`` flips the sign
-    for maximization runs.
+    ``weights`` fixed), ``sectional`` (2-frames).  ``negate`` flips the
+    sign; the searches flip it per search in ``stiefel.descend`` instead.
     """
 
     def __init__(self, r: CurvatureTensor, kind: str, weights: Weights | None = None, negate: bool = False):
@@ -271,26 +304,13 @@ class _FrameObjective:
             raise ValueError(f"unknown objective kind {kind!r}")
         if kind == "lambda_mu" and weights is None:
             raise ValueError("lambda_mu objective needs weights")
-        sign = -1.0 if negate else 1.0
         self.rows = 2 if kind == "sectional" else 4
-        basis = _TWO_FRAME_BASIS if kind == "sectional" else _FOUR_FRAME_BASIS
-        if kind == "sectional":
-            coeffs = np.array([sign])
-        elif kind == "isotropic":
-            coeffs = sign * _lam_mu_coeffs(1.0, 1.0)
+        if kind == "lambda_mu":
+            grad_coeffs = _grad_coeffs(_lam_mu_coeffs(weights.lam, weights.mu), _FOUR_FRAME_BASIS, 4)
         else:
-            coeffs = sign * _lam_mu_coeffs(weights.lam, weights.mu)
-        # S shares the pair symmetries of R, so all four slots contribute the
-        # same derivative and the gradient is 4 S contracted with C.  S is
-        # antisymmetric in its first pair, so that sum runs twice over the
-        # frame pairs a < b:
-        #   G[d] = 8 sum_{a<b, c} S[a, b, c, d] R(e_a, e_b, e_c, .).
-        k = self.rows
-        s = (coeffs @ basis).reshape(k, k, k, k)
-        first, second = np.triu_indices(k, 1)
-        self.pair_rows = np.concatenate([first, second])
-        # rows (d, pair), columns c
-        self.grad_coeffs = 8.0 * s[first, second].transpose(2, 0, 1).reshape(k * len(first), k)
+            grad_coeffs = _GRAD_COEFFS[kind]
+        self.grad_coeffs = -grad_coeffs if negate else grad_coeffs
+        self.pair_rows = _PAIR_ROWS[self.rows]
         self.m = r.array.reshape(r.n**2, r.n**2)
 
     def batch(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -480,6 +500,76 @@ def _start_stack(raw: np.ndarray, warm: int, seed) -> np.ndarray:
 
 
 @single_threaded
+def minimize_searches(
+    searches: Sequence[tuple[CurvatureTensor, bool, tuple[Frame, ...]]],
+    objective: str = "isotropic",
+    opts: MinimizeOpts | None = None,
+    weights: Weights | None = None,
+) -> list[ConditionReport]:
+    """Several multistart minimizations of one functional as one descent.
+
+    A search is a tuple (tensor, negate, init_frames), the arguments of
+    ``minimize_frame`` on its own.  Each search keeps its own starts,
+    sign, lower bound, stop and report, and its report is bitwise the one
+    it makes alone; only the stacked work is shared (``stiefel.descend``
+    with one sign and one ``stop_at`` per search).
+
+    The functional is evaluated on the widest search tensor, and each
+    narrower one must be that tensor without its flat directions: the
+    widest is ``pad_euclidean`` of it.  A narrower search draws and
+    orthonormalizes its starts in its own dimension and pads them with
+    zero columns, which the padded tensor's gradient and the QR retraction
+    keep at exactly 0, and its report's frame is cut back to its
+    dimension.  Its values are sums over the padded contraction, so they
+    may differ from its own tensor's in the last bits.
+    """
+    opts = opts or MinimizeOpts()
+    wide = max((r for r, _, _ in searches), key=lambda t: t.n)
+    obj = _FrameObjective(wide, objective, weights)
+    k = obj.rows
+    stacks, lowers, stops = [], [], []
+    for r, negate, init_frames in searches:
+        if r.n < k:
+            raise ValueError(f"ambient dimension {r.n} too small for a {k}-frame objective")
+        for f in init_frames:
+            if f.require_rows(k).n != r.n:
+                raise ValueError("warm-start frame has wrong ambient dimension")
+        warm = np.reshape([f.vectors for f in init_frames], (-1, k, r.n))
+        v0 = _start_stack(np.concatenate((warm, _draws(opts.seed, opts.restarts, k, r.n))), len(warm), opts.seed)
+        if r.n < wide.n:
+            v0 = np.concatenate((v0, np.zeros((len(v0), k, wide.n - r.n))), axis=2)
+        stacks.append(v0)
+        lower = stop_at = None
+        if objective != "lambda_mu":
+            m = operator(r.array)
+            gap = GAP_TOL * max(1.0, float(np.abs(m).max()))
+            # the Thorpe search may stop short of its top by half the gap
+            lower = _lower_bound(m, objective, negate, 0.5 * gap)
+            stop_at = lower + gap
+        lowers.append(lower)
+        stops.append(stop_at)
+    sizes = [len(v0) for v0 in stacks]
+    signs = [-1.0 if negate else 1.0 for _, negate, _ in searches]
+    vals, frames, iters, gnorms, convs, _ = descend(obj, np.concatenate(stacks), stops, signs, sizes)
+    reports, begin = [], 0
+    for (r, _, _), lower, stop_at, size in zip(searches, lowers, stops, sizes):
+        n, end = r.n, begin + size
+        best = begin + int(np.argmin(vals[begin:end]))  # lowest value, then lowest start index
+        certified = stop_at is not None and bool(vals[best] <= stop_at)
+        reports.append(ConditionReport(
+            min_value=float(vals[best]),
+            argmin_frame=Frame(n=n, vectors=frames[best][:, :n]),
+            restarts=size,
+            iterations=int(iters[best]),
+            grad_norm=float(gnorms[best]),
+            converged=bool(convs[best]) or certified,
+            lower_bound=lower,
+            certified=certified,
+        ))
+        begin = end
+    return reports
+
+
 def minimize_frame(
     r: CurvatureTensor,
     objective: str = "isotropic",
@@ -496,7 +586,7 @@ def minimize_frame(
     among equal values.  Random start i is bitwise
     ``random_frame([opts.seed, i], n, k)`` for every ``opts.restarts``,
     made in one stacked QR with the others; only the argmin is validated
-    as a ``Frame``.
+    as a ``Frame``.  This is the one-search case of ``minimize_searches``.
 
     Parameters
     ----------
@@ -523,36 +613,7 @@ def minimize_frame(
         global minimum, with the lower bound; certified when the gap
         closed.
     """
-    opts = opts or MinimizeOpts()
-    obj = _FrameObjective(r, objective, weights, negate)
-    if r.n < obj.rows:
-        raise ValueError(f"ambient dimension {r.n} too small for a {obj.rows}-frame objective")
-    for f in init_frames:
-        if f.require_rows(obj.rows).n != r.n:
-            raise ValueError("warm-start frame has wrong ambient dimension")
-    warm = np.reshape([f.vectors for f in init_frames], (-1, obj.rows, r.n))
-    raw = np.concatenate((warm, _draws(opts.seed, opts.restarts, obj.rows, r.n)))
-    v0 = _start_stack(raw, len(warm), opts.seed)
-    lower = stop_at = None
-    if objective != "lambda_mu":
-        m = operator(r.array)
-        gap = GAP_TOL * max(1.0, float(np.abs(m).max()))
-        # the Thorpe search may stop short of its top by half the gap
-        lower = _lower_bound(m, objective, negate, 0.5 * gap)
-        stop_at = lower + gap
-    vals, frames, iters, gnorms, convs, _ = descend(obj, v0, stop_at)
-    best = int(np.argmin(vals))  # lowest value, then lowest start index
-    certified = stop_at is not None and bool(vals[best] <= stop_at)
-    return ConditionReport(
-        min_value=float(vals[best]),
-        argmin_frame=Frame(n=r.n, vectors=frames[best]),
-        restarts=len(v0),
-        iterations=int(iters[best]),
-        grad_norm=float(gnorms[best]),
-        converged=bool(convs[best]) or certified,
-        lower_bound=lower,
-        certified=certified,
-    )
+    return minimize_searches(((r, negate, init_frames),), objective, opts, weights)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -595,10 +656,11 @@ def quarter_pinch_reports(
     their ``lower_bound`` fields bound ``Kmin`` from below and ``-Kmax``
     from below.  The first report's ``boundary`` is set when the condition
     holds with ``Kmin`` at zero or ``Kmax = 4 Kmin`` within the margin.
+    Both searches descend as one stack, the second with the sign flipped
+    (``minimize_searches``).
     """
     opts = opts or MinimizeOpts()
-    kmin_rep = minimize_frame(r, "sectional", opts)
-    kmax_rep = minimize_frame(r, "sectional", opts, negate=True)
+    kmin_rep, kmax_rep = minimize_searches(((r, False, ()), (r, True, ())), "sectional", opts)
     kmin = kmin_rep.min_value
     kmax = -kmax_rep.min_value
     ok = (kmin >= -opts.margin) and (kmax <= 4.0 * kmin + opts.margin)

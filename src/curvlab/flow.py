@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blas import single_threaded
-from .conditions import MinimizeOpts, check_pic2, isotropic_curvature, minimize_frame
+from .conditions import MinimizeOpts, check_pic2, isotropic_curvature, minimize_searches
 from .frames import Frame, complete_basis
 from .lambda2 import expand, operator
 from .lambda2 import reaction as _reaction_raw  # looked up per call, so tests can count calls
@@ -223,26 +223,34 @@ def _rk4(y: np.ndarray, h: float, k1: np.ndarray | None = None) -> np.ndarray:
 
 
 class _Diagnostics:
-    """Warm-started per-row minimizations for trace diagnostics."""
+    """Warm-started per-row minimizations for trace diagnostics.
+
+    A row makes two descents (``minimize_searches``): Kmin and Kmax as
+    one signed stack of 2-frames on R, and NIC and PIC2 as one stack of
+    4-frames on the padded tensor, the NIC starts drawn in R^n and padded
+    with zeros.  Each search keeps its own starts, lower bound and stop,
+    and is warm-started from its own argmin of the previous row.
+    """
 
     def __init__(self, opts: MinimizeOpts):
         self.opts = opts
         self.warm: dict[str, Frame] = {}
 
-    def _run(self, key: str, r: CurvatureTensor, objective: str, negate: bool = False) -> float:
-        warm = self.warm.get(key)
-        init = (warm,) if warm is not None and warm.n == r.n else ()
-        rep = minimize_frame(r, objective, self.opts, negate=negate, init_frames=init)
-        self.warm[key] = rep.argmin_frame
-        return rep.min_value
+    def _run(self, objective: str, searches: tuple[tuple[str, CurvatureTensor, bool], ...]) -> list[float]:
+        group = []
+        for key, r, negate in searches:
+            warm = self.warm.get(key)
+            group.append((r, negate, (warm,) if warm is not None and warm.n == r.n else ()))
+        reports = minimize_searches(group, objective, self.opts)
+        for (key, _, _), rep in zip(searches, reports):
+            self.warm[key] = rep.argmin_frame
+        return [rep.min_value for rep in reports]
 
     def row(self, t: float, r: CurvatureTensor, dt: float, err: float) -> TraceRow:
-        kmin = self._run("kmin", r, "sectional")
-        kmax = -self._run("kmax", r, "sectional", negate=True)
-        min_iso = self._run("iso", r, "isotropic")
-        min_pic2 = self._run("pic2", pad_euclidean(r, 2), "isotropic")
+        kmin, neg_kmax = self._run("sectional", (("kmin", r, False), ("kmax", r, True)))
+        min_iso, min_pic2 = self._run("isotropic", (("iso", r, False), ("pic2", pad_euclidean(r, 2), False)))
         return TraceRow(
-            t=t, kmin=kmin, kmax=kmax, min_iso=min_iso, min_pic2=min_pic2,
+            t=t, kmin=kmin, kmax=-neg_kmax, min_iso=min_iso, min_pic2=min_pic2,
             scalar=scalar_curvature(r), dt=dt, err_est=err,
         )
 

@@ -13,11 +13,18 @@ application to unconstrained optimization*) and a QR retraction
 (Edelman-Arias-Smith 1998; Wen-Yin 2013), each start with its own step,
 reference value and stopping.  Every stacked product is one small matmul
 or LAPACK call per start, so a start's path does not depend on which
-other starts share its batch.  A caller that knows a lower bound on the minimum passes
-``stop_at``, and the whole batch stops once one start reaches it.
+other starts share its batch.
+
+One batch may carry several searches, each a run of consecutive starts
+with its own sign (a search minimizes f or -f, so maxima come from the
+same stack) and its own ``stop_at``, a value none of its frames can go
+much below: once one of its starts reaches it, the starts of that search
+stop and the other searches go on.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -63,7 +70,14 @@ def orthonormal_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.multiply(q.transpose(0, 2, 1), signs[:, :, None], order="C"), signs * diag
 
 
-def _line_search(obj, v, p, ref, slope, gnorm, trial, tries: int = 60):
+def _evaluate(obj, v: np.ndarray, sign: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values and gradients of sign[s] f on a stack of frames; the sign
+    flips are exact, so -f is bitwise the negated functional."""
+    f, g = obj.batch(v)
+    return sign * f, sign[:, None, None] * g
+
+
+def _line_search(obj, v, p, ref, slope, gnorm, sign, trial, tries: int = 60):
     """Armijo backtracking along -p for every start of a batch.
 
     Start s tries the retraction of v[s] - t p[s] for t = trial[s],
@@ -75,23 +89,36 @@ def _line_search(obj, v, p, ref, slope, gnorm, trial, tries: int = 60):
     (accepted where ``ok``), the last steps and the mask ``ok``.
     """
     v_try = orthonormal_rows(v - trial[:, None, None] * p)[0]
-    f_try, g_try = obj.batch(v_try)
+    f_try, g_try = _evaluate(obj, v_try, sign)
     ok = f_try <= ref - trial * slope
     if tries == 1 or ok.all():
         return v_try, f_try, g_try, trial, ok
     half = 0.5 * trial
     retry = ~(ok | (half * gnorm < STEP_TOL))
     if retry.all():
-        return _line_search(obj, v, p, ref, slope, gnorm, half, tries - 1)
+        return _line_search(obj, v, p, ref, slope, gnorm, sign, half, tries - 1)
     if retry.any():
         trial = trial.copy()
-        sub = _line_search(obj, *(x[retry] for x in (v, p, ref, slope, gnorm, half)), tries - 1)
+        sub = _line_search(obj, *(x[retry] for x in (v, p, ref, slope, gnorm, sign, half)), tries - 1)
         for x, y in zip((v_try, f_try, g_try, trial, ok), sub):
             x[retry] = y
     return v_try, f_try, g_try, trial, ok
 
 
-def descend(obj, v0: np.ndarray, stop_at: float | None = None):
+def _per_start(x, sizes: Sequence[int], default: float) -> np.ndarray:
+    """A per-search value, one for all searches or one each (None meaning
+    ``default``), repeated over the starts of each search."""
+    each = [x] * len(sizes) if np.ndim(x) == 0 else x
+    return np.repeat(np.array([default if y is None else y for y in each], dtype=float), sizes)
+
+
+def descend(
+    obj,
+    v0: np.ndarray,
+    stop_at: float | Sequence[float | None] | None = None,
+    sign: float | Sequence[float] | None = None,
+    sizes: Sequence[int] | None = None,
+):
     """Nonmonotone projected gradient descent from a stack of orthonormal
     starts (S, k, n).
 
@@ -113,21 +140,30 @@ def descend(obj, v0: np.ndarray, stop_at: float | None = None):
     is at most C, so C never increases and no start ends above its start
     value, but a start's values may rise on the way.
 
-    ``stop_at`` is a value no frame can go much below, a lower bound on
-    the minimum plus a tolerance.  The batch is checked after its first
-    evaluation and after every iteration: once a start still descending
-    has a value at most ``stop_at``, every start stops where it is.  A
-    start's path up to that point does not depend on its batch, but where
-    the batch stops does.
+    ``sizes`` splits the starts into searches, runs of consecutive starts
+    (default: one search of all of them).  ``sign`` is each search's sign,
+    +1 to minimize f and -1 to minimize -f, and ``stop_at`` each search's
+    stop, a value no frame can go much below: a lower bound on the minimum
+    plus a tolerance.  Either is one value for every search or a sequence
+    with one per search; None means +1 and no stop.  The batch is checked
+    after its first evaluation and after every iteration: once a start
+    still descending has a value at most its search's ``stop_at``, every
+    start of that search stops where it is, and the other searches go on.
+    A start's path up to that point depends neither on the other starts
+    nor on the other searches of its batch, but where its search stops
+    depends on the other starts of that search.
 
-    Returns per-start arrays (values, frames, iterations, grad norms,
-    converged) and the history of accepted objective values: the start
-    values of every start, then per iteration the indices of the starts
-    that took a step and their new values.
+    Returns per-start arrays (values of the signed functional, frames,
+    iterations, grad norms, converged) and the history of accepted values:
+    the start values of every start, then per iteration the indices of
+    the starts that took a step and their new values.
     """
-    stop = -np.inf if stop_at is None else stop_at
     v = np.asarray(v0, dtype=float)
-    val, grad = obj.batch(v)
+    sizes = [len(v)] if sizes is None else list(sizes)
+    search = np.repeat(np.arange(len(sizes)), sizes)
+    stop = _per_start(stop_at, sizes, -np.inf)
+    sign = _per_start(sign, sizes, 1.0)
+    val, grad = _evaluate(obj, v, sign)
     p = tangent_project(grad, v)
     gnorm = np.sqrt(dots(p, p))
     ids = np.arange(len(v))
@@ -142,12 +178,18 @@ def descend(obj, v0: np.ndarray, stop_at: float | None = None):
         out_val[ids[gone]], out_v[ids[gone]], out_gnorm[ids[gone]] = val[gone], v[gone], gnorm[gone]
         out_iters[ids[gone]] = it
 
+    def stopped(reached: np.ndarray) -> np.ndarray:
+        # the starts of every search one of whose starts ids[reached] is at its stop
+        hit = np.zeros(len(sizes), dtype=bool)
+        hit[search[ids[reached]]] = True
+        return hit[search[ids]]
+
     step = 1.0 / np.maximum(1.0, gnorm)
-    live = ~((gnorm < GRAD_TOL) | (val <= stop).any())
+    live = ~((gnorm < GRAD_TOL) | stopped(val <= stop))
     ids, v, p, val, gnorm, step, ref, weight = (x[live] for x in (ids, v, p, val, gnorm, step, ref, weight))
     while ids.size and it < MAX_ITERS:
         it += 1
-        v_try, f_try, g_try, trial, ok = _line_search(obj, v, p, ref, 1e-4 * gnorm * gnorm, gnorm, step)
+        v_try, f_try, g_try, trial, ok = _line_search(obj, v, p, ref, 1e-4 * gnorm * gnorm, gnorm, sign[ids], step)
         if not ok.all():
             # the line search failed: these starts stop where they are
             retire(~ok)
@@ -168,11 +210,11 @@ def descend(obj, v0: np.ndarray, stop_at: float | None = None):
         weight = ETA * weight + 1.0
         ref = ref + (val - ref) / weight
         history.append((ids, val))
-        reached = val <= stop
+        reached = val <= stop[ids]
         done = (gnorm < GRAD_TOL) | reached
         if done.any():
-            # a start at stop_at stops the whole batch
-            done |= reached.any()
+            # a start at its stop_at stops its whole search
+            done |= stopped(reached)
             retire(done)
             ids, v, p, val, gnorm, step, ref, weight = (x[~done] for x in (ids, v, p, val, gnorm, step, ref, weight))
     retire(np.ones(len(ids), dtype=bool))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -309,7 +311,7 @@ class _Starts(Exception):
 
 
 def _start_stack_of(monkeypatch, *args, **kwargs) -> np.ndarray:
-    def stop(obj, v0, stop_at=None):
+    def stop(obj, v0, stop_at=None, sign=None, sizes=None):
         raise _Starts(v0)
 
     monkeypatch.setattr(conditions, "descend", stop)
@@ -617,6 +619,83 @@ def test_quarter_pinch_reports():
     assert ok and kmin_rep.boundary
     assert kmin_rep.min_value == pytest.approx(1.0, abs=1e-6)
     assert -kmax_rep.min_value == pytest.approx(4.0, abs=1e-6)
+
+
+def _same_report(a, b) -> bool:
+    """Every field of two reports bitwise equal, frames included."""
+    fields = ("min_value", "restarts", "iterations", "grad_norm", "converged", "boundary", "lower_bound", "certified")
+    return all(getattr(a, f) == getattr(b, f) for f in fields) and np.array_equal(a.argmin_frame.vectors, b.argmin_frame.vectors)
+
+
+def test_grouped_searches_report_as_alone(monkeypatch):
+    # Kmin and Kmax share one signed stack, with and without warm starts,
+    # and each report is bitwise the one its search makes alone; the
+    # quarter-pinch check makes that one descent
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return descend(*args)
+
+    s4, cp2 = sphere(4, 1.0), fubini_study(2, 4.0)
+    tensors = [s4, cp2, product(sphere(2, 1.0), sphere(2, 1.0)), product(sphere(2, 1.0), sphere(3, 1.0)), combine(1.0, s4, 0.3, cp2)]
+    tensors += [random_tensor([n, 111], n) for n in (5, 6, 9)]
+    for r in tensors:
+        warm = (random_frame([r.n, 112], r.n, k=2),), (random_frame([r.n, 113], r.n, k=2),)
+        for init in (((), ()), warm):
+            alone = [minimize_frame(r, "sectional", FAST, negate=negate, init_frames=frames) for negate, frames in zip((False, True), init)]
+            shared = conditions.minimize_searches(((r, False, init[0]), (r, True, init[1])), "sectional", FAST)
+            assert all(_same_report(a, b) for a, b in zip(alone, shared)), r.n
+        monkeypatch.setattr(conditions, "descend", counting)
+        ok, kmin_rep, kmax_rep = quarter_pinch_reports(r, FAST)
+        monkeypatch.setattr(conditions, "descend", descend)
+        assert len(calls) == 1 and len(calls.pop()[1]) == 2 * FAST.restarts
+        # the check sets only the first report's boundary
+        assert _same_report(replace(kmin_rep, boundary=False), minimize_frame(r, "sectional", FAST))
+        assert _same_report(kmax_rep, minimize_frame(r, "sectional", FAST, negate=True))
+
+
+def test_a_search_at_its_stop_leaves_the_others_running():
+    # CP^2's Kmin search reaches its exact bound within a few iterations;
+    # the Kmax search sharing its stack has no stop and runs on, start for
+    # start bitwise as alone on the objective with negated coefficients
+    r = fubini_study(2, 4.0)
+    a = np.stack([random_frame([i, 121], 4, k=2).vectors for i in range(8)])
+    b = np.stack([random_frame([i, 122], 4, k=2).vectors for i in range(8)])
+    stop = 1.0 + conditions.GAP_TOL * 4.0
+    shared = descend(frame_objective(r, "sectional"), np.concatenate((a, b)), [stop, None], [1.0, -1.0], [8, 8])
+    alone_a = descend(frame_objective(r, "sectional"), a, stop)
+    alone_b = descend(frame_objective(r, "sectional", negate=True), b)
+    iters = shared[2]
+    assert shared[0][:8].min() <= stop and iters[:8].max() < iters[8:].max()
+    for got, want_a, want_b in zip(shared[:5], alone_a[:5], alone_b[:5]):
+        assert np.array_equal(got[:8], want_a) and np.array_equal(got[8:], want_b)
+
+
+def test_padded_stack_keeps_narrow_frames_flat(monkeypatch):
+    # NIC searches on R^n share the PIC2 stack on R^n x R^2: their starts
+    # are R^n's, padded with two zero columns that stay exactly 0, and
+    # their reports lose the padding
+    seen = []
+
+    def recording(*args):
+        out = descend(*args)
+        seen.append((args[1], out))
+        return out
+
+    monkeypatch.setattr(conditions, "descend", recording)
+    for n in (4, 6, 9):
+        r = random_tensor([n, 131], n)
+        nic, pic2 = conditions.minimize_searches(((r, False, ()), (pad_euclidean(r, 2), False, ())), "isotropic", FAST)
+        alone = _start_stack_of(monkeypatch, r, "isotropic", FAST)
+        monkeypatch.setattr(conditions, "descend", recording)
+        (v0, (vals, frames, iters, *_)), = seen
+        seen.clear()
+        assert np.array_equal(v0[:8, :, :n], alone)
+        assert np.all(v0[:8, :, n:] == 0.0) and np.all(frames[:8, :, n:] == 0.0)
+        assert iters[:8].max() > 0
+        assert nic.argmin_frame.n == n and pic2.argmin_frame.n == n + 2
+        assert nic.min_value == vals[:8].min() and isotropic_curvature(r, nic.argmin_frame) == pytest.approx(nic.min_value, abs=1e-12)
 
 
 def test_holonomy_orbit_invariance():

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from curvlab import blas, flow, lambda2
+from curvlab import blas, conditions, flow, lambda2
 from curvlab.conditions import MinimizeOpts, isotropic_curvature
 from curvlab.flow import (
     FlowBlowupError,
@@ -20,6 +20,7 @@ from curvlab.flow import (
 )
 from curvlab.frames import complete_basis, random_frame
 from curvlab.serialization import write_tensor
+from curvlab.stiefel import descend
 from curvlab.tensors import (
     CurvatureTensor,
     product,
@@ -300,19 +301,54 @@ def test_missing_thread_control_is_reported(monkeypatch, capsys):
     assert "cannot pin BLAS threads" in capsys.readouterr().err
 
 
+def _scaled_random(tmp_path, n: int) -> str:
+    r = random_tensor([20070, n], n)
+    path = tmp_path / "r.json"
+    write_tensor(str(path), CurvatureTensor(n=n, comps=r.comps * (0.1 / r.max_abs())))
+    return str(path)
+
+
+def _under_threads(argv: list[str], threads: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+    return subprocess.run([sys.executable, "-m", "curvlab", *argv], env=env, capture_output=True, text=True)
+
+
 @pytest.mark.parametrize("n", [10, 14])
 def test_flow_bytes_do_not_depend_on_blas_threads(tmp_path, n):
     # Unpinned, n = 14 prints different last digits under 1 and 2 threads:
     # its N x N products are past OpenBLAS's threading threshold.
-    r = random_tensor([20070, n], n)
-    path = tmp_path / "r.json"
-    write_tensor(str(path), CurvatureTensor(n=n, comps=r.comps * (0.1 / r.max_abs())))
+    path = _scaled_random(tmp_path, n)
     traces = []
     for threads in ("1", "2"):
         out = tmp_path / f"trace{threads}.csv"
-        argv = ["flow", "--tensor", str(path), "--t-end", "0.1", "--stride", "5", "--restarts", "4", "--seed", "3", "--out", str(out)]
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        proc = subprocess.run([sys.executable, "-m", "curvlab", *argv], env=env, capture_output=True, text=True)
+        argv = ["flow", "--tensor", path, "--t-end", "0.1", "--stride", "5", "--restarts", "4", "--seed", "3", "--out", str(out)]
+        proc = _under_threads(argv, threads)
         assert proc.returncode == 0, proc.stderr
         traces.append(out.read_bytes())
     assert traces[0] == traces[1]
+
+
+def test_quarter_pinch_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the Kmin/Kmax stack and its eigenvalue bounds run pinned as well
+    argv = ["check", "--condition", "quarter-pinch", "--tensor", _scaled_random(tmp_path, 14), "--restarts", "16", "--seed", "3"]
+    reports = []
+    for threads in ("1", "2"):
+        proc = _under_threads(argv, threads)
+        assert proc.returncode == 1, proc.stderr  # a random tensor is not pinched
+        reports.append([line for line in proc.stdout.splitlines() if '"timestamp"' not in line])
+    assert reports[0] == reports[1]
+
+
+def test_trace_row_makes_two_descents(monkeypatch):
+    # Kmin/Kmax as one signed stack on R, NIC/PIC2 as one stack on the
+    # padded tensor
+    sizes = []
+
+    def counting(obj, v0, *args):
+        sizes.append(v0.shape)
+        return descend(obj, v0, *args)
+
+    monkeypatch.setattr(conditions, "descend", counting)
+    trace = integrate(random_tensor(151, 5), 0.02, FlowOpts(dt=0.01, minimize=LIGHT))
+    # warm starts from the second row on
+    assert sizes == [(4, 2, 5), (4, 4, 7)] + [(6, 2, 5), (6, 4, 7)] * (len(trace.rows) - 1)
