@@ -43,15 +43,16 @@ class _CliError(Exception):
 
 
 def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("CURVLAB_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise _CliError(f"CURVLAB_SEED must be an integer, got {env!r}") from None
+    name = "--seed"
+    if value is None:
+        name, env = "CURVLAB_SEED", os.environ.get("CURVLAB_SEED", "0")
+        try:
+            value = int(env)
+        except ValueError:
+            raise _CliError(f"CURVLAB_SEED must be an integer, got {env!r}") from None
+    if value < 0:
+        raise _CliError(f"{name} must be a nonnegative integer, got {value}")
+    return value
 
 
 def _timestamp() -> str:
@@ -137,6 +138,8 @@ def _cmd_minimize(args) -> int:
             raise _CliError("--objective lambda-mu needs --lambda and --mu")
         weights = Weights(args.lam, args.mu)
         payload = {"lam": args.lam, "mu": args.mu}
+    elif args.lam is not None or args.mu is not None:
+        raise _CliError(f"--lambda and --mu apply only to --objective lambda-mu, not {args.objective}")
     rep = minimize_frame(r, objective, opts, weights=weights)
     report = {
         "objective": args.objective,

@@ -13,13 +13,16 @@ padded tensor, so a family search can never go below the padded minimum;
 the family stays as a test oracle, not as a second search.
 
 Every frame functional is <S, F> with F[a, b, c, d] = R(e_a, e_b, e_c, e_d)
-on the frame rows and a coefficient tensor S that carries the pair
-symmetries of R.  Because S and R share those symmetries, the Euclidean
-gradient in the frame is 4 S C with C[a, b, c, :] = R(e_a, e_b, e_c, .),
-contracting S with C over the first three slots, and since the functional
-is homogeneous of degree 4 its value is <gradient, frame> / 4.  One kernel
-computes both on a stack of frames (S, k, n), through the pair contraction
-D = R(e_a, e_b, ., .) for a < b, with one small matmul per frame.
+on the frame rows and one of two coefficient tensors S, isotropic (on
+4-frames) or sectional (on 2-frames), that carry the pair symmetries of
+R.  Because S and R share those symmetries, the Euclidean gradient in the
+frame is 4 S C with C[a, b, c, :] = R(e_a, e_b, e_c, .), contracting S
+with C over the first three slots, and since the functional is
+homogeneous of degree 4 its value is <gradient, frame> / 4.  One kernel
+computes both on a stack of frames (S, k, n), through the pair
+contraction D = R(e_a, e_b, ., .) for a < b, with one small matmul per
+frame.  The weighted family is the isotropic kernel on the frame rows
+scaled by (1, mu, 1, lam).
 
 The multistart search orthonormalizes its (S, k, n) stack of starts in one
 sign-fixed QR and descends it as one batch (``stiefel``), each start with
@@ -31,14 +34,14 @@ n, k)``.  Several searches of one functional can share that batch
 Kmin and Kmax as one signed stack, or NIC on R with PIC2 on R x R^2.
 
 A reported minimum is the value of a frame, so it is an upper bound on
-the true minimum.  For ``isotropic`` and ``sectional`` the search also
-computes a lower bound from the eigenvalues of the curvature operator M on
-Lambda^2 (``_lower_bound``), and it is certified when the gap closes: the
-batch stops as soon as one start comes within ``GAP_TOL`` (relative to
-max(1, max |R|)) of the lower bound, and that minimum is then exact up to
-the tolerance.  Otherwise the minimum stays a heuristic upper bound: the
-frame manifold is compact and low dimensional, so seeded multistart local
-descent is reliable at this scale, but not a proof.
+the true minimum.  The search also computes a lower bound from the
+eigenvalues of the curvature operator M on Lambda^2 (``_lower_bound``),
+and it is certified when the gap closes: the batch stops as soon as one
+start comes within ``GAP_TOL`` (relative to max(1, max |R|)) of the lower
+bound, and that minimum is then exact up to the tolerance.  Otherwise the
+minimum stays a heuristic upper bound: the frame manifold is compact and
+low dimensional, so seeded multistart local descent is reliable at this
+scale, but not a proof.
 """
 
 from __future__ import annotations
@@ -112,6 +115,8 @@ class MinimizeOpts:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
         if not (np.isfinite(self.margin) and self.margin > 0):
             raise ValueError("margin must be positive and finite")
 
@@ -122,7 +127,7 @@ class ConditionReport:
 
     ``min_value`` is the best local minimum found and ``argmin_frame`` the
     frame achieving it.  ``lower_bound`` is the eigenvalue bound below the
-    minimum (None for ``lambda_mu``), and ``certified`` says that the search
+    minimum, and ``certified`` says that the search
     stopped with ``min_value`` within ``GAP_TOL`` of it.  ``converged`` is
     true when the reported start met the gradient tolerance or the search
     stopped certified.  The checkers set ``boundary`` when the condition
@@ -137,14 +142,14 @@ class ConditionReport:
     iterations: int
     grad_norm: float
     converged: bool
+    lower_bound: float
     boundary: bool = False
-    lower_bound: float | None = None
     certified: bool = False
 
     def __post_init__(self):
         if not np.isfinite(self.min_value):
             raise ValueError("min_value must be finite")
-        if self.lower_bound is not None and not np.isfinite(self.lower_bound):
+        if not np.isfinite(self.lower_bound):
             raise ValueError("lower_bound must be finite")
         if self.grad_norm < 0:
             raise ValueError("grad_norm must be nonnegative")
@@ -152,25 +157,6 @@ class ConditionReport:
 
 # ---------------------------------------------------------------------------
 # The frame-contraction kernel
-
-
-def _symmetrized_units(k: int, slots) -> np.ndarray:
-    """Unit k^4 tensors at ``slots``, averaged over the pair symmetries of R.
-
-    Row i pairs with the contraction F = R(e_a, e_b, e_c, e_d) of a k-frame
-    to give the component of R at ``slots[i]``.
-    """
-    out = np.zeros((len(slots), k, k, k, k))
-    for row, (a, b, c, d) in enumerate(slots):
-        for i, j, p, q, sign in ((a, b, c, d, 1), (b, a, c, d, -1), (a, b, d, c, -1), (b, a, d, c, 1)):
-            out[row, i, j, p, q] += sign / 8.0
-            out[row, p, q, i, j] += sign / 8.0
-    return out.reshape(len(slots), k**4)
-
-
-# (K13, K14, K23, K24, R(e1, e2, e3, e4)) on 4-frames; K12 on 2-frames.
-_FOUR_FRAME_BASIS = _symmetrized_units(4, ((0, 2, 0, 2), (0, 3, 0, 3), (1, 2, 1, 2), (1, 3, 1, 3), (0, 1, 2, 3)))
-_TWO_FRAME_BASIS = _symmetrized_units(2, ((0, 1, 0, 1),))
 
 
 # Frames per kernel call are capped so that the pair products and D stay
@@ -191,39 +177,38 @@ def _contract(m: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarra
     return ((first[..., :, None] * second[..., None, :]).reshape(s, p, n * n) @ m).reshape(s, p * n, n)
 
 
-def _lam_mu_coeffs(lam: float, mu: float) -> np.ndarray:
-    """Coefficients of the weighted family over the 4-frame basis."""
-    l2 = lam * lam
-    m2 = mu * mu
-    return np.array([1.0, l2, m2, l2 * m2, -2.0 * lam * mu])
-
-
 # The frame pairs a < b of a k-frame, as the kernel's row indices: all
 # first members, then all second members.
 _PAIRS = {k: np.triu_indices(k, 1) for k in (2, 4)}
 _PAIR_ROWS = {k: np.concatenate(pairs) for k, pairs in _PAIRS.items()}
 
 
-def _grad_coeffs(coeffs: np.ndarray, basis: np.ndarray, k: int) -> np.ndarray:
-    """The kernel's gradient coefficients of the functional <S, F> with
-    S = coeffs @ basis, rows (d, pair a < b) and columns c.
+def _grad_coeffs(k: int, terms) -> np.ndarray:
+    """The kernel's gradient coefficients of the functional on k-frames
+    that sums c R(e_a, e_b, e_c, e_d) over ``terms`` (c, (a, b, c, d)),
+    rows (d, pair a < b) and columns c.
 
-    S shares the pair symmetries of R, so all four slots contribute the
-    same derivative and the gradient is 4 S contracted with C.  S is
-    antisymmetric in its first pair, so that sum runs twice over the frame
-    pairs a < b:
+    Its coefficient tensor S is the terms averaged over the pair
+    symmetries of R, so all four slots contribute the same derivative and
+    the gradient is 4 S contracted with C.  S is antisymmetric in its
+    first pair, so that sum runs twice over the frame pairs a < b:
       G[d] = 8 sum_{a<b, c} S[a, b, c, d] R(e_a, e_b, e_c, .).
     """
-    s = (coeffs @ basis).reshape(k, k, k, k)
+    s = np.zeros((k, k, k, k))
+    for coeff, (a, b, c, d) in terms:
+        for i, j, p, q, sign in ((a, b, c, d, 1), (b, a, c, d, -1), (a, b, d, c, -1), (b, a, d, c, 1)):
+            s[i, j, p, q] += coeff * sign / 8.0
+            s[p, q, i, j] += coeff * sign / 8.0
     first, second = _PAIRS[k]
     return 8.0 * s[first, second].transpose(2, 0, 1).reshape(k * len(first), k)
 
 
-# The fixed kinds' coefficients, built once; a negated kind is their exact
-# negation, bitwise what the negated coefficients give.
+# The two coefficient tables, built once: K13 + K14 + K23 + K24 - 2 R(e1,
+# e2, e3, e4) on 4-frames and K12 on 2-frames.  A negated kind is their
+# exact negation.
 _GRAD_COEFFS = {
-    "isotropic": _grad_coeffs(_lam_mu_coeffs(1.0, 1.0), _FOUR_FRAME_BASIS, 4),
-    "sectional": _grad_coeffs(np.array([1.0]), _TWO_FRAME_BASIS, 2),
+    "isotropic": _grad_coeffs(4, ((1, (0, 2, 0, 2)), (1, (0, 3, 0, 3)), (1, (1, 2, 1, 2)), (1, (1, 3, 1, 3)), (-2, (0, 1, 2, 3)))),
+    "sectional": _grad_coeffs(2, ((1, (0, 1, 0, 1)),)),
 }
 
 
@@ -249,7 +234,8 @@ def isotropic_curvature(r: CurvatureTensor, frame: Frame) -> float:
 
 def weighted_isotropic_curvature(r: CurvatureTensor, frame: Frame, w: Weights) -> float:
     """The weighted family: ``K13 + lam^2 K14 + mu^2 K23 + lam^2 mu^2 K24
-    - 2 lam mu R(e1, e2, e3, e4)``.
+    - 2 lam mu R(e1, e2, e3, e4)``, the isotropic curvature of the frame
+    rows scaled by (1, mu, 1, lam).
 
     At (1, 1) this is the isotropic curvature; at (0, 0) it degenerates to
     the sectional term K13.
@@ -293,28 +279,40 @@ class _FrameObjective:
     """Value and Euclidean gradient of a frame functional on stacks of
     k x n matrices (``batch``) and on single ones (the stack of one).
 
-    Every kind is <S, F> with S a fixed coefficient vector over a basis of
-    symmetrized k^4 tensors: ``isotropic`` and ``lambda_mu`` (4-frames,
-    ``weights`` fixed), ``sectional`` (2-frames).  ``negate`` flips the
-    sign; the searches flip it per search in ``stiefel.descend`` instead.
+    ``isotropic`` (4-frames) and ``sectional`` (2-frames) are <S, F> with
+    their fixed coefficient table.  ``lambda_mu`` is the isotropic kernel
+    on the rows scaled by D = diag(1, mu, 1, lam) from ``weights``, which
+    turns K13 + K14 + K23 + K24 - 2 R1234 into the weighted family, and
+    its gradient at v is D times the isotropic gradient at D v.
+    ``negate`` flips the sign; the searches flip it per search in
+    ``stiefel.descend`` instead.
     """
 
     def __init__(self, r: CurvatureTensor, kind: str, weights: Weights | None = None, negate: bool = False):
         if kind not in ("isotropic", "lambda_mu", "sectional"):
             raise ValueError(f"unknown objective kind {kind!r}")
-        if kind == "lambda_mu" and weights is None:
-            raise ValueError("lambda_mu objective needs weights")
+        if (kind == "lambda_mu") != (weights is not None):
+            raise ValueError("lambda_mu objective needs weights" if weights is None else f"{kind} objective takes no weights")
         self.rows = 2 if kind == "sectional" else 4
-        if kind == "lambda_mu":
-            grad_coeffs = _grad_coeffs(_lam_mu_coeffs(weights.lam, weights.mu), _FOUR_FRAME_BASIS, 4)
-        else:
-            grad_coeffs = _GRAD_COEFFS[kind]
+        grad_coeffs = _GRAD_COEFFS["sectional" if kind == "sectional" else "isotropic"]
         self.grad_coeffs = -grad_coeffs if negate else grad_coeffs
         self.pair_rows = _PAIR_ROWS[self.rows]
         self.m = r.array.reshape(r.n**2, r.n**2)
+        lam, mu = (1.0, 1.0) if weights is None else (weights.lam, weights.mu)
+        self.scale = None if weights is None else np.array([[1.0], [mu], [1.0], [lam]])
+        # squared norms of the bivectors e13 - lam mu e24 and lam e14 + mu
+        # e23 of a 4-frame value, in descending order (``_lower_bound``)
+        self.norms = sorted((1.0 + (lam * mu) ** 2, lam * lam + mu * mu), reverse=True)
 
     def batch(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Values (S,) and Euclidean gradients (S, k, n) on a stack of frames.
+        """Values (S,) and Euclidean gradients (S, k, n) on a stack of frames."""
+        if self.scale is None:
+            return self._kernel(v)
+        vals, grads = self._kernel(self.scale * v)
+        return vals, self.scale * grads
+
+    def _kernel(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """<S, F> and its gradient on a stack of frames.
 
         With D[p] = R(e_a, e_b, ., .) for the pairs p, the gradient row d is
         sum_{p, c} grad_coeffs[(d, p), c] e_c D[p], and since the functional
@@ -324,7 +322,7 @@ class _FrameObjective:
         pairs = len(self.pair_rows) // 2
         block = max(1, _PAIR_BLOCK // (pairs * n * n))
         if s > block:
-            parts = [self.batch(v[i : i + block]) for i in range(0, s, block)]
+            parts = [self._kernel(v[i : i + block]) for i in range(0, s, block)]
             return np.concatenate([f for f, _ in parts]), np.concatenate([g for _, g in parts])
         rows = np.take(v, self.pair_rows, axis=1)
         d = _contract(self.m, rows[:, :pairs], rows[:, pairs:])
@@ -451,28 +449,30 @@ def _spectrum(m: np.ndarray) -> np.ndarray:
     return np.sort(np.concatenate((w, np.zeros(len(keep) - len(m)))))
 
 
-def _lower_bound(m: np.ndarray, kind: str, negate: bool, tol: float) -> float:
-    """A lower bound on the minimum of the ``isotropic`` or ``sectional``
-    functional, or of its negation, on the tensor whose Lambda^2 operator
-    is m.
+def _lower_bound(m: np.ndarray, obj: _FrameObjective, negate: bool, tol: float) -> float:
+    """A lower bound on the minimum of the functional ``obj``, or of its
+    negation, on the tensor whose Lambda^2 operator is m.
 
-    An isotropic value is R(w1, w1) + R(w2, w2) for the orthogonal
-    bivectors w1 = e13 - e24 and w2 = e14 + e23 of squared norm 2, so by
-    Ky Fan it is at least 2 (lambda_1 + lambda_2).  A sectional value is
-    R(w, w) on a unit decomposable w, so at least lambda_1.  At n = 4
-    both bounds are exact: the isotropic one on the halves of Lambda^2
+    A 4-frame value is R(w1, w1) + R(w2, w2) for the orthogonal bivectors
+    w1 = e13 - lam mu e24 and w2 = lam e14 + mu e23 (lam = mu = 1 for
+    ``isotropic``), so by the weighted Ky Fan inequality it is at least
+    a lambda_1 + b lambda_2, with a >= b their squared norms: 2 (lambda_1
+    + lambda_2) for ``isotropic``.  A sectional value is R(w, w) on a unit
+    decomposable w, so at least lambda_1.  At n = 4 the unweighted bounds
+    are exact: the isotropic one on the halves of Lambda^2
     (``_nic_bound``), the sectional one after Thorpe's shift by the star
-    (``_thorpe_bound``).
+    (``_thorpe_bound``); the weighted family keeps its Ky Fan bound.
     """
-    if len(m) == 6:
+    if len(m) == 6 and obj.scale is None:
         m = -m if negate else m
-        return _thorpe_bound(m, tol) if kind == "sectional" else _nic_bound(m)
+        return _thorpe_bound(m, tol) if obj.rows == 2 else _nic_bound(m)
     w = _spectrum(m)
     if negate:
         w = -w[::-1]
-    if kind == "isotropic":
-        return 2.0 * float(w[0] + w[1])
-    return float(w[0])
+    if obj.rows == 2:
+        return float(w[0])
+    a, b = obj.norms
+    return float(a * w[0] + b * w[1])
 
 
 @functools.lru_cache(maxsize=4)
@@ -539,15 +539,11 @@ def minimize_searches(
         if r.n < wide.n:
             v0 = np.concatenate((v0, np.zeros((len(v0), k, wide.n - r.n))), axis=2)
         stacks.append(v0)
-        lower = stop_at = None
-        if objective != "lambda_mu":
-            m = operator(r.array)
-            gap = GAP_TOL * max(1.0, float(np.abs(m).max()))
-            # the Thorpe search may stop short of its top by half the gap
-            lower = _lower_bound(m, objective, negate, 0.5 * gap)
-            stop_at = lower + gap
-        lowers.append(lower)
-        stops.append(stop_at)
+        m = operator(r.array)
+        gap = GAP_TOL * max(1.0, float(np.abs(m).max()))
+        # the Thorpe search may stop short of its top by half the gap
+        lowers.append(_lower_bound(m, obj, negate, 0.5 * gap))
+        stops.append(lowers[-1] + gap)
     sizes = [len(v0) for v0 in stacks]
     signs = [-1.0 if negate else 1.0 for _, negate, _ in searches]
     vals, frames, iters, gnorms, convs, _ = descend(obj, np.concatenate(stacks), stops, signs, sizes)
@@ -555,7 +551,7 @@ def minimize_searches(
     for (r, _, _), lower, stop_at, size in zip(searches, lowers, stops, sizes):
         n, end = r.n, begin + size
         best = begin + int(np.argmin(vals[begin:end]))  # lowest value, then lowest start index
-        certified = stop_at is not None and bool(vals[best] <= stop_at)
+        certified = bool(vals[best] <= stop_at)
         reports.append(ConditionReport(
             min_value=float(vals[best]),
             argmin_frame=Frame(n=n, vectors=frames[best][:, :n]),
@@ -591,8 +587,8 @@ def minimize_frame(
     Parameters
     ----------
     objective : str
-        One of ``isotropic``, ``lambda_mu`` (requires ``weights``),
-        ``sectional``.
+        One of ``isotropic``, ``lambda_mu`` (requires ``weights``, which
+        the other two refuse), ``sectional``.
     opts : MinimizeOpts
         Restart count and seed.
     negate : bool
@@ -601,10 +597,10 @@ def minimize_frame(
         Warm starts, tried before the random restarts and sharing the
         deterministic tie-break; orthonormalized with the random starts.
 
-    For ``isotropic`` and ``sectional`` the eigenvalue lower bound of the
-    negated or plain functional is computed first, and the batch stops as
-    soon as one start is within ``GAP_TOL * max(1, max |R|)`` of it
-    (``stiefel.descend``'s ``stop_at``).
+    The eigenvalue lower bound of the negated or plain functional is
+    computed first, and the batch stops as soon as one start is within
+    ``GAP_TOL * max(1, max |R|)`` of it (``stiefel.descend``'s
+    ``stop_at``).
 
     Returns
     -------

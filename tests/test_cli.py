@@ -53,6 +53,24 @@ def test_bad_env_seed_is_usage_error(tmp_path, monkeypatch, capsys):
     assert "CURVLAB_SEED" in capsys.readouterr().err
 
 
+def test_negative_seed_is_usage_error(tmp_path, monkeypatch, capsys):
+    path = _write(tmp_path, "s.json", sphere(4, 1.0))
+    commands = (
+        ["check", "--condition", "nic", "--tensor", path, "--restarts", "2"],
+        ["minimize", "--objective", "sectional", "--tensor", path, "--restarts", "2"],
+        ["flow", "--tensor", path, "--t-end", "0.01", "--restarts", "2"],
+    )
+    for argv in commands:
+        assert run(argv + ["--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--seed must be a nonnegative integer, got -1" in captured.err
+    monkeypatch.setenv("CURVLAB_SEED", "-3")
+    for argv in commands:
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "CURVLAB_SEED must be a nonnegative integer, got -3" in captured.err
+
+
 def test_check_nic_on_sphere(tmp_path, capsys):
     path = _write(tmp_path, "s.json", sphere(4, 1.0))
     code = run(["check", "--condition", "nic", "--tensor", path, "--restarts", "4", "--seed", "3"])
@@ -116,10 +134,16 @@ def test_minimize_lambda_mu(tmp_path, capsys):
     assert report["min_value"] == pytest.approx(25.0 / 16.0, abs=1e-8)
     assert report["weights"] == {"lam": 0.5, "mu": 0.5}
     assert report["converged"] is True
-    assert report["lower_bound"] is None and report["certified"] is False
+    # the weighted Ky Fan bound (1 + lam^2)(1 + mu^2) is exact on the sphere
+    assert report["lower_bound"] == pytest.approx(25.0 / 16.0, abs=1e-12) and report["certified"] is True
 
     assert run(["minimize", "--objective", "lambda-mu", "--tensor", path]) == 2
     assert "--lambda" in capsys.readouterr().err
+    # the weights apply to lambda-mu only, and are refused elsewhere
+    for objective in ("isotropic", "sectional"):
+        assert run(["minimize", "--objective", objective, "--tensor", path, "--lambda", "0.5", "--mu", "0.2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "apply only to --objective lambda-mu" in captured.err
 
 
 def test_minimize_sectional_product(tmp_path, capsys):

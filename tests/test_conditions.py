@@ -171,18 +171,28 @@ def test_gradients_match_central_differences():
 
 def test_kernel_matches_multilinear_oracle():
     # The contraction kernel against direct evaluation through
-    # CurvatureTensor.__call__ and tensors.sectional.
+    # CurvatureTensor.__call__ and tensors.sectional, and the weighted
+    # family, the isotropic kernel on scaled rows, against its definition.
     for n in range(4, 9):
         r = random_tensor([n, 31], n)
         iso = frame_objective(r, "isotropic")
         sec = frame_objective(r, "sectional")
         for trial in range(5):
-            e1, e2, e3, e4 = v = random_frame([n, trial, 32], n).vectors
+            f = random_frame([n, trial, 32], n)
+            e1, e2, e3, e4 = v = f.vectors
             expect = r(e1, e3, e1, e3) + r(e1, e4, e1, e4) + r(e2, e3, e2, e3) + r(e2, e4, e2, e4) - 2.0 * r(e1, e2, e3, e4)
             assert abs(iso.value(v) - expect) < 1e-12
             assert abs(iso.value_grad(v)[0] - expect) < 1e-12
             w = random_frame([n, trial, 33], n, k=2).vectors
             assert abs(sec.value(w) - sectional(r, w[0], w[1])) < 1e-12
+            for i in range(3):
+                wts = _random_weights([n, trial, i, 34])
+                lam, mu = wts.lam, wts.mu
+                family = (
+                    r(e1, e3, e1, e3) + lam**2 * r(e1, e4, e1, e4) + mu**2 * r(e2, e3, e2, e3)
+                    + lam**2 * mu**2 * r(e2, e4, e2, e4) - 2.0 * lam * mu * r(e1, e2, e3, e4)
+                )
+                assert abs(weighted_isotropic_curvature(r, f, wts) - family) <= 1e-12 * max(1.0, abs(family))
 
 
 def test_descend_is_nonmonotone_armijo():
@@ -416,28 +426,50 @@ def test_minimize_warm_start_and_validation():
         minimize_frame(sphere(3, 1.0), "isotropic", FAST)
 
 
-def _full_minimum(r, kind, negate):
-    """The minimum of an unstopped 64-start descent."""
-    obj = frame_objective(r, kind, negate=negate)
-    v0 = np.stack([random_frame([r.n, i, 71], r.n, k=obj.rows).vectors for i in range(64)])
+def _full_minimum(r, kind, negate, weights=None, starts=64):
+    """The minimum of an unstopped multistart descent."""
+    obj = frame_objective(r, kind, weights, negate)
+    v0 = np.stack([random_frame([r.n, i, 71], r.n, k=obj.rows).vectors for i in range(starts)])
     return descend(obj, v0)[0].min()
+
+
+LAMBDA_MU_GRID = [Weights(0.0, 0.0), Weights(1.0, 0.0), Weights(1.0, 1.0), Weights(0.5, -0.3), Weights(-0.8, 0.6)]
 
 
 def test_lower_bounds_are_sound():
     # the eigenvalue bound never exceeds a frame value; the n = 4 bounds
-    # are exact, so raising the bounds by 1e-6 fails here
+    # of the unweighted kinds are exact, so raising them by 1e-6 fails here
+    kinds = [("isotropic", None), ("sectional", None)] + [("lambda_mu", w) for w in LAMBDA_MU_GRID]
     for n in range(4, 10):
         for r in (random_tensor([n, 72], n), combine(1.0, sphere(n, 1.0), 0.3, random_tensor([n, 73], n))):
             m = lambda2.operator(r.array)
-            for kind, negate in (("isotropic", False), ("isotropic", True), ("sectional", False), ("sectional", True)):
-                lower = conditions._lower_bound(m, kind, negate, 1e-13)
-                full = _full_minimum(r, kind, negate)
-                assert lower <= full + 1e-12, (n, kind, negate)
-                # at n = 4 every bound is exact: Micallef-Moore for NIC, Thorpe
-                assert n > 4 or lower >= full - 1e-9, (kind, negate)
+            for kind, w in kinds:
+                for negate in (False, True):
+                    lower = conditions._lower_bound(m, frame_objective(r, kind, w), negate, 1e-13)
+                    # 8 starts for the family, whose descents run 2-3 times
+                    # longer, and at n >= 8 a few starts to MAX_ITERS
+                    full = _full_minimum(r, kind, negate, w, 64 if w is None else 8)
+                    assert lower <= full + 1e-12, (n, kind, w, negate)
+                    # at n = 4 the unweighted bounds are exact: Micallef-Moore for NIC, Thorpe
+                    assert n > 4 or kind == "lambda_mu" or lower >= full - 1e-9, (kind, negate)
     padded = pad_euclidean(random_tensor(74, 4), 2)
     m = lambda2.operator(padded.array)
-    assert conditions._lower_bound(m, "isotropic", False, 1e-13) <= _full_minimum(padded, "isotropic", False) + 1e-12
+    iso = frame_objective(padded, "isotropic")
+    assert conditions._lower_bound(m, iso, False, 1e-13) <= _full_minimum(padded, "isotropic", False) + 1e-12
+
+
+def test_weighted_bound_is_exact_on_spheres():
+    # the family is (1 + lam^2)(1 + mu^2) kappa on every frame of S^n, and
+    # the weighted Ky Fan bound meets it, plain and negated
+    for n in range(4, 10):
+        for kappa in (1.0, -0.7):
+            r = sphere(n, kappa)
+            m = lambda2.operator(r.array)
+            for w in LAMBDA_MU_GRID:
+                value = (1.0 + w.lam**2) * (1.0 + w.mu**2) * kappa
+                obj = frame_objective(r, "lambda_mu", w)
+                assert conditions._lower_bound(m, obj, False, 1e-13) == pytest.approx(value, abs=1e-12)
+                assert conditions._lower_bound(m, obj, True, 1e-13) == pytest.approx(-value, abs=1e-12)
 
 
 def test_thorpe_bound_probes(monkeypatch):
@@ -487,9 +519,11 @@ def test_lower_bounds_tight_on_zoo():
         assert kmin_rep.lower_bound == pytest.approx(kmin, abs=1e-9)
         assert -kmax_rep.lower_bound == pytest.approx(kmax, abs=1e-9)
         assert kmin_rep.certified and kmax_rep.certified
-    # unshifted, lambda_min is 0 on CP^2; the lambda_mu family has no bound
+    # unshifted, lambda_min is 0 on CP^2
     assert np.linalg.eigvalsh(lambda2.operator(cp2.array))[0] == pytest.approx(0.0, abs=1e-12)
-    assert minimize_frame(cp2, "lambda_mu", FAST, weights=Weights(0.5, 0.5)).lower_bound is None
+    # the weighted Ky Fan bound of the lambda_mu family is exact on S^4
+    rep = minimize_frame(s4, "lambda_mu", FAST, weights=Weights(0.5, 0.5))
+    assert rep.lower_bound == pytest.approx(25.0 / 16.0, abs=1e-12) and rep.certified
 
 
 def test_descend_stops_at_the_bound():
@@ -536,9 +570,10 @@ def test_lambda_mu_minimization():
 
     rep = minimize_frame(r, "lambda_mu", FAST, weights=Weights(0.0, 0.0))
     assert rep.min_value == pytest.approx(1.0, abs=1e-9)  # lam = mu = 0 picks K13
-    # weights are ignored outside the lambda_mu objective
-    iso = minimize_frame(r, "isotropic", FAST, weights=Weights(0.5, 0.5))
-    assert iso.min_value == pytest.approx(4.0, abs=1e-9)
+    # weights apply only to the lambda_mu objective
+    for kind in ("isotropic", "sectional"):
+        with pytest.raises(ValueError, match="takes no weights"):
+            minimize_frame(r, kind, FAST, weights=Weights(0.5, 0.5))
 
 
 def test_check_nic():
@@ -748,6 +783,8 @@ def test_weights_and_opts_validation():
         Weights(0.0, np.nan)
     with pytest.raises(ValueError):
         MinimizeOpts(restarts=0)
+    with pytest.raises(ValueError, match="seed must be a nonnegative integer, got -1"):
+        MinimizeOpts(seed=-1)
     for margin in (0.0, -1e-7, np.nan, np.inf):
         with pytest.raises(ValueError, match="margin"):
             MinimizeOpts(margin=margin)
