@@ -297,9 +297,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("flow", help="integrate the reaction ODE and write a trace CSV")
     p.add_argument("--tensor", required=True)
     p.add_argument("--t-end", dest="t_end", type=float, required=True)
-    p.add_argument("--dt", type=float, default=0.01)
+    p.add_argument("--dt", type=float, default=0.01, help="largest step (every step with --fixed-step)")
     p.add_argument("--normalize", action="store_true")
-    p.add_argument("--fixed-step", action="store_true", help="disable step halving and use --dt exactly")
+    p.add_argument("--fixed-step", action="store_true", help="disable step-size control and use --dt exactly")
     p.add_argument("--out", default=None, help="trace CSV file (default stdout)")
     p.add_argument("--stride", type=int, default=1)
     p.add_argument("--restarts", type=int, default=8, help="restarts per diagnostic row")

@@ -24,12 +24,13 @@ contraction D = R(e_a, e_b, ., .) for a < b, with one small matmul per
 frame.  The weighted family is the isotropic kernel on the frame rows
 scaled by (1, mu, 1, lam).
 
-The multistart search orthonormalizes its (S, k, n) stack of starts in one
-sign-fixed QR and descends it as one batch (``stiefel``), each start with
-its own Barzilai-Borwein step, nonmonotone Armijo backtracking and stop
-rules, on a path independent of its batch.  Random start i, the k x n
-draw of ``default_rng([seed, i])``, is bitwise ``random_frame([seed, i],
-n, k)``.  Several searches of one functional can share that batch
+The multistart search descends its (S, k, n) stack of orthonormal starts
+as one batch (``stiefel``), each start with its own Barzilai-Borwein
+step, nonmonotone Armijo backtracking and stop rules, on a path
+independent of its batch.  Random start i, the k x n draw of
+``default_rng([seed, i])`` orthonormalized in one sign-fixed QR per
+(seed, restarts, k, n), is bitwise ``random_frame([seed, i], n, k)``.
+Several searches of one functional can share that batch
 (``minimize_searches``), each with its own sign, starts, bound and stop:
 Kmin and Kmax as one signed stack, or NIC on R with PIC2 on R x R^2.
 
@@ -475,28 +476,28 @@ def _lower_bound(m: np.ndarray, obj: _FrameObjective, negate: bool, tol: float) 
     return float(a * w[0] + b * w[1])
 
 
+def _orthonormal_starts(draws: np.ndarray, seed) -> np.ndarray:
+    """One sign-fixed QR of the draws of ``default_rng([seed, i])``; a draw
+    failing the rank test is replaced by ``random_frame([seed, i], n, k)``,
+    which replays its stream and draws again."""
+    v, rdiag = orthonormal_rows(draws)
+    _, k, n = draws.shape
+    for i in np.flatnonzero(rdiag.min(axis=1) <= RANK_TOL):
+        v[i] = random_frame([seed, int(i)], n, k).vectors
+    return v
+
+
 @functools.lru_cache(maxsize=4)
 def _draws(seed: int, restarts: int, k: int, n: int) -> np.ndarray:
-    """The k x n draws of ``default_rng([seed, i])`` for i < restarts, as a
-    read-only (restarts, k, n) array.  They depend on nothing else, and
-    every diagnostics row of a flow trace asks for the same few stacks
-    again, so the last four are kept."""
+    """The random starts of a search, ``random_frame([seed, i], n, k)``
+    for i < restarts, as a read-only (restarts, k, n) array.  They depend
+    on nothing else, and every diagnostics row of a flow trace asks for the
+    same few stacks again, so the last four are kept, orthonormalized."""
     # Generator(PCG64(seed)) is default_rng(seed) without its wrapper.
     draws = np.stack([np.random.Generator(np.random.PCG64([seed, i])).standard_normal((k, n)) for i in range(restarts)])
-    draws.flags.writeable = False
-    return draws
-
-
-def _start_stack(raw: np.ndarray, warm: int, seed) -> np.ndarray:
-    """One sign-fixed QR of ``warm`` warm starts followed by the draws of
-    ``default_rng([seed, i])``; a draw failing the rank test is replaced by
-    ``random_frame([seed, i], n, k)``, which replays its stream and draws
-    again."""
-    v, rdiag = orthonormal_rows(raw)
-    _, k, n = raw.shape
-    for i in np.flatnonzero(rdiag[warm:].min(axis=1) <= RANK_TOL):
-        v[warm + i] = random_frame([seed, int(i)], n, k).vectors
-    return v
+    starts = _orthonormal_starts(draws, seed)
+    starts.flags.writeable = False
+    return starts
 
 
 @single_threaded
@@ -534,8 +535,9 @@ def minimize_searches(
         for f in init_frames:
             if f.require_rows(k).n != r.n:
                 raise ValueError("warm-start frame has wrong ambient dimension")
-        warm = np.reshape([f.vectors for f in init_frames], (-1, k, r.n))
-        v0 = _start_stack(np.concatenate((warm, _draws(opts.seed, opts.restarts, k, r.n))), len(warm), opts.seed)
+        v0 = _draws(opts.seed, opts.restarts, k, r.n)
+        if init_frames:
+            v0 = np.concatenate((orthonormal_rows(np.stack([f.vectors for f in init_frames]))[0], v0))
         if r.n < wide.n:
             v0 = np.concatenate((v0, np.zeros((len(v0), k, wide.n - r.n))), axis=2)
         stacks.append(v0)
@@ -581,8 +583,9 @@ def minimize_frame(
     report is the start with the lowest value, the lowest start index
     among equal values.  Random start i is bitwise
     ``random_frame([opts.seed, i], n, k)`` for every ``opts.restarts``,
-    made in one stacked QR with the others; only the argmin is validated
-    as a ``Frame``.  This is the one-search case of ``minimize_searches``.
+    made in one stacked QR that later searches of its shape reuse; only
+    the argmin is validated as a ``Frame``.  This is the one-search case
+    of ``minimize_searches``.
 
     Parameters
     ----------
@@ -595,7 +598,7 @@ def minimize_frame(
         Minimize the negated functional (used to locate maxima).
     init_frames : tuple of Frame
         Warm starts, tried before the random restarts and sharing the
-        deterministic tie-break; orthonormalized with the random starts.
+        deterministic tie-break; orthonormalized by their own stacked QR.
 
     The eigenvalue lower bound of the negated or plain functional is
     computed first, and the batch stops as soon as one start is within

@@ -49,10 +49,14 @@ __all__ = [
 
 TRACE_COLUMNS = ("t", "kmin", "kmax", "min_iso", "min_pic2", "scalar", "dt", "err_est")
 
-# Richardson halvings allowed per step before a step-size underflow, and
-# the max |component| past which integration aborts as a blow-up.
+# Richardson halvings allowed per step before a step-size underflow, the
+# safety factor of the step-size controller, and the max |component| past
+# which integration aborts as a blow-up.
 MAX_HALVINGS = 40
+SAFETY = 0.8
 BLOWUP_CAP = 1e12
+# A trajectory within this of t_end has reached it.
+END_TOL = 1e-15
 
 
 class FlowBlowupError(RuntimeError):
@@ -87,12 +91,16 @@ class TraceRow:
 class FlowTrace:
     """Diagnostic rows of a trajectory, strictly increasing in time.
 
-    ``final`` is the tensor at ``rows[-1].t`` when the trace was produced
-    by ``integrate`` (None for traces read from disk).
+    ``final`` is the tensor at ``rows[-1].t``, ``q_evals`` the number of
+    Q evaluations and ``halvings`` the number of rejected (halved) step
+    trials, when the trace was produced by ``integrate`` (None for traces
+    read from disk).
     """
 
     rows: tuple[TraceRow, ...]
     final: CurvatureTensor | None = None
+    q_evals: int | None = None
+    halvings: int | None = None
 
     def __post_init__(self):
         if not self.rows:
@@ -108,8 +116,10 @@ class FlowTrace:
 class FlowOpts:
     """Integrator options.
 
-    ``ode_tol`` drives per-step Richardson halving; None disables it and
-    runs plain fixed-step RK4 (used to measure the method order).
+    ``dt`` is the largest step.  ``ode_tol`` is the per-step error
+    tolerance of the step-size controller and of Richardson halving; None
+    disables both and runs plain fixed-step RK4 at ``dt`` (used to measure
+    the method order).
     ``normalize`` rescales after each step to hold scalar curvature at its
     initial value.  ``stride`` controls how many accepted steps separate
     diagnostic rows; the initial and final rows are always present.
@@ -255,23 +265,49 @@ class _Diagnostics:
         )
 
 
+def _step_toward(left: float, h: float) -> float:
+    """The step to take with ``left`` to go when the controller proposes h:
+    all of ``left`` if it is at most h, and half of it if a step of h
+    would leave a sliver, less than h / 2 but more than ``END_TOL``, so
+    that no step to t_end is shorter than h / 2."""
+    if left <= h:
+        return left
+    if left < 1.5 * h and left - h > END_TOL:
+        return 0.5 * left
+    return h
+
+
+def _growth(err: float, tol: float) -> float:
+    """Step-size factor after a step accepted with error estimate err
+    (Hairer-Norsett-Wanner, *Solving ODEs I*, II.4): the local error of
+    RK4 is O(h^5), so h (tol / err)^(1/5) would meet tol exactly;
+    ``SAFETY`` aims below it, and the factor stays within [0.2, 2]."""
+    if err == 0.0:
+        return 2.0
+    return min(2.0, max(0.2, SAFETY * (tol / err) ** 0.2))
+
+
 @single_threaded
 def integrate(r0: CurvatureTensor, t_end: float, opts: FlowOpts | None = None) -> FlowTrace:
     """Integrate dR/dt = Q(R) from 0 to t_end with diagnostics.
 
-    Classical RK4 with per-step Richardson halving: the step is compared
-    against two half steps and halved until the error estimate
-    max |full - halved| / 15 drops below ``opts.ode_tol``; the halved
-    result is the one accepted.  With ``ode_tol=None`` the full fixed-step
-    result is used and the estimate is only recorded.  The blow-up guard
-    aborts with FlowBlowupError when components pass ``BLOWUP_CAP``, and
-    more than ``MAX_HALVINGS`` halvings of one step are a step-size
-    underflow (RuntimeError).
+    Classical RK4 with Richardson error control: each step is compared
+    against two half steps, the error estimate is max |full - halved| / 15,
+    and the halved result is the one accepted.  A trial whose estimate
+    exceeds ``opts.ode_tol`` is halved and tried again; more than
+    ``MAX_HALVINGS`` halvings of one step are a step-size underflow
+    (RuntimeError).  After each accepted step the next step is h times
+    ``_growth`` of its estimate, at most ``opts.dt``, the first one is
+    ``opts.dt``, and a step that would leave a sliver before t_end is cut
+    to half the rest (``_step_toward``).  With ``ode_tol=None`` every step
+    is ``opts.dt`` (the last one cut to t_end), the full fixed-step result
+    is used and the estimate is only recorded.  The blow-up guard aborts
+    with FlowBlowupError when components pass ``BLOWUP_CAP``.
 
     The state is the Lambda^2 operator of R, whose entries are exactly the
     distinct components of R up to sign, so the maxima above are the same
     as over the full array; the tensor is built only for diagnostic rows
-    and the final tensor.
+    and the final tensor.  The trace counts the Q evaluations and halvings.
     """
     opts = opts or FlowOpts()
     if t_end <= 0 or not np.isfinite(t_end):
@@ -283,27 +319,32 @@ def integrate(r0: CurvatureTensor, t_end: float, opts: FlowOpts | None = None) -
         raise ValueError("cannot normalize: initial scalar curvature vanishes")
     diag = _Diagnostics(opts.minimize)
     rows = [diag.row(0.0, r0, 0.0, 0.0)]
+    r_now = None
     t = 0.0
-    steps = 0
+    h = opts.dt
+    steps = q_evals = halvings = 0
     err_since_row = 0.0
-    while t < t_end - 1e-15:
-        h = min(opts.dt, t_end - t)
-        halvings = 0
+    while t < t_end - END_TOL:
+        h = min(opts.dt, t_end - t) if opts.ode_tol is None else _step_toward(t_end - t, h)
+        tries = 0
         with np.errstate(over="ignore", invalid="ignore"):
             k1 = _reaction_raw(y)
+        q_evals += 1
         while True:
             full = _rk4(y, h, k1)
             mid = _rk4(y, 0.5 * h, k1)
             halved = _rk4(mid, 0.5 * h)
+            q_evals += 10
             err = float(np.abs(full - halved).max()) / 15.0
             if not np.isfinite(err):
                 err = float("inf")
             if opts.ode_tol is None or err <= opts.ode_tol:
                 break
-            halvings += 1
-            if halvings > MAX_HALVINGS:
+            tries += 1
+            if tries > MAX_HALVINGS:
                 raise RuntimeError(f"step size underflow at t = {t:.6g}: error estimate {err:.3e}")
             h *= 0.5
+        halvings += tries
         y = full if opts.ode_tol is None else halved
         if not np.all(np.isfinite(y)):
             raise FlowBlowupError(t + h, float("inf"), BLOWUP_CAP)
@@ -318,11 +359,15 @@ def integrate(r0: CurvatureTensor, t_end: float, opts: FlowOpts | None = None) -
         t += h
         steps += 1
         err_since_row = max(err_since_row, err)
-        if steps % opts.stride == 0 or t >= t_end - 1e-15:
+        if steps % opts.stride == 0 or t >= t_end - END_TOL:
             r_now = _tensor(y, n)
             rows.append(diag.row(t, r_now, h, err_since_row))
             err_since_row = 0.0
-    return FlowTrace(rows=tuple(rows), final=_tensor(y, n))
+        if opts.ode_tol is not None:
+            h = min(opts.dt, h * _growth(err, opts.ode_tol))
+    # the last row is at the last step, so its tensor is the final one
+    final = r_now if r_now is not None else _tensor(y, n)
+    return FlowTrace(rows=tuple(rows), final=final, q_evals=q_evals, halvings=halvings)
 
 
 @dataclass(frozen=True)

@@ -263,9 +263,15 @@ def test_descend_contracts_each_frame_once(monkeypatch):
     monkeypatch.setattr(conditions, "_contract", counting("contract", conditions._contract, 1))
     monkeypatch.setattr(conditions, "orthonormal_rows", counting("orthonormalize", conditions.orthonormal_rows, 0))
     monkeypatch.setattr(stiefel, "orthonormal_rows", counting("orthonormalize", stiefel.orthonormal_rows, 0))
+    conditions._draws.cache_clear()
     rep = minimize_frame(random_tensor(0, 6), "isotropic", MinimizeOpts(restarts=8))
     assert frames["orthonormalize"] > 8 * rep.iterations
     assert frames["contract"] == frames["orthonormalize"]
+    # a second search of the same shape reuses the orthonormalized starts,
+    # so only its line-search trials are orthonormalized
+    frames.update(contract=0, orthonormalize=0)
+    minimize_frame(random_tensor(1, 6), "isotropic", MinimizeOpts(restarts=8))
+    assert frames["contract"] == frames["orthonormalize"] + 8
 
 
 def test_descend_batch_independence_and_tie_break():
@@ -376,13 +382,23 @@ def test_rank_deficient_draw_is_drawn_again():
     # random_frame([seed, i]), which replays the stream and draws again
     # (here the stream's own first draw, since the repeated row is planted)
     seed, n, k = 5, 6, 4
-    warm = random_frame(1, n).vectors
-    draws = [np.random.default_rng([seed, i]).standard_normal((k, n)) for i in range(4)]
-    draws[2][3] = draws[2][0]
-    v = conditions._start_stack(np.stack([warm] + draws), 1, seed)
-    assert np.array_equal(v[0], orthonormal_rows(warm[None])[0][0])
+    draws = np.stack([np.random.default_rng([seed, i]).standard_normal((k, n)) for i in range(4)])
+    draws[2, 3] = draws[2, 0]
+    v = conditions._orthonormal_starts(draws, seed)
     for i in range(4):
-        assert np.array_equal(v[1 + i], random_frame([seed, i], n, k).vectors)
+        assert np.array_equal(v[i], random_frame([seed, i], n, k).vectors)
+
+
+def test_cached_starts_are_a_read_only_qr_of_the_draws():
+    # the cache holds the orthonormalized starts, bitwise one fresh QR of
+    # the draws, and no search can write to them
+    conditions._draws.cache_clear()
+    for seed, restarts, k, n in ((3, 8, 4, 6), (0, 64, 2, 9), (7, 5, 4, 4)):
+        v = conditions._draws(seed, restarts, k, n)
+        assert not v.flags.writeable
+        draws = np.stack([np.random.default_rng([seed, i]).standard_normal((k, n)) for i in range(restarts)])
+        assert np.array_equal(v, orthonormal_rows(draws)[0])
+        assert conditions._draws(seed, restarts, k, n) is v
 
 
 def test_minimize_deterministic_per_seed():

@@ -23,6 +23,7 @@ from curvlab.serialization import write_tensor
 from curvlab.stiefel import descend
 from curvlab.tensors import (
     CurvatureTensor,
+    fubini_study,
     product,
     project_curvature,
     random_tensor,
@@ -176,6 +177,40 @@ def test_integrate_shares_first_stage(monkeypatch):
     monkeypatch.setattr(flow, "_reaction_raw", counting)
     integrate(sphere(4, 1.0), 0.03, FlowOpts(dt=0.01, ode_tol=None, stride=10**9, minimize=LIGHT))
     assert len(calls) == 3 * 11
+
+
+def test_step_size_is_kept_between_steps(monkeypatch):
+    # CP^2 (c = 4) needs steps well below dt = 0.01; restarting each step at
+    # dt and halving down made 1326 Q evaluations here
+    calls = []
+    raw = flow._reaction_raw
+
+    def counting(y):
+        calls.append(1)
+        return raw(y)
+
+    monkeypatch.setattr(flow, "_reaction_raw", counting)
+    trace = integrate(fubini_study(2, 4.0), 0.05, FlowOpts())
+    assert trace.q_evals == len(calls) <= 400
+    steps = len(trace.rows) - 1
+    assert trace.q_evals == 11 * steps + 10 * trace.halvings
+    assert trace.rows[-1].t == pytest.approx(0.05)
+    assert all(row.dt <= 0.01 for row in trace.rows)
+
+
+def test_no_sliver_step_before_t_end():
+    # with every step accepted at dt, steps of dt would leave 1e-4 before
+    # t_end; the last two steps share what is left instead
+    opts = FlowOpts(dt=0.01, ode_tol=1.0, minimize=LIGHT)
+    trace = integrate(sphere(4, 1.0), 0.0301, opts)
+    dts = [row.dt for row in trace.rows[1:]]
+    assert dts[:2] == [0.01, 0.01]
+    assert dts[2] == dts[3] == pytest.approx(0.00505, rel=1e-12) and len(dts) == 4
+    assert trace.rows[-1].t == pytest.approx(0.0301, abs=1e-15)
+    # the fixed-step path keeps dt and ends with the short step
+    fixed = integrate(sphere(4, 1.0), 0.0301, FlowOpts(dt=0.01, ode_tol=None, minimize=LIGHT))
+    assert [row.dt for row in fixed.rows[1:]] == pytest.approx([0.01, 0.01, 0.01, 0.0001])
+    assert fixed.halvings == 0
 
 
 def test_integrator_order_is_four():

@@ -79,7 +79,7 @@ def test_trace_round_trip(tmp_path):
     assert len(back.rows) == 2
     for got, expect in zip(back.rows, rows):
         assert got.astuple() == expect.astuple()
-    assert back.final is None
+    assert back.final is None and back.q_evals is None and back.halvings is None
 
 
 def test_trace_csv_header_and_shape_errors():
