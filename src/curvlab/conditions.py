@@ -25,9 +25,9 @@ frame.  The weighted family is the isotropic kernel on the frame rows
 scaled by (1, mu, 1, lam).
 
 The multistart search descends its (S, k, n) stack of orthonormal starts
-as one batch (``stiefel``), each start with its own Barzilai-Borwein
-step, nonmonotone Armijo backtracking and stop rules, on a path
-independent of its batch.  Random start i, the k x n draw of
+as one batch (``stiefel``), each start with its own alternating
+Barzilai-Borwein steps, nonmonotone Armijo backtracking and stop rules,
+on a path independent of its batch.  Random start i, the k x n draw of
 ``default_rng([seed, i])`` orthonormalized in one sign-fixed QR per
 (seed, restarts, k, n), is bitwise ``random_frame([seed, i], n, k)``.
 Several searches of one functional can share that batch

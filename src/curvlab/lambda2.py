@@ -36,13 +36,14 @@ def _pairs(n: int) -> np.ndarray:
 
 @functools.cache
 def _plan(big: int) -> tuple[np.ndarray, ...]:
-    """Index plans (int32, O(N^2)) of ``reaction`` for N = big.
+    """Index plans of ``reaction`` for N = big: three stacked native
+    ``np.intp`` tables (2, ., .) and the weights.
 
-    ``z1`` and ``z2`` pick the two terms of Z from the flattened
-    [M, -M, 0], ``weights`` are W, ``g1`` and ``g2`` pick the Sym^2 Gram
-    entries of C[(i,k),(j,l)] and C[(i,l),(j,k)] for the outputs
-    (i<j), (k<l), and ``p1`` and ``p2`` the Lambda^2 entries from the
-    flattened [M M, -M M, 0].
+    ``z`` picks the two terms of Z from the flattened [M, -M, 0],
+    ``weights`` are W, ``g`` picks the Sym^2 Gram entries of
+    C[(i,k),(j,l)] and C[(i,l),(j,k)] for the outputs (i<j), (k<l), and
+    ``p`` the two Lambda^2 entries from the flattened [M M, -M M, 0].
+    Each gathered factor is read by one ``take`` of a stacked table.
     """
     n = (1 + math.isqrt(1 + 8 * big)) // 2
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -62,8 +63,8 @@ def _plan(big: int) -> tuple[np.ndarray, ...]:
             return 2 * big * big
         return anti[a, b] * big + anti[c, d] + big * big * ((a > b) != (c > d))
 
-    def table(entry, rows):
-        return np.array([[entry(*r, *c) for c in rows] for r in rows], dtype=np.int32)
+    def tables(rows, *entries):
+        return np.array([[[entry(*r, *c) for c in rows] for r in rows] for entry in entries], dtype=np.intp)
 
     def upper(entry):
         # Z[(p,q), (i,k)] picks the entries of Z[(i,k), (p,q)] from M's
@@ -72,13 +73,11 @@ def _plan(big: int) -> tuple[np.ndarray, ...]:
         return lambda i, k, p, q: entry(i, k, p, q) if sym[i, k] <= sym[p, q] else entry(p, q, i, k)
 
     return (
-        table(upper(lambda i, k, p, q: signed(i, p, k, q)), syms),
-        table(upper(lambda i, k, p, q: signed(i, q, k, p)), syms),
+        tables(syms, upper(lambda i, k, p, q: signed(i, p, k, q)), upper(lambda i, k, p, q: signed(i, q, k, p))),
         np.array([0.5 if i == k else 1.0 for i, k in syms]),
-        table(lambda i, j, k, l: sym[i, k] * small + sym[j, l], pairs),
-        table(lambda i, j, k, l: sym[i, l] * small + sym[j, k], pairs),
-        table(lambda i, j, k, l: signed(i, k, j, l), pairs),
-        table(lambda i, j, k, l: signed(i, l, j, k), pairs),
+        tables(pairs, lambda i, j, k, l: sym[i, k] * small + sym[j, l],
+               lambda i, j, k, l: sym[i, l] * small + sym[j, k]),
+        tables(pairs, lambda i, j, k, l: signed(i, k, j, l), lambda i, j, k, l: signed(i, l, j, k)),
     )
 
 
@@ -104,10 +103,11 @@ def reaction(m: np.ndarray) -> np.ndarray:
     """Q(R) on the Lambda^2 operator M of R: the entries (i<j), (k<l) of
     Q_ijkl = sum_pq [ R_ijpq R_klpq + 2 (R_ipkq R_jplq - R_iplq R_jpkq) ],
     through the Sym^2 product and M M (see the module docstring)."""
-    z1, z2, weights, g1, g2, p1, p2 = _plan(m.shape[0])
-    signed = np.concatenate((m.ravel(), -m.ravel(), _ZERO))
-    z = signed.take(z1) + signed.take(z2)
+    z_at, weights, g_at, p_at = _plan(m.shape[0])
+    z = np.concatenate((m.ravel(), -m.ravel(), _ZERO)).take(z_at)
+    z = z[0] + z[1]
     gram = ((z * weights) @ z).ravel()  # Z W Z^T, as Z is symmetric
     sq = m @ m
-    signed = np.concatenate((sq.ravel(), -sq.ravel(), _ZERO))
-    return 2.0 * sq + ((gram.take(g1) - gram.take(g2)) + (signed.take(p1) - signed.take(p2)))
+    g = gram.take(g_at)
+    p = np.concatenate((sq.ravel(), -sq.ravel(), _ZERO)).take(p_at)
+    return 2.0 * sq + ((g[0] - g[1]) + (p[0] - p[1]))

@@ -7,9 +7,11 @@ object whose ``batch(v)`` returns the values (S,) and Euclidean gradients
 gradient tolerances are the module constants below.
 
 All starts descend together as one batch, projected gradient descent with
-a Barzilai-Borwein trial step, nonmonotone Armijo backtracking
-(Zhang-Hager 2004, *A nonmonotone line search technique and its
-application to unconstrained optimization*) and a QR retraction
+alternating Barzilai-Borwein trial steps (the long and the short step by
+turns: Wen-Yin 2013; Frassoldati-Zanni-Zanghirati 2008, *New adaptive
+stepsize selections in gradient methods*), nonmonotone Armijo
+backtracking (Zhang-Hager 2004, *A nonmonotone line search technique and
+its application to unconstrained optimization*) and a QR retraction
 (Edelman-Arias-Smith 1998; Wen-Yin 2013), each start with its own step,
 reference value and stopping.  Every stacked product is one small matmul
 or LAPACK call per start, so a start's path does not depend on which
@@ -125,11 +127,15 @@ def descend(
     All starts descend together as one batch.  Each steps along its
     negative tangent-projected gradient with its own Barzilai-Borwein trial
     step and Armijo backtracking, retracting by row re-orthonormalization.
-    Each stops on its own (gradient below ``GRAD_TOL``, a line search that
-    fails by step tolerance or 60 halvings, ``MAX_ITERS`` iterations) and
-    then leaves the batch.  Each retracted frame goes through ``obj.batch``
-    once, for value and gradient together, so the accepted trial's
-    gradient is reused.
+    With s the step between frames and y the change of the projected
+    gradient, the trial step alternates between the long step s.s/s.y,
+    after odd iterations, and the short step s.y/y.y, after even ones,
+    clipped to [1e-12, 1e6]; where s.y is not positive it is twice the
+    accepted step.  Each stops on its own (gradient below ``GRAD_TOL``, a
+    line search that fails by step tolerance or 60 halvings, ``MAX_ITERS``
+    iterations) and then leaves the batch.  Each retracted frame goes
+    through ``obj.batch`` once, for value and gradient together, so the
+    accepted trial's gradient is reused.
 
     The Armijo test is Zhang-Hager's: a trial must improve on a reference
     value C, not on the current value, so the Barzilai-Borwein steps,
@@ -198,12 +204,14 @@ def descend(
             if not ids.size:
                 break
         p_try = tangent_project(g_try, v_try)
-        # Barzilai-Borwein step for the next iteration, doubling the
-        # accepted step where the curvature s.y is not positive
-        s = v_try - v
-        sy = dots(s, p_try - p)
+        # Barzilai-Borwein step for the next iteration, the long step s.s/s.y
+        # after odd iterations and the short step s.y/y.y after even ones,
+        # doubling the accepted step where the curvature s.y is not positive
+        s, y = v_try - v, p_try - p
+        sy = dots(s, y)
         curved = sy > 1e-300
-        bb = np.minimum(np.maximum(dots(s, s) / np.where(curved, sy, 1.0), 1e-12), 1e6)
+        bb = dots(s, s) / np.where(curved, sy, 1.0) if it % 2 else sy / np.where(curved, dots(y, y), 1.0)
+        bb = np.minimum(np.maximum(bb, 1e-12), 1e6)
         step = bb if curved.all() else np.where(curved, bb, np.minimum(trial * 2.0, 1e6))
         v, p, val, gnorm = v_try, p_try, f_try, np.sqrt(dots(p_try, p_try))
         # f <= C, so f - C <= 0 and C cannot grow even by round-off
