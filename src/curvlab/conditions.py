@@ -6,11 +6,11 @@ family to flat paddings and to cyclic frame sums, and multistart projected
 gradient descent over Stiefel manifolds that turns "for all frames"
 quantifiers into checkable minimizations.
 
-PIC2 is decided as nonnegative isotropic curvature of the product with flat
-R^2, by the same search and decision as NIC on the padded tensor.  By the
-lift identity every weighted-family value is an isotropic value of the
-padded tensor, so a family search can never go below the padded minimum;
-the family stays as a test oracle, not as a second search.
+PIC2 is nonnegative isotropic curvature of R x R^2, decided by the NIC
+search and decision.  The flat directions carry no curvature, so that
+search runs on R, at the first n columns of frames in R^{n+2}.  By the
+lift identity every weighted-family value is an isotropic value on
+R x R^2; the family stays as a test oracle, not as a second search.
 
 Every frame functional is <S, F> with F[a, b, c, d] = R(e_a, e_b, e_c, e_d)
 on the frame rows and one of two coefficient tensors S, isotropic (on
@@ -31,8 +31,8 @@ on a path independent of its batch.  Random start i, the k x n draw of
 ``default_rng([seed, i])`` orthonormalized in one sign-fixed QR per
 (seed, restarts, k, n), is bitwise ``random_frame([seed, i], n, k)``.
 Several searches of one functional can share that batch
-(``minimize_searches``), each with its own sign, starts, bound and stop:
-Kmin and Kmax as one signed stack, or NIC on R with PIC2 on R x R^2.
+(``minimize_searches``), each on R x R^flat with its own sign, starts,
+bound and stop: Kmin and Kmax as one signed stack, or NIC with PIC2.
 
 A reported minimum is the value of a frame, so it is an upper bound on
 the true minimum.  The search also computes a lower bound from the
@@ -298,6 +298,7 @@ class _FrameObjective:
         grad_coeffs = _GRAD_COEFFS["sectional" if kind == "sectional" else "isotropic"]
         self.grad_coeffs = -grad_coeffs if negate else grad_coeffs
         self.pair_rows = _PAIR_ROWS[self.rows]
+        self.n = r.n
         self.m = r.array.reshape(r.n**2, r.n**2)
         lam, mu = (1.0, 1.0) if weights is None else (weights.lam, weights.mu)
         self.scale = None if weights is None else np.array([[1.0], [mu], [1.0], [lam]])
@@ -306,7 +307,13 @@ class _FrameObjective:
         self.norms = sorted((1.0 + (lam * mu) ** 2, lam * lam + mu * mu), reverse=True)
 
     def batch(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Values (S,) and Euclidean gradients (S, k, n) on a stack of frames."""
+        """Values (S,) and Euclidean gradients (S, k, n + j) of R x R^j on a
+        stack of frames in R^{n+j}: R's at the first n columns, 0 past them."""
+        if v.shape[2] > self.n:
+            vals, g = self.batch(np.ascontiguousarray(v[:, :, : self.n]))
+            grads = np.zeros(v.shape)
+            grads[:, :, : self.n] = g
+            return vals, grads
         if self.scale is None:
             return self._kernel(v)
         vals, grads = self._kernel(self.scale * v)
@@ -429,45 +436,44 @@ def _nic_bound(m: np.ndarray) -> float:
     return 2.0 * float((w[:, 0] + w[:, 1]).min())
 
 
-@functools.lru_cache(maxsize=1)
-def _block_spectrum(data: bytes, size: int) -> np.ndarray:
-    return np.linalg.eigvalsh(np.frombuffer(data).reshape(size, size))
-
-
 def _spectrum(m: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the symmetric m.
 
-    Zero rows, such as the pairs with a flat direction of a padded tensor,
-    carry zero eigenvalues and are split off.  The rest goes through
-    ``_block_spectrum``, which keeps its last result, so the searches of a
-    trace row (NIC, PIC2 on the padded tensor and, for n > 4, Kmin and
-    Kmax) share one eigvalsh.
+    Zero rows, such as the flat pairs of a product or a padded tensor, carry
+    zero eigenvalues and are split off, which keeps the rest bitwise.
     """
     keep = m.any(axis=1)
     if not keep.all():
         m = m[np.ix_(keep, keep)]
-    w = _block_spectrum(m.tobytes(), len(m))
+    w = np.linalg.eigvalsh(m)
     return np.sort(np.concatenate((w, np.zeros(len(keep) - len(m)))))
 
 
-def _lower_bound(m: np.ndarray, obj: _FrameObjective, negate: bool, tol: float) -> float:
-    """A lower bound on the minimum of the functional ``obj``, or of its
-    negation, on the tensor whose Lambda^2 operator is m.
+def _lower_bound(m: np.ndarray, spectrum, obj: _FrameObjective, flat: int, negate: bool, tol: float) -> float:
+    """A lower bound on the minimum of ``obj``, or of its negation, on
+    R x R^flat; m is R's Lambda^2 operator, ``spectrum()`` its eigenvalues.
 
     A 4-frame value is R(w1, w1) + R(w2, w2) for the orthogonal bivectors
     w1 = e13 - lam mu e24 and w2 = lam e14 + mu e23 (lam = mu = 1 for
     ``isotropic``), so by the weighted Ky Fan inequality it is at least
     a lambda_1 + b lambda_2, with a >= b their squared norms: 2 (lambda_1
     + lambda_2) for ``isotropic``.  A sectional value is R(w, w) on a unit
-    decomposable w, so at least lambda_1.  At n = 4 the unweighted bounds
-    are exact: the isotropic one on the halves of Lambda^2
-    (``_nic_bound``), the sectional one after Thorpe's shift by the star
-    (``_thorpe_bound``); the weighted family keeps its Ky Fan bound.
+    decomposable w, so at least lambda_1.  The flat pairs add zero
+    eigenvalues; two zeros give the same ends of the spectrum as all of
+    them.  In dimension n + flat = 4 the unweighted bounds are exact: the
+    isotropic one on the halves of Lambda^2 (``_nic_bound``), the sectional
+    one after Thorpe's shift by the star (``_thorpe_bound``); the weighted
+    family keeps its Ky Fan bound.
     """
-    if len(m) == 6 and obj.scale is None:
+    if obj.n + flat == 4 and obj.scale is None:
+        if flat:  # the operator of R x R^flat: R's, with zero rows for the flat pairs
+            lift = np.eye(6)[:, np.triu_indices(4, 1)[1] < obj.n]
+            m = lift @ m @ lift.T
         m = -m if negate else m
         return _thorpe_bound(m, tol) if obj.rows == 2 else _nic_bound(m)
-    w = _spectrum(m)
+    w = spectrum()
+    if flat:
+        w = np.sort(np.concatenate((w, np.zeros(2))))
     if negate:
         w = -w[::-1]
     if obj.rows == 2:
@@ -502,61 +508,58 @@ def _draws(seed: int, restarts: int, k: int, n: int) -> np.ndarray:
 
 @single_threaded
 def minimize_searches(
-    searches: Sequence[tuple[CurvatureTensor, bool, tuple[Frame, ...]]],
+    r: CurvatureTensor,
+    searches: Sequence[tuple[int, bool, tuple[Frame, ...]]],
     objective: str = "isotropic",
     opts: MinimizeOpts | None = None,
     weights: Weights | None = None,
 ) -> list[ConditionReport]:
     """Several multistart minimizations of one functional as one descent.
 
-    A search is a tuple (tensor, negate, init_frames), the arguments of
-    ``minimize_frame`` on its own.  Each search keeps its own starts,
-    sign, lower bound, stop and report, and its report is bitwise the one
-    it makes alone; only the stacked work is shared (``stiefel.descend``
-    with one sign and one ``stop_at`` per search).
-
-    The functional is evaluated on the widest search tensor, and each
-    narrower one must be that tensor without its flat directions: the
-    widest is ``pad_euclidean`` of it.  A narrower search draws and
-    orthonormalizes its starts in its own dimension and pads them with
-    zero columns, which the padded tensor's gradient and the QR retraction
-    keep at exactly 0, and its report's frame is cut back to its
-    dimension.  Its values are sums over the padded contraction, so they
-    may differ from its own tensor's in the last bits.
+    A search is a tuple (flat, negate, init_frames), ``minimize_frame``'s
+    search on R x R^flat, over frames in R^{n+flat}.  Each keeps its own
+    starts, sign, lower bound, stop and report; the stacked descent
+    (``stiefel.descend``), M, its gap and its spectrum are shared.  A
+    narrower search's starts, drawn in its own dimension, are padded with
+    zero columns, which the gradient and the QR retraction keep at exactly
+    0, and its frame is cut back.  A report is bitwise the one its search
+    makes alone when all searches have the same width; a padded search's
+    steps also sum over its zero columns, so it matches only up to
+    round-off, which can change where it stops.
     """
     opts = opts or MinimizeOpts()
-    wide = max((r for r, _, _ in searches), key=lambda t: t.n)
-    obj = _FrameObjective(wide, objective, weights)
-    k = obj.rows
-    stacks, lowers, stops = [], [], []
-    for r, negate, init_frames in searches:
-        if r.n < k:
-            raise ValueError(f"ambient dimension {r.n} too small for a {k}-frame objective")
+    obj = _FrameObjective(r, objective, weights)
+    k, width = obj.rows, r.n + max(flat for flat, _, _ in searches)
+    m = operator(r.array)
+    gap = GAP_TOL * max(1.0, float(np.abs(m).max()))
+    spectrum = functools.cache(functools.partial(_spectrum, m))
+    stacks, lowers = [], []
+    for flat, negate, init_frames in searches:
+        dim = r.n + flat
+        if dim < k:
+            raise ValueError(f"ambient dimension {dim} too small for a {k}-frame objective")
         for f in init_frames:
-            if f.require_rows(k).n != r.n:
+            if f.require_rows(k).n != dim:
                 raise ValueError("warm-start frame has wrong ambient dimension")
-        v0 = _draws(opts.seed, opts.restarts, k, r.n)
+        v0 = _draws(opts.seed, opts.restarts, k, dim)
         if init_frames:
             v0 = np.concatenate((orthonormal_rows(np.stack([f.vectors for f in init_frames]))[0], v0))
-        if r.n < wide.n:
-            v0 = np.concatenate((v0, np.zeros((len(v0), k, wide.n - r.n))), axis=2)
+        if dim < width:
+            v0 = np.concatenate((v0, np.zeros((len(v0), k, width - dim))), axis=2)
         stacks.append(v0)
-        m = operator(r.array)
-        gap = GAP_TOL * max(1.0, float(np.abs(m).max()))
         # the Thorpe search may stop short of its top by half the gap
-        lowers.append(_lower_bound(m, obj, negate, 0.5 * gap))
-        stops.append(lowers[-1] + gap)
+        lowers.append(_lower_bound(m, spectrum, obj, flat, negate, 0.5 * gap))
     sizes = [len(v0) for v0 in stacks]
     signs = [-1.0 if negate else 1.0 for _, negate, _ in searches]
-    vals, frames, iters, gnorms, convs, _ = descend(obj, np.concatenate(stacks), stops, signs, sizes)
+    vals, frames, iters, gnorms, convs, _ = descend(obj, np.concatenate(stacks), [lower + gap for lower in lowers], signs, sizes)
     reports, begin = [], 0
-    for (r, _, _), lower, stop_at, size in zip(searches, lowers, stops, sizes):
-        n, end = r.n, begin + size
+    for (flat, _, _), lower, size in zip(searches, lowers, sizes):
+        dim, end = r.n + flat, begin + size
         best = begin + int(np.argmin(vals[begin:end]))  # lowest value, then lowest start index
-        certified = bool(vals[best] <= stop_at)
+        certified = bool(vals[best] <= lower + gap)
         reports.append(ConditionReport(
             min_value=float(vals[best]),
-            argmin_frame=Frame(n=n, vectors=frames[best][:, :n]),
+            argmin_frame=Frame(n=dim, vectors=frames[best][:, :dim]),
             restarts=size,
             iterations=int(iters[best]),
             grad_norm=float(gnorms[best]),
@@ -584,8 +587,9 @@ def minimize_frame(
     among equal values.  Random start i is bitwise
     ``random_frame([opts.seed, i], n, k)`` for every ``opts.restarts``,
     made in one stacked QR that later searches of its shape reuse; only
-    the argmin is validated as a ``Frame``.  This is the one-search case
-    of ``minimize_searches``.
+    the argmin is validated as a ``Frame``.  The batch stops as soon as
+    one start is within ``GAP_TOL * max(1, max |R|)`` of the eigenvalue
+    lower bound.  This is the one-search case of ``minimize_searches``.
 
     Parameters
     ----------
@@ -600,11 +604,6 @@ def minimize_frame(
         Warm starts, tried before the random restarts and sharing the
         deterministic tie-break; orthonormalized by their own stacked QR.
 
-    The eigenvalue lower bound of the negated or plain functional is
-    computed first, and the batch stops as soon as one start is within
-    ``GAP_TOL * max(1, max |R|)`` of it (``stiefel.descend``'s
-    ``stop_at``).
-
     Returns
     -------
     ConditionReport
@@ -612,11 +611,16 @@ def minimize_frame(
         global minimum, with the lower bound; certified when the gap
         closed.
     """
-    return minimize_searches(((r, negate, init_frames),), objective, opts, weights)[0]
+    return minimize_searches(r, ((0, negate, init_frames),), objective, opts, weights)[0]
 
 
 # ---------------------------------------------------------------------------
 # Condition checkers
+
+
+def _nic_decision(report: ConditionReport, opts: MinimizeOpts) -> tuple[bool, ConditionReport]:
+    ok = report.min_value >= -opts.margin
+    return ok, replace(report, boundary=bool(ok and report.min_value <= opts.margin))
 
 
 def check_nic(r: CurvatureTensor, opts: MinimizeOpts | None = None) -> tuple[bool, ConditionReport]:
@@ -627,21 +631,19 @@ def check_nic(r: CurvatureTensor, opts: MinimizeOpts | None = None) -> tuple[boo
     proven (see module docstring).
     """
     opts = opts or MinimizeOpts()
-    report = minimize_frame(r, "isotropic", opts)
-    ok = report.min_value >= -opts.margin
-    report = replace(report, boundary=bool(ok and report.min_value <= opts.margin))
-    return ok, report
+    return _nic_decision(minimize_frame(r, "isotropic", opts), opts)
 
 
 def check_pic2(r: CurvatureTensor, opts: MinimizeOpts | None = None) -> tuple[bool, ConditionReport]:
     """Nonnegative isotropic curvature of the product with flat R^2 (PIC2).
 
-    The NIC search and decision on ``pad_euclidean(r, 2)``; the report's
-    frame lives in dimension n + 2.  Every weighted-family value of r is the
-    isotropic value of a lifted frame, so this minimum is also an upper
-    bound on the family minimum over frames and weights.
+    The NIC search and decision on R x R^2, run on r, with the frame in
+    dimension n + 2.  Every weighted-family value of r is the isotropic
+    value of a lifted frame, so this minimum also bounds the family
+    minimum over frames and weights from above.
     """
-    return check_nic(pad_euclidean(r, 2), opts)
+    opts = opts or MinimizeOpts()
+    return _nic_decision(minimize_searches(r, ((2, False, ()),), "isotropic", opts)[0], opts)
 
 
 def quarter_pinch_reports(
@@ -659,7 +661,7 @@ def quarter_pinch_reports(
     (``minimize_searches``).
     """
     opts = opts or MinimizeOpts()
-    kmin_rep, kmax_rep = minimize_searches(((r, False, ()), (r, True, ())), "sectional", opts)
+    kmin_rep, kmax_rep = minimize_searches(r, ((0, False, ()), (0, True, ())), "sectional", opts)
     kmin = kmin_rep.min_value
     kmax = -kmax_rep.min_value
     ok = (kmin >= -opts.margin) and (kmax <= 4.0 * kmin + opts.margin)

@@ -32,7 +32,7 @@ from .conditions import MinimizeOpts, check_pic2, isotropic_curvature, minimize_
 from .frames import Frame, complete_basis
 from .lambda2 import expand, operator
 from .lambda2 import reaction as _reaction_raw  # looked up per call, so tests can count calls
-from .tensors import CurvatureTensor, SYM_TOL_DEFAULT, pad_euclidean, project_curvature, scalar_curvature
+from .tensors import CurvatureTensor, SYM_TOL_DEFAULT, project_curvature, scalar_curvature
 
 __all__ = [
     "TraceRow",
@@ -134,8 +134,8 @@ class FlowOpts:
     def __post_init__(self):
         if self.dt <= 0 or not np.isfinite(self.dt):
             raise ValueError("dt must be positive and finite")
-        if self.ode_tol is not None and self.ode_tol <= 0:
-            raise ValueError("ode_tol must be positive or None")
+        if self.ode_tol is not None and not (self.ode_tol > 0 and np.isfinite(self.ode_tol)):
+            raise ValueError("ode_tol must be positive and finite, or None")
         if self.stride < 1:
             raise ValueError("stride must be at least 1")
 
@@ -235,30 +235,27 @@ def _rk4(y: np.ndarray, h: float, k1: np.ndarray | None = None) -> np.ndarray:
 class _Diagnostics:
     """Warm-started per-row minimizations for trace diagnostics.
 
-    A row makes two descents (``minimize_searches``): Kmin and Kmax as
-    one signed stack of 2-frames on R, and NIC and PIC2 as one stack of
-    4-frames on the padded tensor, the NIC starts drawn in R^n and padded
-    with zeros.  Each search keeps its own starts, lower bound and stop,
-    and is warm-started from its own argmin of the previous row.
+    A row makes two descents on R (``minimize_searches``): Kmin and Kmax
+    as one signed stack of 2-frames, and NIC and PIC2 on R x R^2 as one
+    stack of 4-frames in R^{n+2}, the NIC starts padded with zeros.  Each
+    search keeps its own starts, lower bound and stop, and is warm-started
+    from its own argmin of the previous row.
     """
 
     def __init__(self, opts: MinimizeOpts):
         self.opts = opts
-        self.warm: dict[str, Frame] = {}
+        self.warm: dict[str, tuple[Frame, ...]] = {}
 
-    def _run(self, objective: str, searches: tuple[tuple[str, CurvatureTensor, bool], ...]) -> list[float]:
-        group = []
-        for key, r, negate in searches:
-            warm = self.warm.get(key)
-            group.append((r, negate, (warm,) if warm is not None and warm.n == r.n else ()))
-        reports = minimize_searches(group, objective, self.opts)
+    def _run(self, r: CurvatureTensor, objective: str, searches: tuple[tuple[str, int, bool], ...]) -> list[float]:
+        group = [(flat, negate, self.warm.get(key, ())) for key, flat, negate in searches]
+        reports = minimize_searches(r, group, objective, self.opts)
         for (key, _, _), rep in zip(searches, reports):
-            self.warm[key] = rep.argmin_frame
+            self.warm[key] = (rep.argmin_frame,)
         return [rep.min_value for rep in reports]
 
     def row(self, t: float, r: CurvatureTensor, dt: float, err: float) -> TraceRow:
-        kmin, neg_kmax = self._run("sectional", (("kmin", r, False), ("kmax", r, True)))
-        min_iso, min_pic2 = self._run("isotropic", (("iso", r, False), ("pic2", pad_euclidean(r, 2), False)))
+        kmin, neg_kmax = self._run(r, "sectional", (("kmin", 0, False), ("kmax", 0, True)))
+        min_iso, min_pic2 = self._run(r, "isotropic", (("iso", 0, False), ("pic2", 2, False)))
         return TraceRow(
             t=t, kmin=kmin, kmax=-neg_kmax, min_iso=min_iso, min_pic2=min_pic2,
             scalar=scalar_curvature(r), dt=dt, err_est=err,

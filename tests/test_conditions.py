@@ -1,3 +1,4 @@
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -458,26 +459,31 @@ def _full_minimum(r, kind, negate, weights=None, starts=64):
 LAMBDA_MU_GRID = [Weights(0.0, 0.0), Weights(1.0, 0.0), Weights(1.0, 1.0), Weights(0.5, -0.3), Weights(-0.8, 0.6)]
 
 
+def _bound(r, obj, negate, flat=0):
+    """The search's lower bound on R x R^flat, as ``minimize_searches`` takes it."""
+    m = lambda2.operator(r.array)
+    return conditions._lower_bound(m, functools.partial(conditions._spectrum, m), obj, flat, negate, 1e-13)
+
+
 def test_lower_bounds_are_sound():
     # the eigenvalue bound never exceeds a frame value; the n = 4 bounds
     # of the unweighted kinds are exact, so raising them by 1e-6 fails here
     kinds = [("isotropic", None), ("sectional", None)] + [("lambda_mu", w) for w in LAMBDA_MU_GRID]
     for n in range(4, 10):
         for r in (random_tensor([n, 72], n), combine(1.0, sphere(n, 1.0), 0.3, random_tensor([n, 73], n))):
-            m = lambda2.operator(r.array)
             for kind, w in kinds:
                 for negate in (False, True):
-                    lower = conditions._lower_bound(m, frame_objective(r, kind, w), negate, 1e-13)
+                    lower = _bound(r, frame_objective(r, kind, w), negate)
                     # 8 starts for the family, whose descents run 2-3 times
                     # longer, and at n >= 8 a few starts to MAX_ITERS
                     full = _full_minimum(r, kind, negate, w, 64 if w is None else 8)
                     assert lower <= full + 1e-12, (n, kind, w, negate)
                     # at n = 4 the unweighted bounds are exact: Micallef-Moore for NIC, Thorpe
                     assert n > 4 or kind == "lambda_mu" or lower >= full - 1e-9, (kind, negate)
-    padded = pad_euclidean(random_tensor(74, 4), 2)
-    m = lambda2.operator(padded.array)
-    iso = frame_objective(padded, "isotropic")
-    assert conditions._lower_bound(m, iso, False, 1e-13) <= _full_minimum(padded, "isotropic", False) + 1e-12
+    # on R x R^2 the bound is taken on R and holds for the padded tensor
+    r = random_tensor(74, 4)
+    padded = pad_euclidean(r, 2)
+    assert _bound(r, frame_objective(r, "isotropic"), False, flat=2) <= _full_minimum(padded, "isotropic", False) + 1e-12
 
 
 def test_weighted_bound_is_exact_on_spheres():
@@ -486,12 +492,11 @@ def test_weighted_bound_is_exact_on_spheres():
     for n in range(4, 10):
         for kappa in (1.0, -0.7):
             r = sphere(n, kappa)
-            m = lambda2.operator(r.array)
             for w in LAMBDA_MU_GRID:
                 value = (1.0 + w.lam**2) * (1.0 + w.mu**2) * kappa
                 obj = frame_objective(r, "lambda_mu", w)
-                assert conditions._lower_bound(m, obj, False, 1e-13) == pytest.approx(value, abs=1e-12)
-                assert conditions._lower_bound(m, obj, True, 1e-13) == pytest.approx(-value, abs=1e-12)
+                assert _bound(r, obj, False) == pytest.approx(value, abs=1e-12)
+                assert _bound(r, obj, True) == pytest.approx(-value, abs=1e-12)
 
 
 def test_thorpe_bound_probes(monkeypatch):
@@ -701,7 +706,7 @@ def test_grouped_searches_report_as_alone(monkeypatch):
         warm = (random_frame([r.n, 112], r.n, k=2),), (random_frame([r.n, 113], r.n, k=2),)
         for init in (((), ()), warm):
             alone = [minimize_frame(r, "sectional", FAST, negate=negate, init_frames=frames) for negate, frames in zip((False, True), init)]
-            shared = conditions.minimize_searches(((r, False, init[0]), (r, True, init[1])), "sectional", FAST)
+            shared = conditions.minimize_searches(r, ((0, False, init[0]), (0, True, init[1])), "sectional", FAST)
             assert all(_same_report(a, b) for a, b in zip(alone, shared)), r.n
         monkeypatch.setattr(conditions, "descend", counting)
         ok, kmin_rep, kmax_rep = quarter_pinch_reports(r, FAST)
@@ -743,7 +748,7 @@ def test_padded_stack_keeps_narrow_frames_flat(monkeypatch):
     monkeypatch.setattr(conditions, "descend", recording)
     for n in (4, 6, 9):
         r = random_tensor([n, 131], n)
-        nic, pic2 = conditions.minimize_searches(((r, False, ()), (pad_euclidean(r, 2), False, ())), "isotropic", FAST)
+        nic, pic2 = conditions.minimize_searches(r, ((0, False, ()), (2, False, ())), "isotropic", FAST)
         alone = _start_stack_of(monkeypatch, r, "isotropic", FAST)
         monkeypatch.setattr(conditions, "descend", recording)
         (v0, (vals, frames, iters, *_)), = seen
@@ -753,6 +758,42 @@ def test_padded_stack_keeps_narrow_frames_flat(monkeypatch):
         assert iters[:8].max() > 0
         assert nic.argmin_frame.n == n and pic2.argmin_frame.n == n + 2
         assert nic.min_value == vals[:8].min() and isotropic_curvature(r, nic.argmin_frame) == pytest.approx(nic.min_value, abs=1e-12)
+
+
+def test_objective_on_flat_products_is_the_padded_one():
+    # a stack in R^{n+j} is evaluated on R x R^j: the padded tensor's values
+    # and gradients up to round-off, with flat gradient columns exactly 0
+    for n in (4, 5, 7):
+        r = random_tensor([n, 141], n)
+        for kind, w in (("isotropic", None), ("sectional", None), ("lambda_mu", Weights(0.5, -0.3))):
+            for j in (1, 2):
+                k = 2 if kind == "sectional" else 4
+                v = np.stack([random_frame([n, j, i, 142], n + j, k=k).vectors for i in range(6)])
+                vals, grads = frame_objective(r, kind, w).batch(v)
+                want_vals, want_grads = frame_objective(pad_euclidean(r, j), kind, w).batch(v)
+                scale = max(1.0, r.max_abs())
+                assert np.allclose(vals, want_vals, rtol=0.0, atol=1e-13 * scale)
+                assert np.allclose(grads, want_grads, rtol=0.0, atol=1e-13 * scale)
+                assert grads.shape == v.shape and np.all(grads[:, :, n:] == 0.0)
+
+
+def test_pic2_matches_nic_on_the_padded_tensor(monkeypatch):
+    # the PIC2 search on R is the NIC search on pad_euclidean(R, 2): the
+    # same decision, boundary, certificate and bound bitwise, the same
+    # minimum up to round-off; it builds no padded tensor
+    def refuse(*args):
+        raise AssertionError("check_pic2 padded the tensor")
+
+    monkeypatch.setattr(conditions, "pad_euclidean", refuse)
+    s4, cp2 = sphere(4, 1.0), fubini_study(2, 4.0)
+    tensors = [s4, cp2, product(sphere(2, 1.0), sphere(2, 1.0)), product(sphere(2, 1.0), sphere(3, 1.0)), combine(1.0, s4, 0.3, cp2)]
+    tensors += [random_tensor([n, 151], n) for n in range(2, 10)] + [sphere(2, 1.0), sphere(3, -0.5)]
+    for r in tensors:
+        want_ok, want = check_nic(pad_euclidean(r, 2), FAST)
+        ok, rep = check_pic2(r, FAST)
+        assert (ok, rep.boundary, rep.certified, rep.lower_bound) == (want_ok, want.boundary, want.certified, want.lower_bound), r.n
+        assert abs(rep.min_value - want.min_value) <= 1e-12 * max(1.0, r.max_abs()), r.n
+        assert rep.argmin_frame.n == r.n + 2 and rep.restarts == want.restarts
 
 
 def test_holonomy_orbit_invariance():

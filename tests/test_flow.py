@@ -306,8 +306,9 @@ def test_sphere_kappa_pole():
 def test_flow_opts_validation():
     with pytest.raises(ValueError):
         FlowOpts(dt=0.0)
-    with pytest.raises(ValueError):
-        FlowOpts(ode_tol=-1.0)
+    for tol in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="ode_tol"):
+            FlowOpts(ode_tol=tol)
     with pytest.raises(ValueError):
         FlowOpts(stride=0)
     with pytest.raises(ValueError):
