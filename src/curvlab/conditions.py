@@ -493,12 +493,14 @@ def _orthonormal_starts(draws: np.ndarray, seed) -> np.ndarray:
     return v
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=16)
 def _draws(seed: int, restarts: int, k: int, n: int) -> np.ndarray:
     """The random starts of a search, ``random_frame([seed, i], n, k)``
     for i < restarts, as a read-only (restarts, k, n) array.  They depend
-    on nothing else, and every diagnostics row of a flow trace asks for the
-    same few stacks again, so the last four are kept, orthonormalized."""
+    on nothing else, and every diagnostics row of a flow trace, like every
+    pass over a batch of checks, asks for the same few stacks again, so the
+    last sixteen are kept, orthonormalized (at most 0.5 MB for 64 starts
+    of 4 x 16)."""
     # Generator(PCG64(seed)) is default_rng(seed) without its wrapper.
     draws = np.stack([np.random.Generator(np.random.PCG64([seed, i])).standard_normal((k, n)) for i in range(restarts)])
     starts = _orthonormal_starts(draws, seed)

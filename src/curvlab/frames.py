@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .stiefel import orthonormal_rows
 from .tensors import standard_complex_structure
@@ -161,6 +160,16 @@ def unitary_action(frame: Frame, u: np.ndarray) -> Frame:
     return Frame(n=n, vectors=frame.vectors @ u.T)
 
 
+def _expm_skew(a: np.ndarray) -> np.ndarray:
+    """exp(A) of a real skew-symmetric A, a rotation.
+
+    -iA is Hermitian: with -iA = V diag(w) V^H, exp(A) = V diag(e^{iw}) V^H,
+    real up to round-off, which the real part drops.
+    """
+    w, v = np.linalg.eigh(-1j * a)
+    return ((v * np.exp(1j * w)) @ v.conj().T).real
+
+
 def random_unitary(seed, m: int) -> np.ndarray:
     """Seeded element of U(m) acting on R^{2m}.
 
@@ -172,22 +181,16 @@ def random_unitary(seed, m: int) -> np.ndarray:
     b = rng.standard_normal((m, m))
     x = 0.5 * (a - a.T)
     y = 0.5 * (b + b.T)
-    skew = np.block([[x, -y], [y, x]])
-    return expm(skew)
+    return _expm_skew(np.block([[x, -y], [y, x]]))
 
 
 def random_block_rotation(seed, dims: tuple[int, ...]) -> np.ndarray:
     """Seeded block-diagonal rotation, one independent SO(d) block per factor."""
     rng = np.random.default_rng(seed)
-    blocks = []
+    out = np.zeros((sum(dims), sum(dims)))
+    at = 0
     for d in dims:
         a = rng.standard_normal((d, d))
-        blocks.append(expm(0.5 * (a - a.T)))
-    n = sum(dims)
-    out = np.zeros((n, n))
-    at = 0
-    for blk in blocks:
-        d = blk.shape[0]
-        out[at : at + d, at : at + d] = blk
+        out[at : at + d, at : at + d] = _expm_skew(0.5 * (a - a.T))
         at += d
     return out

@@ -382,6 +382,15 @@ def test_start_draws_are_made_once_per_shape(monkeypatch):
     again = _start_stack_of(monkeypatch, combine(1.0, r, 1.0, sphere(6, 1.0)), "isotropic", MinimizeOpts(restarts=8, seed=3))
     assert len(made) == 8 and np.array_equal(again, first)
     assert not conditions._draws(3, 8, 4, 6).flags.writeable
+    # a pass of check_zoo searches nine (k, n) shapes; a second pass over
+    # them draws nothing
+    shapes = [(4, n) for n in range(4, 10)] + [(2, n) for n in (4, 5, 6)]
+    conditions._draws.cache_clear()
+    for rnd in range(2):
+        made.clear()
+        for k, n in shapes:
+            _start_stack_of(monkeypatch, random_tensor(n, n), "isotropic" if k == 4 else "sectional", MinimizeOpts(restarts=8, seed=3))
+        assert len(made) == (8 * len(shapes) if rnd == 0 else 0)
 
 
 def test_rank_deficient_draw_is_drawn_again():

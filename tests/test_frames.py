@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from curvlab.conditions import Weights
 from curvlab.frames import (
     RANK_TOL,
     Frame,
+    _expm_skew,
     complete_basis,
     cyclic_frames,
     lift_frame,
@@ -188,6 +192,45 @@ def test_random_unitary_deterministic():
     b = random_unitary(9, 2)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, random_unitary(10, 2))
+
+
+def test_skew_exponential_matches_scipy():
+    # scipy is the reference only; curvlab itself does not import it
+    from scipy.linalg import expm
+
+    rng = np.random.default_rng(17)
+    for n in range(1, 13):
+        for scale in (0.1, 1.0, 5.0):
+            a = scale * rng.standard_normal((n, n))
+            a = a - a.T
+            err = np.max(np.abs(_expm_skew(a) - expm(a)))
+            assert err <= 1e-12 * max(1.0, np.linalg.norm(a, 2))
+    for m in range(1, 7):
+        j = standard_complex_structure(m)
+        for seed in range(5):
+            u = random_unitary(seed, m)
+            assert np.max(np.abs(u.T @ u - np.eye(2 * m))) < 1e-13
+            assert np.max(np.abs(u @ j - j @ u)) < 1e-13
+
+
+_SCIPY_MODULES = """
+import sys
+import numpy as np
+import curvlab, curvlab.cli
+from curvlab import Frame, UnitaryGroup, fubini_study, holonomy_orbit_invariance
+curvlab.random_unitary(0, 3)
+curvlab.random_block_rotation(0, (2, 3))
+zero = Frame(n=4, vectors=np.eye(4)[[0, 2, 1, 3]])  # (x, Jx, y, Jy)
+holonomy_orbit_invariance(fubini_study(2, 4.0), zero, UnitaryGroup(2), samples=10)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_curvlab_loads_no_scipy():
+    # a fresh interpreter: other test modules import scipy into this one
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_MODULES], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_random_block_rotation():
