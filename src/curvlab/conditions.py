@@ -27,9 +27,9 @@ scaled by (1, mu, 1, lam).
 The multistart search descends its (S, k, n) stack of orthonormal starts
 as one batch (``stiefel``), each start with its own alternating
 Barzilai-Borwein steps, nonmonotone Armijo backtracking and stop rules,
-on a path independent of its batch.  Random start i, the k x n draw of
-``default_rng([seed, i])`` orthonormalized in one sign-fixed QR per
-(seed, restarts, k, n), is bitwise ``random_frame([seed, i], n, k)``.
+on a path independent of its batch.  Random start i is
+``random_frame([seed, i], n, k)``, and the stack of a (seed, restarts, k,
+n) is built once and kept (``_draws``).
 Several searches of one functional can share that batch
 (``minimize_searches``), each on R x R^flat with its own sign, starts,
 bound and stop: Kmin and Kmax as one signed stack, or NIC with PIC2.
@@ -54,7 +54,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .blas import single_threaded
-from .frames import RANK_TOL, Frame, cyclic_frames, lift_frame, random_block_rotation, random_frame, random_unitary, unitary_action
+from .frames import Frame, cyclic_frames, lift_frame, random_block_rotation, random_frame, random_unitary, unitary_action
 from .lambda2 import operator
 from .stiefel import descend, dots, orthonormal_rows
 from .tensors import CurvatureTensor, pad_euclidean
@@ -158,13 +158,6 @@ class ConditionReport:
 
 # ---------------------------------------------------------------------------
 # The frame-contraction kernel
-
-
-# Frames per kernel call are capped so that the pair products and D stay
-# below this many doubles each; larger stacks go through in blocks.  A
-# 64-start stack at n = 9 would otherwise hold two 250 KB temporaries,
-# which raised the benchmark's peak RSS by about 0.3 MB.
-_PAIR_BLOCK = 2**14
 
 
 def _contract(m: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -326,12 +319,8 @@ class _FrameObjective:
         sum_{p, c} grad_coeffs[(d, p), c] e_c D[p], and since the functional
         is homogeneous of degree 4 in the frame, its value is <G, v> / 4.
         """
-        s, k, n = v.shape
+        s, k, _ = v.shape
         pairs = len(self.pair_rows) // 2
-        block = max(1, _PAIR_BLOCK // (pairs * n * n))
-        if s > block:
-            parts = [self._kernel(v[i : i + block]) for i in range(0, s, block)]
-            return np.concatenate([f for f, _ in parts]), np.concatenate([g for _, g in parts])
         rows = np.take(v, self.pair_rows, axis=1)
         d = _contract(self.m, rows[:, :pairs], rows[:, pairs:])
         g = (self.grad_coeffs @ v).reshape(s, k, -1) @ d
@@ -460,12 +449,13 @@ def _lower_bound(m: np.ndarray, spectrum, obj: _FrameObjective, flat: int, negat
     + lambda_2) for ``isotropic``.  A sectional value is R(w, w) on a unit
     decomposable w, so at least lambda_1.  The flat pairs add zero
     eigenvalues; two zeros give the same ends of the spectrum as all of
-    them.  In dimension n + flat = 4 the unweighted bounds are exact: the
+    them.  In dimension n + flat = 4 the bounds at unit weights, |lam| =
+    |mu| = 1, where the scaled rows are again a frame, are exact: the
     isotropic one on the halves of Lambda^2 (``_nic_bound``), the sectional
-    one after Thorpe's shift by the star (``_thorpe_bound``); the weighted
-    family keeps its Ky Fan bound.
+    one after Thorpe's shift by the star (``_thorpe_bound``); other weights
+    keep their Ky Fan bound.
     """
-    if obj.n + flat == 4 and obj.scale is None:
+    if obj.n + flat == 4 and obj.norms == [2.0, 2.0]:
         if flat:  # the operator of R x R^flat: R's, with zero rows for the flat pairs
             lift = np.eye(6)[:, np.triu_indices(4, 1)[1] < obj.n]
             m = lift @ m @ lift.T
@@ -482,28 +472,14 @@ def _lower_bound(m: np.ndarray, spectrum, obj: _FrameObjective, flat: int, negat
     return float(a * w[0] + b * w[1])
 
 
-def _orthonormal_starts(draws: np.ndarray, seed) -> np.ndarray:
-    """One sign-fixed QR of the draws of ``default_rng([seed, i])``; a draw
-    failing the rank test is replaced by ``random_frame([seed, i], n, k)``,
-    which replays its stream and draws again."""
-    v, rdiag = orthonormal_rows(draws)
-    _, k, n = draws.shape
-    for i in np.flatnonzero(rdiag.min(axis=1) <= RANK_TOL):
-        v[i] = random_frame([seed, int(i)], n, k).vectors
-    return v
-
-
 @functools.lru_cache(maxsize=16)
 def _draws(seed: int, restarts: int, k: int, n: int) -> np.ndarray:
     """The random starts of a search, ``random_frame([seed, i], n, k)``
     for i < restarts, as a read-only (restarts, k, n) array.  They depend
     on nothing else, and every diagnostics row of a flow trace, like every
     pass over a batch of checks, asks for the same few stacks again, so the
-    last sixteen are kept, orthonormalized (at most 0.5 MB for 64 starts
-    of 4 x 16)."""
-    # Generator(PCG64(seed)) is default_rng(seed) without its wrapper.
-    draws = np.stack([np.random.Generator(np.random.PCG64([seed, i])).standard_normal((k, n)) for i in range(restarts)])
-    starts = _orthonormal_starts(draws, seed)
+    last sixteen are kept (at most 0.5 MB for 64 starts of 4 x 16)."""
+    starts = np.stack([random_frame([seed, i], n, k).vectors for i in range(restarts)])
     starts.flags.writeable = False
     return starts
 
@@ -586,10 +562,10 @@ def minimize_frame(
     The warm starts and the seeded random starts descend together as one
     batch (``stiefel.descend``), each with its own step and stopping; the
     report is the start with the lowest value, the lowest start index
-    among equal values.  Random start i is bitwise
-    ``random_frame([opts.seed, i], n, k)`` for every ``opts.restarts``,
-    made in one stacked QR that later searches of its shape reuse; only
-    the argmin is validated as a ``Frame``.  The batch stops as soon as
+    among equal values.  Random start i is
+    ``random_frame([opts.seed, i], n, k)`` for every ``opts.restarts``, in
+    a stack that later searches of its shape reuse; of the descended
+    frames only the argmin is validated as a ``Frame``.  The batch stops as soon as
     one start is within ``GAP_TOL * max(1, max |R|)`` of the eigenvalue
     lower bound.  This is the one-search case of ``minimize_searches``.
 

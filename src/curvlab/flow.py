@@ -117,9 +117,10 @@ class FlowOpts:
     """Integrator options.
 
     ``dt`` is the largest step.  ``ode_tol`` is the per-step error
-    tolerance of the step-size controller and of Richardson halving; None
-    disables both and runs plain fixed-step RK4 at ``dt`` (used to measure
-    the method order).
+    tolerance of the step-size controller and of Richardson halving, mixed
+    absolute and relative: a step from state y may err by ``ode_tol *
+    max(1, max |y|)``.  None disables both and runs plain fixed-step RK4
+    at ``dt`` (used to measure the method order).
     ``normalize`` rescales after each step to hold scalar curvature at its
     initial value.  ``stride`` controls how many accepted steps separate
     diagnostic rows; the initial and final rows are always present.
@@ -291,15 +292,20 @@ def integrate(r0: CurvatureTensor, t_end: float, opts: FlowOpts | None = None) -
     Classical RK4 with Richardson error control: each step is compared
     against two half steps, the error estimate is max |full - halved| / 15,
     and the halved result is the one accepted.  A trial whose estimate
-    exceeds ``opts.ode_tol`` is halved and tried again; more than
-    ``MAX_HALVINGS`` halvings of one step are a step-size underflow
-    (RuntimeError).  After each accepted step the next step is h times
-    ``_growth`` of its estimate, at most ``opts.dt``, the first one is
-    ``opts.dt``, and a step that would leave a sliver before t_end is cut
-    to half the rest (``_step_toward``).  With ``ode_tol=None`` every step
-    is ``opts.dt`` (the last one cut to t_end), the full fixed-step result
-    is used and the estimate is only recorded.  The blow-up guard aborts
-    with FlowBlowupError when components pass ``BLOWUP_CAP``.
+    exceeds the step's tolerance tol = ``opts.ode_tol`` * max(1, max |y|),
+    y the state at the start of the step (Atol = Rtol = ``ode_tol``), is
+    halved and tried again; more than ``MAX_HALVINGS`` halvings of one
+    step are a step-size underflow (RuntimeError).  After each accepted
+    step the next step is h times ``_growth(err, tol)``, at most
+    ``opts.dt``, the first one is ``opts.dt``, and a step that would leave
+    a sliver before t_end is cut to half the rest (``_step_toward``).
+    The trace's ``err_est`` is the absolute estimate.  With
+    ``ode_tol=None`` every step is ``opts.dt`` (the last one cut to
+    t_end), the full fixed-step result is used and the estimate is only
+    recorded.  The blow-up guard aborts with FlowBlowupError when
+    components pass ``BLOWUP_CAP``; because the tolerance grows with the
+    state, the steps toward a finite-time singularity do not shrink
+    without end, and the guard is reached.
 
     The state is the Lambda^2 operator of R, whose entries are exactly the
     distinct components of R up to sign, so the maxima above are the same
@@ -322,7 +328,11 @@ def integrate(r0: CurvatureTensor, t_end: float, opts: FlowOpts | None = None) -
     steps = q_evals = halvings = 0
     err_since_row = 0.0
     while t < t_end - END_TOL:
-        h = min(opts.dt, t_end - t) if opts.ode_tol is None else _step_toward(t_end - t, h)
+        if opts.ode_tol is None:
+            h = min(opts.dt, t_end - t)
+        else:
+            h = _step_toward(t_end - t, h)
+            tol = opts.ode_tol * max(1.0, float(np.abs(y).max()))
         tries = 0
         with np.errstate(over="ignore", invalid="ignore"):
             k1 = _reaction_raw(y)
@@ -335,7 +345,7 @@ def integrate(r0: CurvatureTensor, t_end: float, opts: FlowOpts | None = None) -
             err = float(np.abs(full - halved).max()) / 15.0
             if not np.isfinite(err):
                 err = float("inf")
-            if opts.ode_tol is None or err <= opts.ode_tol:
+            if opts.ode_tol is None or err <= tol:
                 break
             tries += 1
             if tries > MAX_HALVINGS:
@@ -361,7 +371,7 @@ def integrate(r0: CurvatureTensor, t_end: float, opts: FlowOpts | None = None) -
             rows.append(diag.row(t, r_now, h, err_since_row))
             err_since_row = 0.0
         if opts.ode_tol is not None:
-            h = min(opts.dt, h * _growth(err, opts.ode_tol))
+            h = min(opts.dt, h * _growth(err, tol))
     # the last row is at the last step, so its tensor is the final one
     final = r_now if r_now is not None else _tensor(y, n)
     return FlowTrace(rows=tuple(rows), final=final, q_evals=q_evals, halvings=halvings)

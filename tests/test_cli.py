@@ -200,6 +200,22 @@ def test_flow_past_blowup_exits_one(tmp_path, capsys):
     assert err.startswith("curvlab:")
 
 
+def test_error_limited_flow_into_a_blowup_exits_one(tmp_path):
+    # CP^2 at c = 4 blows up at t = 1/12.  The error test scales with the
+    # state, so the steps toward the singularity stay long enough to reach
+    # the blow-up cap; under an absolute test they shrank without end.
+    path = str(tmp_path / "cp2.json")
+    assert run(["model", "--kind", "cpm", "--m", "2", "--c", "4", "--out", path]) == 0
+    proc = subprocess.run(
+        [sys.executable, "-m", "curvlab", "flow", "--tensor", path, "--t-end", "0.1", "--stride", "1000000000"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("curvlab: blow-up at t = 0.0833333")
+
+
 def test_step_underflow_exits_one(tmp_path, capsys, monkeypatch):
     import curvlab.cli as cli_mod
 

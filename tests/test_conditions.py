@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from curvlab import conditions, lambda2, stiefel
+from curvlab import conditions, frames, lambda2, stiefel
 from curvlab.conditions import (
     MinimizeOpts,
     ProductBlockGroup,
@@ -21,7 +21,7 @@ from curvlab.conditions import (
     quarter_pinch_reports,
     weighted_isotropic_curvature,
 )
-from curvlab.frames import Frame, lift_frame, random_frame
+from curvlab.frames import RANK_TOL, Frame, lift_frame, random_frame
 from curvlab.stiefel import descend, orthonormal_rows
 from curvlab.tensors import (
     CurvatureTensor,
@@ -248,31 +248,31 @@ def test_descend_work_and_convergence_guard():
 
 
 def test_descend_contracts_each_frame_once(monkeypatch):
-    # every orthonormalized frame (each start, in the one QR of the start
-    # stack, and each line-search trial of each start) is contracted exactly
+    # every orthonormalized frame (each start, in its random_frame QR, and
+    # each line-search trial of each start) is contracted exactly
     # once, for value and gradient together; frames are counted through the
     # leading stack dimension
-    frames = {"contract": 0, "orthonormalize": 0}
+    counts = {"contract": 0, "orthonormalize": 0}
 
     def counting(name, fn, stack):
         def wrapped(*args):
-            frames[name] += len(args[stack])
+            counts[name] += len(args[stack])
             return fn(*args)
 
         return wrapped
 
     monkeypatch.setattr(conditions, "_contract", counting("contract", conditions._contract, 1))
-    monkeypatch.setattr(conditions, "orthonormal_rows", counting("orthonormalize", conditions.orthonormal_rows, 0))
-    monkeypatch.setattr(stiefel, "orthonormal_rows", counting("orthonormalize", stiefel.orthonormal_rows, 0))
+    for module in (conditions, frames, stiefel):
+        monkeypatch.setattr(module, "orthonormal_rows", counting("orthonormalize", module.orthonormal_rows, 0))
     conditions._draws.cache_clear()
     rep = minimize_frame(random_tensor(0, 6), "isotropic", MinimizeOpts(restarts=8))
-    assert frames["orthonormalize"] > 8 * rep.iterations
-    assert frames["contract"] == frames["orthonormalize"]
+    assert counts["orthonormalize"] > 8 * rep.iterations
+    assert counts["contract"] == counts["orthonormalize"]
     # a second search of the same shape reuses the orthonormalized starts,
     # so only its line-search trials are orthonormalized
-    frames.update(contract=0, orthonormalize=0)
+    counts.update(contract=0, orthonormalize=0)
     minimize_frame(random_tensor(1, 6), "isotropic", MinimizeOpts(restarts=8))
-    assert frames["contract"] == frames["orthonormalize"] + 8
+    assert counts["contract"] == counts["orthonormalize"] + 8
 
 
 def test_descend_batch_independence_and_tie_break(monkeypatch):
@@ -393,21 +393,46 @@ def test_start_draws_are_made_once_per_shape(monkeypatch):
         assert len(made) == (8 * len(shapes) if rnd == 0 else 0)
 
 
-def test_rank_deficient_draw_is_drawn_again():
-    # a draw failing the rank test must not pass silently: its start is
-    # random_frame([seed, i]), which replays the stream and draws again
-    # (here the stream's own first draw, since the repeated row is planted)
-    seed, n, k = 5, 6, 4
-    draws = np.stack([np.random.default_rng([seed, i]).standard_normal((k, n)) for i in range(4)])
-    draws[2, 3] = draws[2, 0]
-    v = conditions._orthonormal_starts(draws, seed)
-    for i in range(4):
-        assert np.array_equal(v[i], random_frame([seed, i], n, k).vectors)
+def test_rank_deficient_draw_is_drawn_again(monkeypatch):
+    # a draw failing the rank test must not pass silently: random_frame,
+    # and with it every start of a search, draws again from its stream
+    # (here each stream's first draw repeats a row)
+    generator = np.random.Generator
+
+    class Planted:
+        def __init__(self, bit_generator):
+            self.rng = generator(bit_generator)
+            self.draws = 0
+
+        def standard_normal(self, shape):
+            x = self.rng.standard_normal(shape)
+            self.draws += 1
+            if self.draws == 1:
+                x[..., 3, :] = x[..., 0, :]
+            return x
+
+    seed, restarts, k, n = 5, 4, 4, 6
+    monkeypatch.setattr(np.random, "Generator", Planted)
+    conditions._draws.cache_clear()
+    try:
+        frame = random_frame([seed, 2], n, k)
+        starts = conditions._draws(seed, restarts, k, n)
+    finally:
+        monkeypatch.undo()
+        conditions._draws.cache_clear()
+    for i in range(restarts):
+        rng = np.random.default_rng([seed, i])
+        first = rng.standard_normal((1, k, n))
+        first[..., 3, :] = first[..., 0, :]
+        assert orthonormal_rows(first)[1].min() <= RANK_TOL
+        assert np.array_equal(starts[i], orthonormal_rows(rng.standard_normal((1, k, n)))[0][0])
+    assert np.array_equal(frame.vectors, starts[2])
 
 
 def test_cached_starts_are_a_read_only_qr_of_the_draws():
-    # the cache holds the orthonormalized starts, bitwise one fresh QR of
-    # the draws, and no search can write to them
+    # the cache holds the orthonormalized starts, bitwise one stacked QR of
+    # the draws (a frame's QR does not depend on its stack), and no search
+    # can write to them
     conditions._draws.cache_clear()
     for seed, restarts, k, n in ((3, 8, 4, 6), (0, 64, 2, 9), (7, 5, 4, 4)):
         v = conditions._draws(seed, restarts, k, n)
@@ -476,7 +501,7 @@ def _bound(r, obj, negate, flat=0):
 
 def test_lower_bounds_are_sound():
     # the eigenvalue bound never exceeds a frame value; the n = 4 bounds
-    # of the unweighted kinds are exact, so raising them by 1e-6 fails here
+    # of unit weights are exact, so raising them by 1e-6 fails here
     kinds = [("isotropic", None), ("sectional", None)] + [("lambda_mu", w) for w in LAMBDA_MU_GRID]
     for n in range(4, 10):
         for r in (random_tensor([n, 72], n), combine(1.0, sphere(n, 1.0), 0.3, random_tensor([n, 73], n))):
@@ -487,8 +512,18 @@ def test_lower_bounds_are_sound():
                     # longer, and at n >= 8 a few starts to MAX_ITERS
                     full = _full_minimum(r, kind, negate, w, 64 if w is None else 8)
                     assert lower <= full + 1e-12, (n, kind, w, negate)
-                    # at n = 4 the unweighted bounds are exact: Micallef-Moore for NIC, Thorpe
-                    assert n > 4 or kind == "lambda_mu" or lower >= full - 1e-9, (kind, negate)
+                    # at n = 4 the bounds of unit weights are exact: Micallef-Moore for NIC, Thorpe
+                    unit = w is None or abs(w.lam) == abs(w.mu) == 1.0
+                    assert n > 4 or not unit or lower >= full - 1e-9, (kind, w, negate)
+    # at |lam| = |mu| = 1 and n = 4 the scaled rows are again a frame, so
+    # every sign pair has the isotropic bound, and its search stops on it
+    r = random_tensor(5, 4)
+    nic = _bound(r, frame_objective(r, "isotropic"), False)
+    for lam, mu in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)):
+        w = Weights(lam, mu)
+        assert _bound(r, frame_objective(r, "lambda_mu", w), False) == nic
+        rep = minimize_frame(r, "lambda_mu", FAST, weights=w)
+        assert rep.certified and rep.lower_bound == nic and rep.min_value == pytest.approx(-3.30960534, abs=1e-8)
     # on R x R^2 the bound is taken on R and holds for the padded tensor
     r = random_tensor(74, 4)
     padded = pad_euclidean(r, 2)

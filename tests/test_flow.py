@@ -331,6 +331,46 @@ def test_single_threaded_pins_and_restores():
         set_(before)
 
 
+def test_entry_points_run_on_one_blas_thread(monkeypatch):
+    # with the process on two BLAS threads, every descent and every Q of
+    # the checkers, the minimizer, Q itself and the flow runs on one, and
+    # the two threads are back after each call
+    controls = blas.thread_controls()
+    if controls is None:
+        pytest.skip("numpy's bundled OpenBLAS exports no thread control")
+    get, set_ = controls
+    seen = []
+
+    def recording(fn):
+        def wrapped(*args, **kwargs):
+            seen.append(get())
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(conditions, "descend", recording(conditions.descend))
+    monkeypatch.setattr(flow, "_reaction_raw", recording(flow._reaction_raw))
+    r = random_tensor(171, 5)
+    calls = {
+        "check_nic": lambda: conditions.check_nic(r, LIGHT),
+        "check_pic2": lambda: conditions.check_pic2(r, LIGHT),
+        "quarter_pinch_reports": lambda: conditions.quarter_pinch_reports(r, LIGHT),
+        "minimize_frame": lambda: conditions.minimize_frame(r, "sectional", LIGHT),
+        "quadratic_reaction": lambda: quadratic_reaction(r),
+        "integrate": lambda: integrate(r, 0.02, FlowOpts(dt=0.01, minimize=LIGHT)),
+    }
+    before = get()
+    set_(2)
+    try:
+        for name, call in calls.items():
+            seen.clear()
+            call()
+            assert seen and set(seen) == {1}, name
+            assert get() == 2, name
+    finally:
+        set_(before)
+
+
 def test_missing_thread_control_is_reported(monkeypatch, capsys):
     monkeypatch.setattr(blas, "_LIB_DIRS", ("no-such-dir",))
     assert blas.thread_controls.__wrapped__() is None
