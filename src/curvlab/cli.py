@@ -29,7 +29,7 @@ from .conditions import (
     minimize_frame,
     quarter_pinch_reports,
 )
-from .flow import FlowBlowupError, FlowOpts, decomposition_residual, integrate
+from .flow import FlowOpts, decomposition_residual, integrate
 from .frames import Frame, random_frame
 from .tensors import fubini_study, pad_euclidean, product, random_tensor, sphere
 
@@ -209,15 +209,13 @@ def _cmd_identity(args) -> int:
 def _cmd_flow(args) -> int:
     r = ser.read_tensor(args.tensor)
     seed = _resolve_seed(args.seed)
-    kwargs = dict(
+    opts = FlowOpts(
         dt=args.dt,
+        ode_tol=None if args.fixed_step else FlowOpts.ode_tol,
         normalize=args.normalize,
         stride=args.stride,
         minimize=MinimizeOpts(restarts=args.restarts, seed=seed),
     )
-    if args.fixed_step:
-        kwargs["ode_tol"] = None
-    opts = FlowOpts(**kwargs)
     trace = integrate(r, args.t_end, opts)
     if args.out is None:
         sys.stdout.write(ser.trace_to_csv(trace))
@@ -274,9 +272,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="decide a curvature condition")
     p.add_argument("--condition", required=True, choices=["nic", "pic2", "quarter-pinch"])
     p.add_argument("--tensor", required=True)
-    p.add_argument("--restarts", type=int, default=64)
+    p.add_argument("--restarts", type=int, default=MinimizeOpts.restarts)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--margin", type=float, default=1e-7)
+    p.add_argument("--margin", type=float, default=MinimizeOpts.margin)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("minimize", help="minimize a frame functional")
@@ -284,7 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tensor", required=True)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--restarts", type=int, default=64)
+    p.add_argument("--restarts", type=int, default=MinimizeOpts.restarts)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_minimize)
 
@@ -297,12 +295,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("flow", help="integrate the reaction ODE and write a trace CSV")
     p.add_argument("--tensor", required=True)
     p.add_argument("--t-end", dest="t_end", type=float, required=True)
-    p.add_argument("--dt", type=float, default=0.01, help="largest step (every step with --fixed-step)")
+    p.add_argument("--dt", type=float, default=FlowOpts.dt, help="largest step (every step with --fixed-step)")
     p.add_argument("--normalize", action="store_true")
     p.add_argument("--fixed-step", action="store_true", help="disable step-size control and use --dt exactly")
     p.add_argument("--out", default=None, help="trace CSV file (default stdout)")
     p.add_argument("--stride", type=int, default=1)
-    p.add_argument("--restarts", type=int, default=8, help="restarts per diagnostic row")
+    p.add_argument("--restarts", type=int, default=FlowOpts.minimize.restarts, help="restarts per diagnostic row")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_flow)
 
@@ -323,7 +321,7 @@ def run(argv: list[str]) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except (FlowBlowupError, RuntimeError) as exc:
+    except RuntimeError as exc:  # FlowBlowupError among them
         print(f"curvlab: {exc}", file=sys.stderr)
         return 1
     except (_CliError, ValueError, OSError) as exc:

@@ -68,7 +68,6 @@ __all__ = [
     "lift_identity_residual",
     "cyclic_sum_identity",
     "frame_objective",
-    "minimize_searches",
     "minimize_frame",
     "check_nic",
     "check_pic2",
@@ -198,8 +197,7 @@ def _grad_coeffs(k: int, terms) -> np.ndarray:
 
 
 # The two coefficient tables, built once: K13 + K14 + K23 + K24 - 2 R(e1,
-# e2, e3, e4) on 4-frames and K12 on 2-frames.  A negated kind is their
-# exact negation.
+# e2, e3, e4) on 4-frames and K12 on 2-frames.
 _GRAD_COEFFS = {
     "isotropic": _grad_coeffs(4, ((1, (0, 2, 0, 2)), (1, (0, 3, 0, 3)), (1, (1, 2, 1, 2)), (1, (1, 3, 1, 3)), (-2, (0, 1, 2, 3)))),
     "sectional": _grad_coeffs(2, ((1, (0, 1, 0, 1)),)),
@@ -277,19 +275,17 @@ class _FrameObjective:
     their fixed coefficient table.  ``lambda_mu`` is the isotropic kernel
     on the rows scaled by D = diag(1, mu, 1, lam) from ``weights``, which
     turns K13 + K14 + K23 + K24 - 2 R1234 into the weighted family, and
-    its gradient at v is D times the isotropic gradient at D v.
-    ``negate`` flips the sign; the searches flip it per search in
-    ``stiefel.descend`` instead.
+    its gradient at v is D times the isotropic gradient at D v.  A search
+    for a maximum minimizes it with sign -1 in ``stiefel.descend``.
     """
 
-    def __init__(self, r: CurvatureTensor, kind: str, weights: Weights | None = None, negate: bool = False):
+    def __init__(self, r: CurvatureTensor, kind: str, weights: Weights | None = None):
         if kind not in ("isotropic", "lambda_mu", "sectional"):
             raise ValueError(f"unknown objective kind {kind!r}")
         if (kind == "lambda_mu") != (weights is not None):
             raise ValueError("lambda_mu objective needs weights" if weights is None else f"{kind} objective takes no weights")
         self.rows = 2 if kind == "sectional" else 4
-        grad_coeffs = _GRAD_COEFFS["sectional" if kind == "sectional" else "isotropic"]
-        self.grad_coeffs = -grad_coeffs if negate else grad_coeffs
+        self.grad_coeffs = _GRAD_COEFFS["sectional" if kind == "sectional" else "isotropic"]
         self.pair_rows = _PAIR_ROWS[self.rows]
         self.n = r.n
         self.m = r.array.reshape(r.n**2, r.n**2)
@@ -335,9 +331,9 @@ class _FrameObjective:
         return float(val[0]), grad[0]
 
 
-def frame_objective(r: CurvatureTensor, kind: str, weights: Weights | None = None, negate: bool = False) -> _FrameObjective:
+def frame_objective(r: CurvatureTensor, kind: str, weights: Weights | None = None) -> _FrameObjective:
     """Build the frame functional used by the minimizer (useful for tests)."""
-    return _FrameObjective(r, kind, weights, negate)
+    return _FrameObjective(r, kind, weights)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ core count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -46,8 +47,6 @@ __all__ = [
     "cone_margin_experiment",
     "sphere_kappa",
 ]
-
-TRACE_COLUMNS = ("t", "kmin", "kmax", "min_iso", "min_pic2", "scalar", "dt", "err_est")
 
 # Richardson halvings allowed per step before a step-size underflow, the
 # safety factor of the step-size controller, and the max |component| past
@@ -72,7 +71,8 @@ class FlowBlowupError(RuntimeError):
 @dataclass(frozen=True)
 class TraceRow:
     """One diagnostic row: extremal curvatures, minimized functionals,
-    scalar curvature, and the step size / error estimate that produced it."""
+    scalar curvature, and the step size / error estimate that produced it.
+    Its fields, in order, are the trace columns (``TRACE_COLUMNS``)."""
 
     t: float
     kmin: float
@@ -84,7 +84,11 @@ class TraceRow:
     err_est: float
 
     def astuple(self) -> tuple[float, ...]:
-        return (self.t, self.kmin, self.kmax, self.min_iso, self.min_pic2, self.scalar, self.dt, self.err_est)
+        return _row_values(self)
+
+
+TRACE_COLUMNS = tuple(f.name for f in fields(TraceRow))
+_row_values = attrgetter(*TRACE_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -119,8 +123,9 @@ class FlowOpts:
     ``dt`` is the largest step.  ``ode_tol`` is the per-step error
     tolerance of the step-size controller and of Richardson halving, mixed
     absolute and relative: a step from state y may err by ``ode_tol *
-    max(1, max |y|)``.  None disables both and runs plain fixed-step RK4
-    at ``dt`` (used to measure the method order).
+    max(1, max |y|)``, and a trace row's ``err_est`` is in that unit, the
+    estimate over max(1, max |y|).  None disables both and runs plain
+    fixed-step RK4 at ``dt`` (used to measure the method order).
     ``normalize`` rescales after each step to hold scalar curvature at its
     initial value.  ``stride`` controls how many accepted steps separate
     diagnostic rows; the initial and final rows are always present.
@@ -299,13 +304,14 @@ def integrate(r0: CurvatureTensor, t_end: float, opts: FlowOpts | None = None) -
     step the next step is h times ``_growth(err, tol)``, at most
     ``opts.dt``, the first one is ``opts.dt``, and a step that would leave
     a sliver before t_end is cut to half the rest (``_step_toward``).
-    The trace's ``err_est`` is the absolute estimate.  With
-    ``ode_tol=None`` every step is ``opts.dt`` (the last one cut to
-    t_end), the full fixed-step result is used and the estimate is only
-    recorded.  The blow-up guard aborts with FlowBlowupError when
-    components pass ``BLOWUP_CAP``; because the tolerance grows with the
-    state, the steps toward a finite-time singularity do not shrink
-    without end, and the guard is reached.
+    A row's ``err_est`` is the largest estimate since the previous row,
+    each over its step's max(1, max |y|), so an accepted step reports at
+    most ``ode_tol``.  With ``ode_tol=None`` every step is ``opts.dt``
+    (the last one cut to t_end), the full fixed-step result is used and
+    the estimate is only recorded.  The blow-up guard aborts with
+    FlowBlowupError when components pass ``BLOWUP_CAP``; because the
+    tolerance grows with the state, the steps toward a finite-time
+    singularity do not shrink without end, and the guard is reached.
 
     The state is the Lambda^2 operator of R, whose entries are exactly the
     distinct components of R up to sign, so the maxima above are the same
@@ -328,11 +334,12 @@ def integrate(r0: CurvatureTensor, t_end: float, opts: FlowOpts | None = None) -
     steps = q_evals = halvings = 0
     err_since_row = 0.0
     while t < t_end - END_TOL:
+        scale = max(1.0, float(np.abs(y).max()))
         if opts.ode_tol is None:
             h = min(opts.dt, t_end - t)
         else:
             h = _step_toward(t_end - t, h)
-            tol = opts.ode_tol * max(1.0, float(np.abs(y).max()))
+            tol = opts.ode_tol * scale
         tries = 0
         with np.errstate(over="ignore", invalid="ignore"):
             k1 = _reaction_raw(y)
@@ -365,7 +372,7 @@ def integrate(r0: CurvatureTensor, t_end: float, opts: FlowOpts | None = None) -
             raise FlowBlowupError(t + h, size, BLOWUP_CAP)
         t += h
         steps += 1
-        err_since_row = max(err_since_row, err)
+        err_since_row = max(err_since_row, err / scale)
         if steps % opts.stride == 0 or t >= t_end - END_TOL:
             r_now = _tensor(y, n)
             rows.append(diag.row(t, r_now, h, err_since_row))

@@ -34,23 +34,27 @@ def fmt17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def dumps_json(obj, indent: int = 2) -> str:
-    """json.dumps with floats emitted at 17 significant digits, keys sorted."""
-    return _emit(obj, indent, 0) + "\n"
+_INDENT = 2
 
 
-def _emit(obj, indent: int, level: int) -> str:
-    pad = " " * (indent * level)
-    inner = " " * (indent * (level + 1))
+def dumps_json(obj) -> str:
+    """json.dumps with floats emitted at 17 significant digits, keys sorted,
+    indented by two spaces."""
+    return _emit(obj, 0) + "\n"
+
+
+def _emit(obj, level: int) -> str:
+    pad = " " * (_INDENT * level)
+    inner = " " * (_INDENT * (level + 1))
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = (f'{inner}{json.dumps(str(k))}: {_emit(v, indent, level + 1)}' for k, v in sorted(obj.items()))
+        items = (f'{inner}{json.dumps(str(k))}: {_emit(v, level + 1)}' for k, v in sorted(obj.items()))
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = (f"{inner}{_emit(v, indent, level + 1)}" for v in obj)
+        items = (f"{inner}{_emit(v, level + 1)}" for v in obj)
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     if isinstance(obj, bool) or obj is None:
         return json.dumps(obj)

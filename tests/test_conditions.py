@@ -37,6 +37,25 @@ from curvlab.tensors import (
 FAST = MinimizeOpts(restarts=8, seed=0)
 
 
+class _Signed:
+    """A frame objective times ``sign``, as ``stiefel.descend`` evaluates a
+    search of that sign (``stiefel._evaluate``)."""
+
+    def __init__(self, obj, sign: float):
+        self.obj, self.rows = obj, obj.rows
+        self.sign = sign
+
+    def batch(self, v):
+        return stiefel._evaluate(self.obj, v, np.full(len(v), self.sign))
+
+    def value_grad(self, v):
+        vals, grads = self.batch(np.asarray(v, dtype=float)[None])
+        return float(vals[0]), grads[0]
+
+    def value(self, v):
+        return self.value_grad(v)[0]
+
+
 def _random_weights(seed):
     rng = np.random.default_rng(seed)
     lam, mu = rng.uniform(-1.0, 1.0, size=2)
@@ -145,15 +164,15 @@ def test_cyclic_sum_needs_bianchi():
 def test_gradients_match_central_differences():
     rng = np.random.default_rng(0)
     kinds = [
-        ("isotropic", None, False),
-        ("lambda_mu", Weights(0.4, -0.7), False),
-        ("lambda_mu", Weights(-0.9, 0.25), False),
-        ("sectional", None, False),
-        ("sectional", None, True),
+        ("isotropic", None, 1.0),
+        ("lambda_mu", Weights(0.4, -0.7), 1.0),
+        ("lambda_mu", Weights(-0.9, 0.25), 1.0),
+        ("sectional", None, 1.0),
+        ("sectional", None, -1.0),
     ]
-    for kind, w, negate in kinds:
+    for kind, w, sign in kinds:
         r = random_tensor(13, 6)
-        obj = frame_objective(r, kind, weights=w, negate=negate)
+        obj = _Signed(frame_objective(r, kind, weights=w), sign)
         for trial in range(10):
             v = random_frame([trial, 7], 6, k=obj.rows).vectors.copy()
             _, g = obj.value_grad(v)
@@ -278,12 +297,12 @@ def test_descend_contracts_each_frame_once(monkeypatch):
 def test_descend_batch_independence_and_tie_break(monkeypatch):
     # a start's value, frame and iteration count do not depend on the other
     # starts of its batch
-    for kind, negate, n in (("isotropic", False, 6), ("sectional", True, 7)):
-        obj = frame_objective(random_tensor([n, 41], n), kind, negate=negate)
+    for kind, sign, n in (("isotropic", 1.0, 6), ("sectional", -1.0, 7)):
+        obj = frame_objective(random_tensor([n, 41], n), kind)
         v0 = np.stack([random_frame([n, i, 42], n, k=obj.rows).vectors for i in range(64)])
-        vals, frames, iters, gnorms, convs, _ = descend(obj, v0)
+        vals, frames, iters, gnorms, convs, _ = descend(obj, v0, sign=sign)
         for i in (0, 17, 63):
-            val, frame, it, gnorm, conv, _ = descend(obj, v0[i : i + 1])
+            val, frame, it, gnorm, conv, _ = descend(obj, v0[i : i + 1], sign=sign)
             assert val[0] == vals[i]
             assert np.array_equal(frame[0], frames[i])
             assert it[0] == iters[i] and gnorm[0] == gnorms[i] and conv[0] == convs[i]
@@ -317,8 +336,8 @@ def test_descend_batch_independence_and_tie_break(monkeypatch):
 def test_batched_kernel_matches_single_frames():
     for n in range(4, 13):
         r = random_tensor([n, 51], n)
-        for kind, negate in (("isotropic", False), ("sectional", True)):
-            obj = frame_objective(r, kind, negate=negate)
+        for kind, sign in (("isotropic", 1.0), ("sectional", -1.0)):
+            obj = _Signed(frame_objective(r, kind), sign)
             for s in (1, 3, 64):
                 v = np.stack([random_frame([n, s, i, 52], n, k=obj.rows).vectors for i in range(s)])
                 vals, grads = obj.batch(v)
@@ -484,10 +503,11 @@ def test_minimize_warm_start_and_validation():
 
 
 def _full_minimum(r, kind, negate, weights=None, starts=64):
-    """The minimum of an unstopped multistart descent."""
-    obj = frame_objective(r, kind, weights, negate)
+    """The minimum of an unstopped multistart descent, of the negated
+    functional if ``negate``."""
+    obj = frame_objective(r, kind, weights)
     v0 = np.stack([random_frame([r.n, i, 71], r.n, k=obj.rows).vectors for i in range(starts)])
-    return descend(obj, v0)[0].min()
+    return descend(obj, v0, sign=-1.0 if negate else 1.0)[0].min()
 
 
 LAMBDA_MU_GRID = [Weights(0.0, 0.0), Weights(1.0, 0.0), Weights(1.0, 1.0), Weights(0.5, -0.3), Weights(-0.8, 0.6)]
@@ -601,20 +621,20 @@ def test_descend_stops_at_the_bound():
     # the same stack with and without stop_at: the stopped minimum is a
     # frame value within the gap of the full minimum
     gap = conditions.GAP_TOL * 4.0
-    for r, kind, negate, lower in (
-        (fubini_study(2, 4.0), "sectional", False, 1.0),
-        (fubini_study(2, 4.0), "sectional", True, -4.0),
-        (pad_euclidean(sphere(4, 1.0), 2), "isotropic", False, 0.0),
+    for r, kind, sign, lower in (
+        (fubini_study(2, 4.0), "sectional", 1.0, 1.0),
+        (fubini_study(2, 4.0), "sectional", -1.0, -4.0),
+        (pad_euclidean(sphere(4, 1.0), 2), "isotropic", 1.0, 0.0),
     ):
-        obj = frame_objective(r, kind, negate=negate)
+        obj = frame_objective(r, kind)
         v0 = np.stack([random_frame([r.n, i, 75], r.n, k=obj.rows).vectors for i in range(16)])
-        full_vals, _, full_iters, *_ = descend(obj, v0)
-        vals, frames, iters, *_ = descend(obj, v0, lower + gap)
+        full_vals, _, full_iters, *_ = descend(obj, v0, sign=sign)
+        vals, frames, iters, *_ = descend(obj, v0, lower + gap, sign)
         assert vals.min() <= lower + gap
         assert full_vals.min() - 1e-14 <= vals.min() <= full_vals.min() + gap
         assert iters.max() < full_iters.max()
         best = int(np.argmin(vals))
-        assert obj.value(frames[best]) == vals[best]
+        assert sign * obj.value(frames[best]) == vals[best]
 
     # a certified report is converged though its gradient is not yet small
     ok, rep = check_pic2(fubini_study(2, 4.0), FAST)
@@ -764,14 +784,14 @@ def test_grouped_searches_report_as_alone(monkeypatch):
 def test_a_search_at_its_stop_leaves_the_others_running():
     # CP^2's Kmin search reaches its exact bound within a few iterations;
     # the Kmax search sharing its stack has no stop and runs on, start for
-    # start bitwise as alone on the objective with negated coefficients
+    # start bitwise as alone with sign -1
     r = fubini_study(2, 4.0)
     a = np.stack([random_frame([i, 121], 4, k=2).vectors for i in range(8)])
     b = np.stack([random_frame([i, 122], 4, k=2).vectors for i in range(8)])
     stop = 1.0 + conditions.GAP_TOL * 4.0
     shared = descend(frame_objective(r, "sectional"), np.concatenate((a, b)), [stop, None], [1.0, -1.0], [8, 8])
     alone_a = descend(frame_objective(r, "sectional"), a, stop)
-    alone_b = descend(frame_objective(r, "sectional", negate=True), b)
+    alone_b = descend(frame_objective(r, "sectional"), b, sign=-1.0)
     iters = shared[2]
     assert shared[0][:8].min() <= stop and iters[:8].max() < iters[8:].max()
     for got, want_a, want_b in zip(shared[:5], alone_a[:5], alone_b[:5]):

@@ -198,6 +198,17 @@ def test_step_size_is_kept_between_steps(monkeypatch):
     assert all(row.dt <= 0.01 for row in trace.rows)
 
 
+def test_err_est_is_in_the_unit_of_ode_tol():
+    # CP^2 (c = 4) grows to max |R| of about 100 by t = 0.08, where the
+    # absolute estimate of an accepted step exceeds ode_tol; the row
+    # reports it over max(1, max |y|), the scale its tolerance had
+    opts = FlowOpts(stride=20)
+    trace = integrate(fubini_study(2, 4.0), 0.08, opts)
+    assert trace.final.max_abs() > 10.0
+    assert all(row.err_est <= opts.ode_tol for row in trace.rows)
+    assert max(row.err_est for row in trace.rows) > 0.0
+
+
 def test_no_sliver_step_before_t_end():
     # with every step accepted at dt, steps of dt would leave 1e-4 before
     # t_end; the last two steps share what is left instead
