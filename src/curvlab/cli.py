@@ -30,7 +30,7 @@ from .conditions import (
     quarter_pinch_reports,
 )
 from .flow import FlowOpts, decomposition_residual, integrate
-from .frames import Frame, random_frame
+from .frames import random_frame
 from .tensors import fubini_study, pad_euclidean, product, random_tensor, sphere
 
 __all__ = ["run", "main", "identity_battery"]
@@ -57,10 +57,6 @@ def _resolve_seed(value: int | None) -> int:
 
 def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat()
-
-
-def _frame_payload(f: Frame) -> list[list[float]]:
-    return [[float(x) for x in row] for row in f.vectors]
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +116,7 @@ def _cmd_check(args) -> int:
         "min_value": rep.min_value,
         "lower_bound": rep.lower_bound,
         "boundary": rep.boundary,
-        "frame": _frame_payload(rep.argmin_frame),
+        "frame": rep.argmin_frame.vectors.tolist(),
         **extra,
     }
     sys.stdout.write(ser.dumps_json(report))
@@ -146,7 +142,7 @@ def _cmd_minimize(args) -> int:
         "min_value": rep.min_value,
         "lower_bound": rep.lower_bound,
         "certified": rep.certified,
-        "frame": _frame_payload(rep.argmin_frame),
+        "frame": rep.argmin_frame.vectors.tolist(),
         "weights": payload,
         "restarts": rep.restarts,
         "iterations": rep.iterations,

@@ -54,7 +54,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .blas import single_threaded
-from .frames import Frame, cyclic_frames, lift_frame, random_block_rotation, random_frame, random_unitary, unitary_action
+from .frames import Frame, cyclic_frames, lift_frame, random_frame
 from .lambda2 import operator
 from .stiefel import descend, dots, orthonormal_rows
 from .tensors import CurvatureTensor, pad_euclidean
@@ -73,8 +73,6 @@ __all__ = [
     "check_pic2",
     "quarter_pinch_reports",
     "holonomy_orbit_invariance",
-    "UnitaryGroup",
-    "ProductBlockGroup",
 ]
 
 ZERO_FRAME_TOL = 1e-9
@@ -434,9 +432,10 @@ def _spectrum(m: np.ndarray) -> np.ndarray:
     return np.sort(np.concatenate((w, np.zeros(len(keep) - len(m)))))
 
 
-def _lower_bound(m: np.ndarray, spectrum, obj: _FrameObjective, flat: int, negate: bool, tol: float) -> float:
-    """A lower bound on the minimum of ``obj``, or of its negation, on
-    R x R^flat; m is R's Lambda^2 operator, ``spectrum()`` its eigenvalues.
+def _lower_bound(m: np.ndarray, spectrum, obj: _FrameObjective, flat: int, sign: float, tol: float) -> float:
+    """A lower bound on the minimum of ``sign`` times ``obj`` (sign +1.0 or
+    -1.0) on R x R^flat; m is R's Lambda^2 operator, ``spectrum()`` its
+    eigenvalues.
 
     A 4-frame value is R(w1, w1) + R(w2, w2) for the orthogonal bivectors
     w1 = e13 - lam mu e24 and w2 = lam e14 + mu e23 (lam = mu = 1 for
@@ -455,12 +454,12 @@ def _lower_bound(m: np.ndarray, spectrum, obj: _FrameObjective, flat: int, negat
         if flat:  # the operator of R x R^flat: R's, with zero rows for the flat pairs
             lift = np.eye(6)[:, np.triu_indices(4, 1)[1] < obj.n]
             m = lift @ m @ lift.T
-        m = -m if negate else m
+        m = -m if sign < 0 else m
         return _thorpe_bound(m, tol) if obj.rows == 2 else _nic_bound(m)
     w = spectrum()
     if flat:
         w = np.sort(np.concatenate((w, np.zeros(2))))
-    if negate:
+    if sign < 0:
         w = -w[::-1]
     if obj.rows == 2:
         return float(w[0])
@@ -483,15 +482,16 @@ def _draws(seed: int, restarts: int, k: int, n: int) -> np.ndarray:
 @single_threaded
 def minimize_searches(
     r: CurvatureTensor,
-    searches: Sequence[tuple[int, bool, tuple[Frame, ...]]],
+    searches: Sequence[tuple[int, float, tuple[Frame, ...]]],
     objective: str = "isotropic",
     opts: MinimizeOpts | None = None,
     weights: Weights | None = None,
 ) -> list[ConditionReport]:
     """Several multistart minimizations of one functional as one descent.
 
-    A search is a tuple (flat, negate, init_frames), ``minimize_frame``'s
-    search on R x R^flat, over frames in R^{n+flat}.  Each keeps its own
+    A search is a tuple (flat, sign, init_frames), ``minimize_frame``'s
+    search of sign times the functional on R x R^flat, over frames in
+    R^{n+flat}, with sign 1.0 or -1.0.  Each keeps its own
     starts, sign, lower bound, stop and report; the stacked descent
     (``stiefel.descend``), M, its gap and its spectrum are shared.  A
     narrower search's starts, drawn in its own dimension, are padded with
@@ -508,7 +508,9 @@ def minimize_searches(
     gap = GAP_TOL * max(1.0, float(np.abs(m).max()))
     spectrum = functools.cache(functools.partial(_spectrum, m))
     stacks, lowers = [], []
-    for flat, negate, init_frames in searches:
+    for flat, sign, init_frames in searches:
+        if isinstance(sign, bool) or sign not in (1.0, -1.0):
+            raise ValueError(f"search sign must be 1.0 or -1.0, got {sign!r}")
         dim = r.n + flat
         if dim < k:
             raise ValueError(f"ambient dimension {dim} too small for a {k}-frame objective")
@@ -522,9 +524,9 @@ def minimize_searches(
             v0 = np.concatenate((v0, np.zeros((len(v0), k, width - dim))), axis=2)
         stacks.append(v0)
         # the Thorpe search may stop short of its top by half the gap
-        lowers.append(_lower_bound(m, spectrum, obj, flat, negate, 0.5 * gap))
+        lowers.append(_lower_bound(m, spectrum, obj, flat, sign, 0.5 * gap))
     sizes = [len(v0) for v0 in stacks]
-    signs = [-1.0 if negate else 1.0 for _, negate, _ in searches]
+    signs = [sign for _, sign, _ in searches]
     vals, frames, iters, gnorms, convs, _ = descend(obj, np.concatenate(stacks), [lower + gap for lower in lowers], signs, sizes)
     reports, begin = [], 0
     for (flat, _, _), lower, size in zip(searches, lowers, sizes):
@@ -550,7 +552,7 @@ def minimize_frame(
     objective: str = "isotropic",
     opts: MinimizeOpts | None = None,
     weights: Weights | None = None,
-    negate: bool = False,
+    sign: float = 1.0,
     init_frames: tuple[Frame, ...] = (),
 ) -> ConditionReport:
     """Multistart frame minimization of a curvature functional.
@@ -572,8 +574,9 @@ def minimize_frame(
         the other two refuse), ``sectional``.
     opts : MinimizeOpts
         Restart count and seed.
-    negate : bool
-        Minimize the negated functional (used to locate maxima).
+    sign : float
+        1.0 to minimize the functional, -1.0 to minimize its negation
+        (used to locate maxima); any other value is a ValueError.
     init_frames : tuple of Frame
         Warm starts, tried before the random restarts and sharing the
         deterministic tie-break; orthonormalized by their own stacked QR.
@@ -585,7 +588,7 @@ def minimize_frame(
         global minimum, with the lower bound; certified when the gap
         closed.
     """
-    return minimize_searches(r, ((0, negate, init_frames),), objective, opts, weights)[0]
+    return minimize_searches(r, ((0, sign, init_frames),), objective, opts, weights)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +620,7 @@ def check_pic2(r: CurvatureTensor, opts: MinimizeOpts | None = None) -> tuple[bo
     minimum over frames and weights from above.
     """
     opts = opts or MinimizeOpts()
-    return _nic_decision(minimize_searches(r, ((2, False, ()),), "isotropic", opts)[0], opts)
+    return _nic_decision(minimize_searches(r, ((2, 1.0, ()),), "isotropic", opts)[0], opts)
 
 
 def quarter_pinch_reports(
@@ -635,7 +638,7 @@ def quarter_pinch_reports(
     (``minimize_searches``).
     """
     opts = opts or MinimizeOpts()
-    kmin_rep, kmax_rep = minimize_searches(r, ((0, False, ()), (0, True, ())), "sectional", opts)
+    kmin_rep, kmax_rep = minimize_searches(r, ((0, 1.0, ()), (0, -1.0, ())), "sectional", opts)
     kmin = kmin_rep.min_value
     kmax = -kmax_rep.min_value
     ok = (kmin >= -opts.margin) and (kmax <= 4.0 * kmin + opts.margin)
@@ -647,55 +650,25 @@ def quarter_pinch_reports(
 # Holonomy orbits
 
 
-class UnitaryGroup:
-    """U(m) acting on R^{2m} as orthogonal matrices commuting with J."""
-
-    def __init__(self, m: int):
-        if m < 1:
-            raise ValueError("m must be positive")
-        self.m = m
-        self.n = 2 * m
-
-    def sample(self, seed) -> np.ndarray:
-        return random_unitary(seed, self.m)
-
-    def apply(self, frame: Frame, u: np.ndarray) -> Frame:
-        return unitary_action(frame, u)
-
-
-class ProductBlockGroup:
-    """Independent rotations of the factors of a metric product."""
-
-    def __init__(self, dims: tuple[int, ...]):
-        if len(dims) < 2 or any(d < 1 for d in dims):
-            raise ValueError("need at least two positive factor dimensions")
-        self.dims = tuple(dims)
-        self.n = sum(dims)
-
-    def sample(self, seed) -> np.ndarray:
-        return random_block_rotation(seed, self.dims)
-
-    def apply(self, frame: Frame, u: np.ndarray) -> Frame:
-        return Frame(n=frame.n, vectors=frame.vectors @ u.T)
-
-
 def holonomy_orbit_invariance(
     r: CurvatureTensor,
     frame: Frame,
-    group,
+    sample,
     samples: int = 200,
     seed: int = 0,
 ) -> float:
     """Max |isotropic curvature| over a sampled holonomy orbit of a zero frame.
 
-    The input frame must already have isotropic curvature below
-    ``ZERO_FRAME_TOL``, the group's ambient dimension must match the
-    tensor's, and ``samples`` must be positive.  For tensors
+    ``sample([seed, s])`` returns the s-th group element, an orthogonal
+    n x n matrix u that moves the frame rows by e_i -> u e_i: for example
+    ``functools.partial(random_unitary, m=2)`` for U(2) on CP^2, or
+    ``functools.partial(random_block_rotation, dims=(2, 2))`` for the
+    factor rotations of S^2 x S^2.  The input frame must already have
+    isotropic curvature below ``ZERO_FRAME_TOL``, every sample must act on
+    the tensor's R^n, and ``samples`` must be positive.  For tensors
     actually invariant under the group, the returned maximum stays at the
     scale of the input residual.
     """
-    if group.n != r.n:
-        raise ValueError(f"group acts on R^{group.n} but tensor lives on R^{r.n}")
     if samples < 1:
         raise ValueError("samples must be positive")
     u0 = abs(isotropic_curvature(r, frame))
@@ -703,7 +676,8 @@ def holonomy_orbit_invariance(
         raise ValueError(f"frame is not a zero frame: |u| = {u0:.3e} >= {ZERO_FRAME_TOL:.0e}")
     worst = 0.0
     for s in range(samples):
-        g = group.sample([seed, s])
-        moved = group.apply(frame, g)
-        worst = max(worst, abs(isotropic_curvature(r, moved)))
+        u = sample([seed, s])
+        if u.shape != (r.n, r.n):
+            raise ValueError(f"group acts on R^{len(u)} but tensor lives on R^{r.n}")
+        worst = max(worst, abs(isotropic_curvature(r, Frame(n=r.n, vectors=frame.vectors @ u.T))))
     return worst

@@ -252,16 +252,16 @@ class _Diagnostics:
         self.opts = opts
         self.warm: dict[str, tuple[Frame, ...]] = {}
 
-    def _run(self, r: CurvatureTensor, objective: str, searches: tuple[tuple[str, int, bool], ...]) -> list[float]:
-        group = [(flat, negate, self.warm.get(key, ())) for key, flat, negate in searches]
+    def _run(self, r: CurvatureTensor, objective: str, searches: tuple[tuple[str, int, float], ...]) -> list[float]:
+        group = [(flat, sign, self.warm.get(key, ())) for key, flat, sign in searches]
         reports = minimize_searches(r, group, objective, self.opts)
         for (key, _, _), rep in zip(searches, reports):
             self.warm[key] = (rep.argmin_frame,)
         return [rep.min_value for rep in reports]
 
     def row(self, t: float, r: CurvatureTensor, dt: float, err: float) -> TraceRow:
-        kmin, neg_kmax = self._run(r, "sectional", (("kmin", 0, False), ("kmax", 0, True)))
-        min_iso, min_pic2 = self._run(r, "isotropic", (("iso", 0, False), ("pic2", 2, False)))
+        kmin, neg_kmax = self._run(r, "sectional", (("kmin", 0, 1.0), ("kmax", 0, -1.0)))
+        min_iso, min_pic2 = self._run(r, "isotropic", (("iso", 0, 1.0), ("pic2", 2, 1.0)))
         return TraceRow(
             t=t, kmin=kmin, kmax=-neg_kmax, min_iso=min_iso, min_pic2=min_pic2,
             scalar=scalar_curvature(r), dt=dt, err_est=err,

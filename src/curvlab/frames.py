@@ -1,8 +1,10 @@
-"""Orthonormal frames in R^n, their sampling, lifts, and holonomy actions.
+"""Orthonormal frames in R^n, their sampling and lifts, and holonomy samples.
 
 The workhorse type is an ordered orthonormal k-frame stored as a k x n
 matrix of rows.  Four-frames are the default (the isotropic functional
 lives on them); two-frames appear in sectional-curvature minimization.
+``random_unitary`` and ``random_block_rotation`` draw the seeded group
+elements that ``conditions.holonomy_orbit_invariance`` samples.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .stiefel import orthonormal_rows
-from .tensors import standard_complex_structure
 
 __all__ = [
     "Frame",
@@ -20,7 +21,6 @@ __all__ = [
     "lift_frame",
     "cyclic_frames",
     "complete_basis",
-    "unitary_action",
     "random_unitary",
     "random_block_rotation",
 ]
@@ -61,9 +61,6 @@ class Frame:
         g = self.vectors @ self.vectors.T
         return float(np.max(np.abs(g - np.eye(self.k))))
 
-    def row(self, i: int) -> np.ndarray:
-        return self.vectors[i]
-
     def require_rows(self, k: int) -> "Frame":
         if self.k != k:
             raise ValueError(f"expected a {k}-frame, got {self.k} rows")
@@ -103,13 +100,13 @@ def lift_frame(frame: Frame, weights) -> Frame:
     """
     frame.require_rows(4)
     lam, mu = weights.lam, weights.mu
-    n = frame.n
+    n, e = frame.n, frame.vectors
     v = np.zeros((4, n + 2))
-    v[0, :n] = frame.row(0)
-    v[1, :n] = mu * frame.row(1)
+    v[0, :n] = e[0]
+    v[1, :n] = mu * e[1]
     v[1, n + 1] = np.sqrt(max(0.0, 1.0 - mu * mu))
-    v[2, :n] = frame.row(2)
-    v[3, :n] = lam * frame.row(3)
+    v[2, :n] = e[2]
+    v[3, :n] = lam * e[3]
     v[3, n] = np.sqrt(max(0.0, 1.0 - lam * lam))
     return Frame(n=n + 2, vectors=v)
 
@@ -136,28 +133,6 @@ def complete_basis(frame: Frame) -> np.ndarray:
     n, k = frame.n, frame.k
     q, _ = orthonormal_rows(np.vstack([frame.vectors, np.eye(n)[: n - k]])[None])
     return np.vstack([frame.vectors, q[0, k:]])
-
-
-def unitary_action(frame: Frame, u: np.ndarray) -> Frame:
-    """Apply a unitary holonomy element (orthogonal, J-commuting) to a frame.
-
-    Rows map by ``e_i -> U e_i``.  U must be orthogonal and commute with the
-    standard complex structure on R^{2m} to within ``ORTHO_TOL``.
-    """
-    n = frame.n
-    if n % 2 != 0:
-        raise ValueError("unitary action needs an even ambient dimension")
-    u = np.asarray(u, dtype=float)
-    if u.shape != (n, n):
-        raise ValueError(f"expected a {n} x {n} matrix, got {u.shape}")
-    ortho = float(np.max(np.abs(u.T @ u - np.eye(n))))
-    if ortho > ORTHO_TOL:
-        raise ValueError(f"matrix is not orthogonal: residual {ortho:.3e} > {ORTHO_TOL:.0e}")
-    j = standard_complex_structure(n // 2)
-    comm = float(np.max(np.abs(u @ j - j @ u)))
-    if comm > ORTHO_TOL:
-        raise ValueError(f"matrix does not commute with J: residual {comm:.3e} > {ORTHO_TOL:.0e}")
-    return Frame(n=n, vectors=frame.vectors @ u.T)
 
 
 def _expm_skew(a: np.ndarray) -> np.ndarray:

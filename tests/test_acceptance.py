@@ -1,5 +1,6 @@
 """Acceptance suite: one test per criterion, each printing a verdict line."""
 
+import functools
 import json
 import time
 
@@ -9,8 +10,6 @@ from scipy.linalg import expm
 from curvlab.cli import identity_battery, run
 from curvlab.conditions import (
     MinimizeOpts,
-    ProductBlockGroup,
-    UnitaryGroup,
     frame_objective,
     holonomy_orbit_invariance,
     isotropic_curvature,
@@ -18,7 +17,7 @@ from curvlab.conditions import (
     quarter_pinch_reports,
 )
 from curvlab.flow import FlowOpts, cone_margin_experiment, integrate, sphere_kappa
-from curvlab.frames import Frame, random_frame
+from curvlab.frames import Frame, random_block_rotation, random_frame, random_unitary
 from curvlab.serialization import read_tensor, trace_from_csv, write_tensor
 from curvlab.tensors import fubini_study, product, random_tensor, sphere
 
@@ -110,10 +109,10 @@ def test_acceptance_05_pinching_checker(acceptance):
 def test_acceptance_06_holonomy_invariance(acceptance):
     prod = product(sphere(2, 1.0), sphere(2, 1.0))
     worst_prod = holonomy_orbit_invariance(
-        prod, _mixed_product_frame(), ProductBlockGroup((2, 2)), samples=200, seed=0
+        prod, _mixed_product_frame(), functools.partial(random_block_rotation, dims=(2, 2)), samples=200, seed=0
     )
     fs = fubini_study(2, 4.0)
-    worst_cp2 = holonomy_orbit_invariance(fs, _cp2_zero_frame(), UnitaryGroup(2), samples=200, seed=0)
+    worst_cp2 = holonomy_orbit_invariance(fs, _cp2_zero_frame(), functools.partial(random_unitary, m=2), samples=200, seed=0)
 
     rng = np.random.default_rng(1)
     a = rng.standard_normal((4, 4))

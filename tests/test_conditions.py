@@ -7,8 +7,6 @@ import pytest
 from curvlab import conditions, frames, lambda2, stiefel
 from curvlab.conditions import (
     MinimizeOpts,
-    ProductBlockGroup,
-    UnitaryGroup,
     Weights,
     check_nic,
     check_pic2,
@@ -21,7 +19,7 @@ from curvlab.conditions import (
     quarter_pinch_reports,
     weighted_isotropic_curvature,
 )
-from curvlab.frames import RANK_TOL, Frame, lift_frame, random_frame
+from curvlab.frames import RANK_TOL, Frame, lift_frame, random_block_rotation, random_frame, random_unitary
 from curvlab.stiefel import descend, orthonormal_rows
 from curvlab.tensors import (
     CurvatureTensor,
@@ -96,7 +94,8 @@ def test_weighted_family_special_points():
         q11 = weighted_isotropic_curvature(r, f, Weights(1.0, 1.0))
         assert q11 == pytest.approx(u, abs=1e-15 * max(1.0, abs(u)))
         q00 = weighted_isotropic_curvature(r, f, Weights(0.0, 0.0))
-        k13 = r(f.row(0), f.row(2), f.row(0), f.row(2))
+        e = f.vectors
+        k13 = r(e[0], e[2], e[0], e[2])
         assert q00 == pytest.approx(k13, abs=1e-15 * max(1.0, abs(k13)))
 
 
@@ -264,6 +263,45 @@ def test_descend_work_and_convergence_guard():
     vals, _, iters, gnorms, convs, _ = descend(obj, v0)
     assert obj.calls <= 3 * iters.max()
     assert convs.all() and gnorms.max() < stiefel.GRAD_TOL
+
+
+class _Refusing:
+    """A frame objective on frames in R^{n+1} that, from the ``after``-th
+    evaluation of the marked start on, refuses (value +inf) every trial of
+    it.  The marked start is the one with a component in the last column,
+    which the objective treats as flat and keeps at exactly 0 elsewhere."""
+
+    def __init__(self, obj, after: int):
+        self.obj, self.after, self.seen = obj, after, 0
+
+    def batch(self, v):
+        vals, grads = self.obj.batch(v)
+        marked = v[:, :, -1].any(axis=1)
+        if marked.any():
+            self.seen += 1
+            if self.seen > self.after:
+                vals = np.where(marked, np.inf, vals)
+        return vals, grads
+
+
+def test_descend_failed_line_search_stops_the_start_where_it_is(monkeypatch):
+    # start 3's line search fails after a few accepted steps: it stops at
+    # its last accepted frame, and every other start descends as alone
+    obj = frame_objective(random_tensor(131, 5), "sectional")
+    v0 = np.stack([
+        random_frame([i, 132], 6, k=2).vectors if i == 3 else np.pad(random_frame([i, 132], 5, k=2).vectors, ((0, 0), (0, 1)))
+        for i in range(8)
+    ])
+    vals, frames, iters, gnorms, convs, history = descend(_Refusing(obj, 5), v0)
+    for i in (0, 1, 2, 4, 5, 6, 7):
+        alone = descend(obj, v0[i : i + 1])
+        for got, want in zip((vals, frames, iters, gnorms, convs), alone[:5]):
+            assert np.array_equal(got[i], want[0]), i
+    steps = sum(3 in ids for ids, _ in history) - 1  # accepted steps of start 3
+    assert steps >= 1 and iters[3] == steps + 1 and not convs[3]
+    monkeypatch.setattr(stiefel, "MAX_ITERS", steps)
+    capped = descend(obj, v0[3:4])
+    assert vals[3] == capped[0][0] and np.array_equal(frames[3], capped[1][0]) and gnorms[3] == capped[3][0]
 
 
 def test_descend_contracts_each_frame_once(monkeypatch):
@@ -500,23 +538,26 @@ def test_minimize_warm_start_and_validation():
         minimize_frame(prod, "lambda_mu", FAST)
     with pytest.raises(ValueError, match="too small"):
         minimize_frame(sphere(3, 1.0), "isotropic", FAST)
+    for sign in (0.0, 2.0, -0.5, np.nan, True, False):
+        with pytest.raises(ValueError, match="sign"):
+            minimize_frame(prod, "isotropic", FAST, sign=sign)
 
 
-def _full_minimum(r, kind, negate, weights=None, starts=64):
-    """The minimum of an unstopped multistart descent, of the negated
-    functional if ``negate``."""
+def _full_minimum(r, kind, sign, weights=None, starts=64):
+    """The minimum of an unstopped multistart descent of sign times the
+    functional."""
     obj = frame_objective(r, kind, weights)
     v0 = np.stack([random_frame([r.n, i, 71], r.n, k=obj.rows).vectors for i in range(starts)])
-    return descend(obj, v0, sign=-1.0 if negate else 1.0)[0].min()
+    return descend(obj, v0, sign=sign)[0].min()
 
 
 LAMBDA_MU_GRID = [Weights(0.0, 0.0), Weights(1.0, 0.0), Weights(1.0, 1.0), Weights(0.5, -0.3), Weights(-0.8, 0.6)]
 
 
-def _bound(r, obj, negate, flat=0):
+def _bound(r, obj, sign, flat=0):
     """The search's lower bound on R x R^flat, as ``minimize_searches`` takes it."""
     m = lambda2.operator(r.array)
-    return conditions._lower_bound(m, functools.partial(conditions._spectrum, m), obj, flat, negate, 1e-13)
+    return conditions._lower_bound(m, functools.partial(conditions._spectrum, m), obj, flat, sign, 1e-13)
 
 
 def test_lower_bounds_are_sound():
@@ -526,28 +567,28 @@ def test_lower_bounds_are_sound():
     for n in range(4, 10):
         for r in (random_tensor([n, 72], n), combine(1.0, sphere(n, 1.0), 0.3, random_tensor([n, 73], n))):
             for kind, w in kinds:
-                for negate in (False, True):
-                    lower = _bound(r, frame_objective(r, kind, w), negate)
+                for sign in (1.0, -1.0):
+                    lower = _bound(r, frame_objective(r, kind, w), sign)
                     # 8 starts for the family, whose descents run 2-3 times
                     # longer, and at n >= 8 a few starts to MAX_ITERS
-                    full = _full_minimum(r, kind, negate, w, 64 if w is None else 8)
-                    assert lower <= full + 1e-12, (n, kind, w, negate)
+                    full = _full_minimum(r, kind, sign, w, 64 if w is None else 8)
+                    assert lower <= full + 1e-12, (n, kind, w, sign)
                     # at n = 4 the bounds of unit weights are exact: Micallef-Moore for NIC, Thorpe
                     unit = w is None or abs(w.lam) == abs(w.mu) == 1.0
-                    assert n > 4 or not unit or lower >= full - 1e-9, (kind, w, negate)
+                    assert n > 4 or not unit or lower >= full - 1e-9, (kind, w, sign)
     # at |lam| = |mu| = 1 and n = 4 the scaled rows are again a frame, so
     # every sign pair has the isotropic bound, and its search stops on it
     r = random_tensor(5, 4)
-    nic = _bound(r, frame_objective(r, "isotropic"), False)
+    nic = _bound(r, frame_objective(r, "isotropic"), 1.0)
     for lam, mu in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)):
         w = Weights(lam, mu)
-        assert _bound(r, frame_objective(r, "lambda_mu", w), False) == nic
+        assert _bound(r, frame_objective(r, "lambda_mu", w), 1.0) == nic
         rep = minimize_frame(r, "lambda_mu", FAST, weights=w)
         assert rep.certified and rep.lower_bound == nic and rep.min_value == pytest.approx(-3.30960534, abs=1e-8)
     # on R x R^2 the bound is taken on R and holds for the padded tensor
     r = random_tensor(74, 4)
     padded = pad_euclidean(r, 2)
-    assert _bound(r, frame_objective(r, "isotropic"), False, flat=2) <= _full_minimum(padded, "isotropic", False) + 1e-12
+    assert _bound(r, frame_objective(r, "isotropic"), 1.0, flat=2) <= _full_minimum(padded, "isotropic", 1.0) + 1e-12
 
 
 def test_weighted_bound_is_exact_on_spheres():
@@ -559,8 +600,8 @@ def test_weighted_bound_is_exact_on_spheres():
             for w in LAMBDA_MU_GRID:
                 value = (1.0 + w.lam**2) * (1.0 + w.mu**2) * kappa
                 obj = frame_objective(r, "lambda_mu", w)
-                assert _bound(r, obj, False) == pytest.approx(value, abs=1e-12)
-                assert _bound(r, obj, True) == pytest.approx(-value, abs=1e-12)
+                assert _bound(r, obj, 1.0) == pytest.approx(value, abs=1e-12)
+                assert _bound(r, obj, -1.0) == pytest.approx(-value, abs=1e-12)
 
 
 def test_thorpe_bound_probes(monkeypatch):
@@ -769,8 +810,8 @@ def test_grouped_searches_report_as_alone(monkeypatch):
     for r in tensors:
         warm = (random_frame([r.n, 112], r.n, k=2),), (random_frame([r.n, 113], r.n, k=2),)
         for init in (((), ()), warm):
-            alone = [minimize_frame(r, "sectional", FAST, negate=negate, init_frames=frames) for negate, frames in zip((False, True), init)]
-            shared = conditions.minimize_searches(r, ((0, False, init[0]), (0, True, init[1])), "sectional", FAST)
+            alone = [minimize_frame(r, "sectional", FAST, sign=sign, init_frames=frames) for sign, frames in zip((1.0, -1.0), init)]
+            shared = conditions.minimize_searches(r, ((0, 1.0, init[0]), (0, -1.0, init[1])), "sectional", FAST)
             assert all(_same_report(a, b) for a, b in zip(alone, shared)), r.n
         monkeypatch.setattr(conditions, "descend", counting)
         ok, kmin_rep, kmax_rep = quarter_pinch_reports(r, FAST)
@@ -778,7 +819,7 @@ def test_grouped_searches_report_as_alone(monkeypatch):
         assert len(calls) == 1 and len(calls.pop()[1]) == 2 * FAST.restarts
         # the check sets only the first report's boundary
         assert _same_report(replace(kmin_rep, boundary=False), minimize_frame(r, "sectional", FAST))
-        assert _same_report(kmax_rep, minimize_frame(r, "sectional", FAST, negate=True))
+        assert _same_report(kmax_rep, minimize_frame(r, "sectional", FAST, sign=-1.0))
 
 
 def test_a_search_at_its_stop_leaves_the_others_running():
@@ -812,7 +853,7 @@ def test_padded_stack_keeps_narrow_frames_flat(monkeypatch):
     monkeypatch.setattr(conditions, "descend", recording)
     for n in (4, 6, 9):
         r = random_tensor([n, 131], n)
-        nic, pic2 = conditions.minimize_searches(r, ((0, False, ()), (2, False, ())), "isotropic", FAST)
+        nic, pic2 = conditions.minimize_searches(r, ((0, 1.0, ()), (2, 1.0, ())), "isotropic", FAST)
         alone = _start_stack_of(monkeypatch, r, "isotropic", FAST)
         monkeypatch.setattr(conditions, "descend", recording)
         (v0, (vals, frames, iters, *_)), = seen
@@ -864,13 +905,13 @@ def test_holonomy_orbit_invariance():
     prod = product(sphere(2, 1.0), sphere(2, 1.0))
     e = np.eye(4)
     mixed = Frame(n=4, vectors=np.array([e[0], e[1], e[2], e[3]]))
-    worst = holonomy_orbit_invariance(prod, mixed, ProductBlockGroup((2, 2)), samples=100, seed=0)
+    worst = holonomy_orbit_invariance(prod, mixed, functools.partial(random_block_rotation, dims=(2, 2)), samples=100, seed=0)
     assert worst < 1e-10
 
     fs = fubini_study(2, 4.0)
     zero = Frame(n=4, vectors=np.array([e[0], e[2], e[1], e[3]]))  # (x, Jx, y, Jy)
     assert abs(isotropic_curvature(fs, zero)) < 1e-12
-    worst = holonomy_orbit_invariance(fs, zero, UnitaryGroup(2), samples=100, seed=0)
+    worst = holonomy_orbit_invariance(fs, zero, functools.partial(random_unitary, m=2), samples=100, seed=0)
     assert worst < 1e-10
 
 
@@ -879,13 +920,13 @@ def test_holonomy_errors():
     e = np.eye(4)
     alt = Frame(n=4, vectors=np.array([e[0], e[2], e[1], e[3]]))  # u = 2: not a zero frame
     with pytest.raises(ValueError, match="zero frame"):
-        holonomy_orbit_invariance(prod, alt, ProductBlockGroup((2, 2)))
+        holonomy_orbit_invariance(prod, alt, functools.partial(random_block_rotation, dims=(2, 2)))
     mixed = Frame(n=4, vectors=np.array([e[0], e[1], e[2], e[3]]))
     with pytest.raises(ValueError, match="group acts"):
-        holonomy_orbit_invariance(prod, mixed, ProductBlockGroup((2, 3)))
+        holonomy_orbit_invariance(prod, mixed, functools.partial(random_block_rotation, dims=(2, 3)))
     for samples in (0, -3):
         with pytest.raises(ValueError, match="samples"):
-            holonomy_orbit_invariance(prod, mixed, ProductBlockGroup((2, 2)), samples=samples)
+            holonomy_orbit_invariance(prod, mixed, functools.partial(random_block_rotation, dims=(2, 2)), samples=samples)
 
 
 def test_holonomy_negative_control():

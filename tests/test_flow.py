@@ -274,6 +274,15 @@ def test_blowup_guard():
     assert err.value.t < 0.5
 
 
+def test_blowup_guard_on_a_non_finite_step():
+    # one fixed step of S^4 at curvature 1e100 overflows to non-finite
+    # entries, which are a blow-up of size inf at the end of that step
+    opts = FlowOpts(dt=1.0, ode_tol=None, stride=10**9, minimize=MinimizeOpts(restarts=1))
+    with pytest.raises(FlowBlowupError) as err:
+        integrate(sphere(4, 1e100), 1.0, opts)
+    assert err.value.t == 1.0 and err.value.size == np.inf and err.value.cap == flow.BLOWUP_CAP
+
+
 def test_step_halving_underflow(monkeypatch):
     # With the default MAX_HALVINGS this run takes minutes: once the steps
     # are small enough, error estimates of exactly 0 pass the tolerance and

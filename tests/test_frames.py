@@ -15,7 +15,6 @@ from curvlab.frames import (
     random_block_rotation,
     random_frame,
     random_unitary,
-    unitary_action,
 )
 from curvlab.stiefel import orthonormal_rows
 from curvlab.tensors import standard_complex_structure
@@ -165,28 +164,6 @@ def test_complete_basis():
     assert np.array_equal(b, complete_basis(f))
 
 
-def test_unitary_action():
-    m = 3
-    f = random_frame(0, 2 * m)
-    u = random_unitary(4, m)
-    j = standard_complex_structure(m)
-    assert np.max(np.abs(u.T @ u - np.eye(2 * m))) < 1e-10
-    assert np.max(np.abs(u @ j - j @ u)) < 1e-10
-    moved = unitary_action(f, u)
-    assert moved.gram_residual() < 1e-10
-    assert np.max(np.abs(unitary_action(f, np.eye(2 * m)).vectors - f.vectors)) == 0.0
-
-
-def test_unitary_action_rejects_bad_matrices():
-    f = random_frame(0, 4)
-    with pytest.raises(ValueError, match="orthogonal"):
-        unitary_action(f, 2.0 * np.eye(4))
-    # orthogonal but not J-commuting: swap within the first block
-    p = np.eye(4)[[1, 0, 2, 3]]
-    with pytest.raises(ValueError, match="commute"):
-        unitary_action(f, p)
-
-
 def test_random_unitary_deterministic():
     a = random_unitary(9, 2)
     b = random_unitary(9, 2)
@@ -216,12 +193,13 @@ def test_skew_exponential_matches_scipy():
 _SCIPY_MODULES = """
 import sys
 import numpy as np
+import functools
 import curvlab, curvlab.cli
-from curvlab import Frame, UnitaryGroup, fubini_study, holonomy_orbit_invariance
+from curvlab import Frame, fubini_study, holonomy_orbit_invariance
 curvlab.random_unitary(0, 3)
 curvlab.random_block_rotation(0, (2, 3))
 zero = Frame(n=4, vectors=np.eye(4)[[0, 2, 1, 3]])  # (x, Jx, y, Jy)
-holonomy_orbit_invariance(fubini_study(2, 4.0), zero, UnitaryGroup(2), samples=10)
+holonomy_orbit_invariance(fubini_study(2, 4.0), zero, functools.partial(curvlab.random_unitary, m=2), samples=10)
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
