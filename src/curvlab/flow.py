@@ -12,9 +12,10 @@ sign used here.
 
 The integrator's state is the curvature operator on Lambda^2, the
 symmetric N x N matrix M[(i<j), (k<l)] = R_ijkl with N = n(n-1)/2, and Q
-is evaluated on it directly (``lambda2``).  The dense n^4 tensor is built
-only where a ``CurvatureTensor`` is needed: the diagnostic rows, the final
-tensor and ``quadratic_reaction``.  ``integrate`` runs the one RK4
+is evaluated on it directly (``lambda2``).  Where a ``CurvatureTensor`` is
+needed (the diagnostic rows, the final tensor and ``quadratic_reaction``)
+M is projected on Lambda^2 (``lambda2.project``) and expanded, in the form
+a tensor file stores.  ``integrate`` runs the one RK4
 stepper; it, ``quadratic_reaction`` and ``decomposition_residual`` share
 the one Q kernel.  BLAS runs on one thread
 (``blas.single_threaded``), so the same input gives the same bytes on any
@@ -31,9 +32,9 @@ import numpy as np
 from .blas import single_threaded
 from .conditions import MinimizeOpts, check_pic2, isotropic_curvature, minimize_searches
 from .frames import Frame, complete_basis
-from .lambda2 import expand, operator
+from .lambda2 import expand, operator, project
 from .lambda2 import reaction as _reaction_raw  # looked up per call, so tests can count calls
-from .tensors import CurvatureTensor, SYM_TOL_DEFAULT, project_curvature, scalar_curvature
+from .tensors import CurvatureTensor, SYM_TOL_DEFAULT, scalar_curvature
 
 __all__ = [
     "TraceRow",
@@ -151,9 +152,9 @@ class FlowOpts:
 
 
 def _tensor(m: np.ndarray, n: int) -> CurvatureTensor:
-    """Project and wrap, with the symmetry tolerance scaled to the data."""
+    """Project on Lambda^2 and expand, with sym_tol scaled to the data."""
     tol = max(SYM_TOL_DEFAULT, 1e-12 * float(np.abs(m).max(initial=0.0)))
-    return project_curvature(expand(m, n), n, sym_tol=tol)
+    return CurvatureTensor(n=n, comps=expand(project(m), n), sym_tol=tol)
 
 
 def _scalar(m: np.ndarray) -> float:
@@ -299,7 +300,8 @@ def integrate(r0: CurvatureTensor, t_end: float, opts: FlowOpts | None = None) -
     and the halved result is the one accepted.  A trial whose estimate
     exceeds the step's tolerance tol = ``opts.ode_tol`` * max(1, max |y|),
     y the state at the start of the step (Atol = Rtol = ``ode_tol``), is
-    halved and tried again; more than ``MAX_HALVINGS`` halvings of one
+    halved and tried again, its full step being the rejected trial's first
+    half step; more than ``MAX_HALVINGS`` halvings of one
     step are a step-size underflow (RuntimeError).  After each accepted
     step the next step is h times ``_growth(err, tol)``, at most
     ``opts.dt``, the first one is ``opts.dt``, and a step that would leave
@@ -343,12 +345,12 @@ def integrate(r0: CurvatureTensor, t_end: float, opts: FlowOpts | None = None) -
         tries = 0
         with np.errstate(over="ignore", invalid="ignore"):
             k1 = _reaction_raw(y)
-        q_evals += 1
+        full = _rk4(y, h, k1)
+        q_evals += 4
         while True:
-            full = _rk4(y, h, k1)
             mid = _rk4(y, 0.5 * h, k1)
             halved = _rk4(mid, 0.5 * h)
-            q_evals += 10
+            q_evals += 7
             err = float(np.abs(full - halved).max()) / 15.0
             if not np.isfinite(err):
                 err = float("inf")
@@ -357,7 +359,9 @@ def integrate(r0: CurvatureTensor, t_end: float, opts: FlowOpts | None = None) -
             tries += 1
             if tries > MAX_HALVINGS:
                 raise RuntimeError(f"step size underflow at t = {t:.6g}: error estimate {err:.3e}")
+            # the halved step's full trial is this trial's first half step
             h *= 0.5
+            full = mid
         halvings += tries
         y = full if opts.ode_tol is None else halved
         if not np.all(np.isfinite(y)):

@@ -22,10 +22,11 @@ import math
 
 import numpy as np
 
-__all__ = ["operator", "expand", "reaction"]
+__all__ = ["operator", "expand", "project", "reaction"]
 
 
 _ZERO = np.zeros(1)
+_SIGNS = np.array([[1.0], [-1.0], [1.0]])
 
 
 @functools.cache
@@ -81,6 +82,19 @@ def _plan(big: int) -> tuple[np.ndarray, ...]:
     )
 
 
+@functools.cache
+def _quads(big: int) -> np.ndarray:
+    """Offsets in the flat M of (ij,kl), (ik,jl), (il,jk), i<j<k<l, then their mirrors."""
+    n = (1 + math.isqrt(1 + 8 * big)) // 2
+    first, second = np.triu_indices(n, 1)
+    at = np.zeros((n, n), dtype=np.intp)
+    at[first, second] = np.arange(big)
+    ij, kl = np.nonzero(second[:, None] < first[None, :])
+    i, j, k, l = first[ij], second[ij], first[kl], second[kl]
+    rows, cols = np.stack((ij, at[i, k], at[i, l])), np.stack((kl, at[j, l], at[j, k]))
+    return np.stack((rows * big + cols, cols * big + rows))
+
+
 def operator(r4: np.ndarray) -> np.ndarray:
     """The Lambda^2 operator M[(i<j), (k<l)] = R_ijkl of an (n, n, n, n) array."""
     n = r4.shape[0]
@@ -97,6 +111,18 @@ def expand(m: np.ndarray, n: int) -> np.ndarray:
     full = full.reshape(n, n, n, n)
     full = full - full.transpose(1, 0, 2, 3)
     return full - full.transpose(0, 1, 3, 2)
+
+
+def project(m: np.ndarray) -> np.ndarray:
+    """The Bianchi projection of M: its symmetric part less the Lambda^4 part,
+    the Bianchi cyclic sum 3 w, w = (M[ij,kl] - M[ik,jl] + M[il,jk]) / 3 at
+    i < j < k < l, taken off those entries with signs +, -, + and mirrored."""
+    sym = 0.5 * (m + m.T)
+    flat = sym.reshape(-1)
+    up, down = _quads(len(m))
+    v = flat[up]
+    flat[up] = flat[down] = v - ((v[0] - v[1] + v[2]) / 3.0) * _SIGNS
+    return sym
 
 
 def reaction(m: np.ndarray) -> np.ndarray:

@@ -2,6 +2,12 @@
 
 Writers emit floating-point values with 17 significant digits so that a
 write/read cycle reproduces IEEE doubles bit for bit.
+
+Tensors are written as ``{"n": n, "operator": [...]}``, the upper triangle
+of M[(i<j), (k<l)] = R_ijkl row by row, pairs in lexicographic order, and
+read back as ``expand`` of the symmetric M: bit for bit for every tensor
+curvlab builds, without the asymmetry of one that is not exactly symmetric.
+The n^4 row-major ``{"n": n, "components": [...]}`` is still read as given.
 """
 
 from __future__ import annotations
@@ -9,10 +15,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 
 import numpy as np
 
 from .flow import TRACE_COLUMNS, FlowTrace, TraceRow
+from .lambda2 import expand, operator
 from .tensors import CurvatureTensor
 
 __all__ = [
@@ -74,27 +82,39 @@ def _emit(obj, level: int) -> str:
 
 
 def tensor_to_json(r: CurvatureTensor) -> str:
-    comps = ", ".join(fmt17(x) for x in r.comps)
-    return f'{{"n": {r.n}, "components": [{comps}]}}\n'
+    upper = operator(r.array)[np.triu_indices(r.n * (r.n - 1) // 2)].tolist()
+    # fmt17 writes -0.0 as "-0", which JSON reads as the integer 0
+    values = ", ".join("-0.0" if x == 0.0 and math.copysign(1.0, x) < 0.0 else fmt17(x) for x in upper)
+    return f'{{"n": {r.n}, "operator": [{values}]}}\n'
 
 
 def tensor_from_json(text: str) -> CurvatureTensor:
     data = json.loads(text)
-    if not isinstance(data, dict) or set(data) != {"n", "components"}:
-        raise ValueError('tensor JSON must be an object with keys "n" and "components"')
-    n = data["n"]
-    comps = data["components"]
-    if not isinstance(n, int) or not isinstance(comps, list):
+    if not isinstance(data, dict) or set(data) not in ({"n", "components"}, {"n", "operator"}):
+        raise ValueError('tensor JSON must be an object with keys "n" and "components", or "n" and "operator"')
+    key = "operator" if "operator" in data else "components"
+    n, values = data["n"], data[key]
+    if not isinstance(n, int) or not isinstance(values, list):
         raise ValueError("tensor JSON has wrong field types")
     # one vectorized conversion: ragged nesting raises, and any entry that
     # is not a number leaves a string or object dtype
     try:
-        arr = np.asarray(comps)
+        arr = np.asarray(values)
     except ValueError:
         arr = None
     if arr is None or arr.ndim != 1 or arr.dtype.kind not in "iuf":
-        raise ValueError("tensor JSON components must be a flat list of numbers")
-    return CurvatureTensor(n=n, comps=arr)
+        raise ValueError(f"tensor JSON {key} must be a flat list of numbers")
+    if key == "components":
+        return CurvatureTensor(n=n, comps=arr)
+    if n < 2:
+        raise ValueError(f"dimension must be >= 2, got {n}")
+    big = n * (n - 1) // 2
+    if arr.size != big * (big + 1) // 2:
+        raise ValueError(f"expected {big * (big + 1) // 2} operator entries for n={n}, got {arr.size}")
+    m = np.empty((big, big))
+    upper = np.triu_indices(big)
+    m[upper] = m.T[upper] = arr
+    return CurvatureTensor(n=n, comps=expand(m, n))
 
 
 def write_tensor(path: str, r: CurvatureTensor) -> None:

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .lambda2 import _pairs, expand, operator, project
+
 __all__ = [
     "CurvatureTensor",
     "project_curvature",
@@ -116,9 +118,10 @@ def symmetry_residuals(r: np.ndarray) -> tuple[float, float, float]:
 def project_curvature(raw, n: int, sym_tol: float = SYM_TOL_DEFAULT) -> CurvatureTensor:
     """Orthogonal projection of a raw rank-4 array onto curvature tensors.
 
-    The projection is closed form and idempotent: average over the eight
-    signed pair symmetries, then remove the totally antisymmetric part that
-    obstructs the first Bianchi identity.
+    The projection is closed form and idempotent and runs on the Lambda^2
+    operator: the signed average over the swaps within each index pair is
+    gathered onto M, and ``lambda2.project`` symmetrizes M and removes its
+    Lambda^4 part, which obstructs the first Bianchi identity.
 
     Parameters
     ----------
@@ -130,7 +133,8 @@ def project_curvature(raw, n: int, sym_tol: float = SYM_TOL_DEFAULT) -> Curvatur
     Returns
     -------
     CurvatureTensor
-        Satisfies all three symmetries up to floating round-off.
+        ``expand`` of the projected operator, which reads back bit for bit:
+        exact pair symmetries, Bianchi up to round-off.
     """
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
@@ -139,20 +143,12 @@ def project_curvature(raw, n: int, sym_tol: float = SYM_TOL_DEFAULT) -> Curvatur
         raise ValueError(f"expected {n**4} entries for n={n}, got {arr.size}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("input entries must be finite")
-    t = arr.reshape(n, n, n, n)
-    # Group average over {1, swap(ij), swap(kl), exchange} with signs.
-    s = 0.25 * (
-        t
-        - t.transpose(1, 0, 2, 3)
-        - t.transpose(0, 1, 3, 2)
-        + t.transpose(1, 0, 3, 2)
-    )
-    s = 0.5 * (s + s.transpose(2, 3, 0, 1))
-    # On this symmetry class the Bianchi cyclic sum is totally antisymmetric
-    # and the cyclic map acts as multiplication by 3 on that part.
-    b = s + s.transpose(0, 2, 3, 1) + s.transpose(0, 3, 1, 2)
-    out = s - b / 3.0
-    return CurvatureTensor(n=n, comps=out.reshape(-1), sym_tol=sym_tol)
+    t = arr.reshape(n * n, n * n)
+    ij = _pairs(n)
+    ji = (ij % n) * n + ij // n
+    rows, swapped = t[ij], t[ji]
+    m = 0.25 * (rows[:, ij] - swapped[:, ij] - rows[:, ji] + swapped[:, ji])
+    return CurvatureTensor(n=n, comps=expand(project(m), n), sym_tol=sym_tol)
 
 
 def sectional(r: CurvatureTensor, x, y) -> float:
@@ -185,9 +181,7 @@ def sphere(n: int, kappa: float) -> CurvatureTensor:
     """Constant-curvature tensor: every sectional curvature equals kappa."""
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
-    eye = np.eye(n)
-    r = kappa * (np.einsum("ik,jl->ijkl", eye, eye) - np.einsum("il,jk->ijkl", eye, eye))
-    return CurvatureTensor(n=n, comps=r.reshape(-1))
+    return CurvatureTensor(n=n, comps=expand(np.diag(np.full(n * (n - 1) // 2, float(kappa))), n))
 
 
 def standard_complex_structure(m: int) -> np.ndarray:
@@ -207,16 +201,12 @@ def fubini_study(m: int, c: float) -> CurvatureTensor:
     if m < 2:
         raise ValueError(f"complex dimension must be >= 2, got {m}")
     n = 2 * m
-    eye = np.eye(n)
-    j = standard_complex_structure(m)
-    r = (c / 4.0) * (
-        np.einsum("ik,jl->ijkl", eye, eye)
-        - np.einsum("il,jk->ijkl", eye, eye)
-        + np.einsum("ik,jl->ijkl", j, j)
-        - np.einsum("il,jk->ijkl", j, j)
-        + 2.0 * np.einsum("ij,kl->ijkl", j, j)
-    )
-    return CurvatureTensor(n=n, comps=r.reshape(-1))
+    # M[(a<b), (p<q)] = c/4 (g_ap g_bq - g_aq g_bp + J_ap J_bq - J_aq J_bp + 2 J_ab J_pq)
+    e, j = np.eye(n), standard_complex_structure(m)
+    a, b = np.triu_indices(n, 1)
+    aa, ab, ba, bb = np.ix_(a, a), np.ix_(a, b), np.ix_(b, a), np.ix_(b, b)
+    op = e[aa] * e[bb] - e[ab] * e[ba] + j[aa] * j[bb] - j[ab] * j[ba] + 2.0 * np.outer(j[a, b], j[a, b])
+    return CurvatureTensor(n=n, comps=expand((c / 4.0) * op, n))
 
 
 def product(r1: CurvatureTensor, r2: CurvatureTensor) -> CurvatureTensor:
@@ -245,12 +235,12 @@ def pad_euclidean(r: CurvatureTensor, k: int) -> CurvatureTensor:
 
 
 def combine(a: float, r1: CurvatureTensor, b: float, r2: CurvatureTensor) -> CurvatureTensor:
-    """Componentwise linear combination a*r1 + b*r2 (the symmetry class is linear)."""
+    """Linear combination a*r1 + b*r2 (the symmetry class is linear), on the operators."""
     if r1.n != r2.n:
         raise ValueError(f"dimension mismatch: {r1.n} vs {r2.n}")
     if not (np.isfinite(a) and np.isfinite(b)):
         raise ValueError("combination coefficients must be finite")
-    return CurvatureTensor(n=r1.n, comps=a * r1.comps + b * r2.comps)
+    return CurvatureTensor(n=r1.n, comps=expand(a * operator(r1.array) + b * operator(r2.array), r1.n))
 
 
 def random_tensor(seed: int, n: int) -> CurvatureTensor:

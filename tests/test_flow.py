@@ -28,6 +28,7 @@ from curvlab.tensors import (
     project_curvature,
     random_tensor,
     sphere,
+    symmetry_residuals,
 )
 
 LIGHT = MinimizeOpts(restarts=2, seed=0)
@@ -164,6 +165,24 @@ def test_integrate_sphere_matches_closed_form():
     assert trace.rows[-1].t == pytest.approx(0.05)
 
 
+def test_row_tensors_are_exact_on_the_pair_symmetries(monkeypatch):
+    tensors = []
+    row = flow._Diagnostics.row
+
+    def keep(self, t, r, dt, err):
+        tensors.append(r)
+        return row(self, t, r, dt, err)
+
+    monkeypatch.setattr(flow._Diagnostics, "row", keep)
+    r0 = CurvatureTensor(n=6, comps=random_tensor(4, 6).comps * 0.1)
+    trace = integrate(r0, 0.05, FlowOpts(dt=0.01, minimize=LIGHT))
+    assert len(tensors) == len(trace.rows) >= 6 and tensors[-1] is trace.final
+    for r in tensors[1:]:
+        anti, pair, bianchi = symmetry_residuals(r.array)
+        assert anti == 0.0 and pair == 0.0
+        assert bianchi < 1e-15
+
+
 def test_integrate_shares_first_stage(monkeypatch):
     # The full step and the first half step share Q(y); with the other
     # stages that is 1 + 3 + 3 + 4 = 11 evaluations per step, not 12.
@@ -193,7 +212,7 @@ def test_step_size_is_kept_between_steps(monkeypatch):
     trace = integrate(fubini_study(2, 4.0), 0.05, FlowOpts())
     assert trace.q_evals == len(calls) <= 400
     steps = len(trace.rows) - 1
-    assert trace.q_evals == 11 * steps + 10 * trace.halvings
+    assert trace.q_evals == 11 * steps + 7 * trace.halvings
     assert trace.rows[-1].t == pytest.approx(0.05)
     assert all(row.dt <= 0.01 for row in trace.rows)
 

@@ -16,7 +16,26 @@ from curvlab.serialization import (
     write_tensor,
     write_trace,
 )
-from curvlab.tensors import random_tensor, sphere
+from curvlab.flow import quadratic_reaction
+from curvlab.tensors import (
+    CurvatureTensor,
+    combine,
+    fubini_study,
+    pad_euclidean,
+    product,
+    random_tensor,
+    sphere,
+)
+
+
+def _bits(r):
+    return r.comps.view(np.uint64)
+
+
+def _components_json(r):
+    # the components-form writer as it was before the operator form, frozen
+    comps = ", ".join(fmt17(x) for x in r.comps)
+    return f'{{"n": {r.n}, "components": [{comps}]}}\n'
 
 
 def test_fmt17_round_trips_doubles():
@@ -37,13 +56,77 @@ def test_tensor_round_trip_bit_for_bit(tmp_path):
         assert np.array_equal(back.comps, r.comps)
 
 
+def test_operator_form_round_trips_every_built_tensor_bit_for_bit():
+    s4, cp2 = sphere(4, 1.0), fubini_study(2, 4.0)
+    built = [
+        s4, sphere(5, -0.5), sphere(3, 0.0), sphere(2, -2.0), cp2, fubini_study(3, -1.5),
+        product(sphere(2, 1.0), sphere(3, -1.0)), product(fubini_study(2, -4.0), random_tensor(1, 3)),
+        pad_euclidean(s4, 2), pad_euclidean(sphere(3, -1.0), 1),
+        combine(1.0, s4, 0.3, cp2), combine(-1.0, sphere(4, -1.0), 0.0, s4),
+    ]
+    built += [random_tensor([3, n], n) for n in range(2, 17)]
+    built += [quadratic_reaction(r) for r in built[:14]]
+    assert any(np.signbit(r.comps[r.comps == 0.0]).any() for r in built)  # signed zeros are covered
+    for r in built:
+        back = tensor_from_json(tensor_to_json(r))
+        assert back.n == r.n
+        assert np.array_equal(_bits(back), _bits(r))
+
+
+def test_components_form_reads_as_before(tmp_path):
+    g = np.linalg.qr(np.random.default_rng(4).standard_normal((5, 5)))[0]
+    rotated = np.einsum("ia,jb,kc,ld,abcd->ijkl", g, g, g, g, random_tensor(2, 5).array, optimize=True)
+    cases = [sphere(4, 1.0), fubini_study(2, 4.0), random_tensor(5, 6), CurvatureTensor(n=5, comps=rotated.reshape(-1))]
+    for r in cases:
+        path = tmp_path / "old.json"
+        path.write_text(_components_json(r))
+        assert np.array_equal(_bits(read_tensor(str(path))), _bits(r))
+    # the operator form drops the round-off asymmetry of the rotated tensor
+    back = tensor_from_json(tensor_to_json(cases[-1]))
+    assert not np.array_equal(back.comps, cases[-1].comps)
+    assert np.max(np.abs(back.comps - cases[-1].comps)) < 1e-14
+
+
+def test_operator_form_rejects_malformed():
+    ok = tensor_to_json(sphere(3, 1.0))
+    assert tensor_from_json(ok).n == 3
+    six = ", ".join(["0"] * 6)
+    with pytest.raises(ValueError, match="6 operator entries for n=3, got 5"):
+        tensor_from_json('{"n": 3, "operator": [' + ", ".join(["0"] * 5) + "]}")
+    with pytest.raises(ValueError, match="operator entries"):
+        tensor_from_json('{"n": 4, "operator": [' + six + "]}")
+    with pytest.raises(ValueError, match="flat"):
+        tensor_from_json('{"n": 3, "operator": [[' + six + "]]}")
+    with pytest.raises(ValueError, match="numbers"):
+        tensor_from_json('{"n": 3, "operator": [[1, 2], [3]]}')
+    with pytest.raises(ValueError, match="numbers"):
+        tensor_from_json('{"n": 3, "operator": [' + ", ".join(['"0"'] * 6) + "]}")
+    with pytest.raises(ValueError, match="numbers"):
+        tensor_from_json('{"n": 3, "operator": [null' + ", 0" * 5 + "]}")
+    with pytest.raises(ValueError, match="field types"):
+        tensor_from_json('{"n": 3, "operator": {"0": 1}}')
+    with pytest.raises(ValueError, match="dimension"):
+        tensor_from_json('{"n": 1, "operator": []}')
+    with pytest.raises(ValueError, match="keys"):
+        tensor_from_json('{"n": 3, "operator": [' + six + '], "components": []}')
+    with pytest.raises(ValueError, match="keys"):
+        tensor_from_json('{"n": 3, "operator": [' + six + '], "kappa": 1}')
+    with pytest.raises(ValueError, match="keys"):
+        tensor_from_json('{"n": 3, "matrix": [' + six + "]}")
+    with pytest.raises(ValueError, match="finite"):
+        tensor_from_json('{"n": 2, "operator": [NaN]}')
+
+
 def test_tensor_json_is_plain_json():
     r = sphere(4, 1.0 / 3.0)
     data = json.loads(tensor_to_json(r))
     assert data["n"] == 4
-    assert len(data["components"]) == 256
-    assert data["components"][1 * 64 + 0 * 16 + 1 * 4 + 0] == pytest.approx(1.0 / 3.0, abs=0)
-    assert data["components"][0 * 64 + 1 * 16 + 1 * 4 + 0] == pytest.approx(-1.0 / 3.0, abs=0)
+    assert set(data) == {"n", "operator"}
+    # M's upper triangle for N = 6 pairs: row p starts at 6 p - p (p - 1) / 2
+    assert len(data["operator"]) == 21
+    assert data["operator"][0] == pytest.approx(1.0 / 3.0, abs=0)  # R_0101
+    assert data["operator"][6] == pytest.approx(1.0 / 3.0, abs=0)  # R_0202
+    assert data["operator"][1] == pytest.approx(0.0, abs=0)  # R_0102
 
 
 def test_tensor_json_rejects_malformed():

@@ -62,6 +62,31 @@ def test_projection_matches_nullspace_oracle():
         assert np.max(np.abs(got - expected)) < 1e-12
 
 
+def test_projection_matches_nullspace_oracle_up_to_n8():
+    # The symmetry constraints only couple components with the same index
+    # multiset, so the projection acts block by block and its restriction
+    # to the components with indices in a 4-set S is the projection in
+    # dimension 4 of the raw components on S: the n = 4 oracle checks
+    # every n through seeded 4-subsets.
+    rng = np.random.default_rng(7)
+    for n in range(4, 9):
+        raw = rng.standard_normal((n, n, n, n))
+        got = project_curvature(raw, n).array
+        for _ in range(1 if n == 4 else 3):
+            s = np.sort(rng.choice(n, 4, replace=False))
+            block = np.ix_(s, s, s, s)
+            assert np.max(np.abs(got[block] - _projection_oracle(raw[block], 4))) < 1e-12
+
+
+def test_projection_is_exact_on_the_pair_symmetries():
+    rng = np.random.default_rng(8)
+    for n in range(2, 13):
+        raw = rng.standard_normal((n, n, n, n))
+        anti, pair, bianchi = symmetry_residuals(project_curvature(raw, n).array)
+        assert anti == 0.0 and pair == 0.0
+        assert bianchi < 1e-15
+
+
 def test_symmetry_space_dimension():
     # The oracle's null space must have dimension n^2 (n^2 - 1) / 12.
     n = 4
