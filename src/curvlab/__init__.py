@@ -1,9 +1,9 @@
 """curvlab: a numerical laboratory for algebraic curvature operators.
 
-Dense curvature tensors with enforced symmetries, model geometries
-(spheres, complex projective space, products, flat paddings), orthonormal
-frames and their weighted lifts, the isotropic-curvature functional and
-its pinching family, multistart Stiefel minimization behind the condition
+Curvature tensors held as their operator on Lambda^2, with enforced symmetries,
+model geometries (spheres, complex projective space, products, flat paddings),
+orthonormal frames and their weighted lifts, the isotropic-curvature functional
+and its pinching family, multistart Stiefel minimization behind the condition
 checkers, and the quadratic reaction ODE with cone-margin experiments.
 
 The package exports the public names of four modules, each listed once in

@@ -55,7 +55,6 @@ import numpy as np
 
 from .blas import single_threaded
 from .frames import Frame, cyclic_frames, lift_frame, random_frame
-from .lambda2 import operator
 from .stiefel import descend, dots, orthonormal_rows
 from .tensors import CurvatureTensor, pad_euclidean
 
@@ -504,7 +503,7 @@ def minimize_searches(
     opts = opts or MinimizeOpts()
     obj = _FrameObjective(r, objective, weights)
     k, width = obj.rows, r.n + max(flat for flat, _, _ in searches)
-    m = operator(r.array)
+    m = r.operator
     gap = GAP_TOL * max(1.0, float(np.abs(m).max()))
     spectrum = functools.cache(functools.partial(_spectrum, m))
     stacks, lowers = [], []

@@ -11,11 +11,11 @@ the normative anchor for the Q convention: it pins the overall scale and
 sign used here.
 
 The integrator's state is the curvature operator on Lambda^2, the
-symmetric N x N matrix M[(i<j), (k<l)] = R_ijkl with N = n(n-1)/2, and Q
-is evaluated on it directly (``lambda2``).  Where a ``CurvatureTensor`` is
-needed (the diagnostic rows, the final tensor and ``quadratic_reaction``)
-M is projected on Lambda^2 (``lambda2.project``) and expanded, in the form
-a tensor file stores.  ``integrate`` runs the one RK4
+symmetric N x N matrix M[(i<j), (k<l)] = R_ijkl with N = n(n-1)/2 that a
+``CurvatureTensor`` holds, and Q is evaluated on it directly
+(``lambda2``).  The tensors of the diagnostic rows, the final tensor and
+``quadratic_reaction`` are built from M projected on Lambda^2
+(``lambda2.project``).  ``integrate`` runs the one RK4
 stepper; it, ``quadratic_reaction`` and ``decomposition_residual`` share
 the one Q kernel.  BLAS runs on one thread
 (``blas.single_threaded``), so the same input gives the same bytes on any
@@ -32,7 +32,7 @@ import numpy as np
 from .blas import single_threaded
 from .conditions import MinimizeOpts, check_pic2, isotropic_curvature, minimize_searches
 from .frames import Frame, complete_basis
-from .lambda2 import expand, operator, project
+from .lambda2 import project
 from .lambda2 import reaction as _reaction_raw  # looked up per call, so tests can count calls
 from .tensors import CurvatureTensor, SYM_TOL_DEFAULT, scalar_curvature
 
@@ -152,9 +152,9 @@ class FlowOpts:
 
 
 def _tensor(m: np.ndarray, n: int) -> CurvatureTensor:
-    """Project on Lambda^2 and expand, with sym_tol scaled to the data."""
+    """The tensor of M projected on Lambda^2, with sym_tol scaled to the data."""
     tol = max(SYM_TOL_DEFAULT, 1e-12 * float(np.abs(m).max(initial=0.0)))
-    return CurvatureTensor(n=n, comps=expand(project(m), n), sym_tol=tol)
+    return CurvatureTensor.from_operator(n, project(m), tol)
 
 
 def _scalar(m: np.ndarray) -> float:
@@ -170,7 +170,7 @@ def quadratic_reaction(r: CurvatureTensor) -> CurvatureTensor:
     Maps the algebraic symmetry class to itself; on the constant-curvature
     ray Q(sphere(n, kappa)) = sphere(n, 2 (n-1) kappa^2).
     """
-    return _tensor(_reaction_raw(operator(r.array)), r.n)
+    return _tensor(_reaction_raw(r.operator), r.n)
 
 
 # ---------------------------------------------------------------------------
@@ -317,14 +317,14 @@ def integrate(r0: CurvatureTensor, t_end: float, opts: FlowOpts | None = None) -
 
     The state is the Lambda^2 operator of R, whose entries are exactly the
     distinct components of R up to sign, so the maxima above are the same
-    as over the full array; the tensor is built only for diagnostic rows
-    and the final tensor.  The trace counts the Q evaluations and halvings.
+    as over the full array.  The trace counts the Q evaluations and
+    halvings.
     """
     opts = opts or FlowOpts()
     if t_end <= 0 or not np.isfinite(t_end):
         raise ValueError("t_end must be positive and finite")
     n = r0.n
-    y = operator(r0.array)
+    y = r0.operator
     scalar0 = _scalar(y)
     if opts.normalize and abs(scalar0) < 1e-12 * max(1.0, float(np.abs(y).max())):
         raise ValueError("cannot normalize: initial scalar curvature vanishes")

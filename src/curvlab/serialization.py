@@ -4,10 +4,11 @@ Writers emit floating-point values with 17 significant digits so that a
 write/read cycle reproduces IEEE doubles bit for bit.
 
 Tensors are written as ``{"n": n, "operator": [...]}``, the upper triangle
-of M[(i<j), (k<l)] = R_ijkl row by row, pairs in lexicographic order, and
-read back as ``expand`` of the symmetric M: bit for bit for every tensor
-curvlab builds, without the asymmetry of one that is not exactly symmetric.
-The n^4 row-major ``{"n": n, "components": [...]}`` is still read as given.
+of a tensor's operator M[(i<j), (k<l)] = R_ijkl row by row, pairs in
+lexicographic order, and read back as the tensor of the symmetric M: bit
+for bit for every tensor curvlab builds, without the asymmetry of one that
+is not exactly symmetric.  The n^4 row-major ``{"n": n, "components":
+[...]}`` is still read, as raw components (``CurvatureTensor``).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import math
 import numpy as np
 
 from .flow import TRACE_COLUMNS, FlowTrace, TraceRow
-from .lambda2 import expand, operator
 from .tensors import CurvatureTensor
 
 __all__ = [
@@ -82,7 +82,7 @@ def _emit(obj, level: int) -> str:
 
 
 def tensor_to_json(r: CurvatureTensor) -> str:
-    upper = operator(r.array)[np.triu_indices(r.n * (r.n - 1) // 2)].tolist()
+    upper = r.operator[np.triu_indices(r.n * (r.n - 1) // 2)].tolist()
     # fmt17 writes -0.0 as "-0", which JSON reads as the integer 0
     values = ", ".join("-0.0" if x == 0.0 and math.copysign(1.0, x) < 0.0 else fmt17(x) for x in upper)
     return f'{{"n": {r.n}, "operator": [{values}]}}\n'
@@ -106,15 +106,13 @@ def tensor_from_json(text: str) -> CurvatureTensor:
         raise ValueError(f"tensor JSON {key} must be a flat list of numbers")
     if key == "components":
         return CurvatureTensor(n=n, comps=arr)
-    if n < 2:
-        raise ValueError(f"dimension must be >= 2, got {n}")
     big = n * (n - 1) // 2
     if arr.size != big * (big + 1) // 2:
         raise ValueError(f"expected {big * (big + 1) // 2} operator entries for n={n}, got {arr.size}")
     m = np.empty((big, big))
     upper = np.triu_indices(big)
     m[upper] = m.T[upper] = arr
-    return CurvatureTensor(n=n, comps=expand(m, n))
+    return CurvatureTensor.from_operator(n, m)
 
 
 def write_tensor(path: str, r: CurvatureTensor) -> None:

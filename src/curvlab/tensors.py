@@ -1,11 +1,12 @@
 """Algebraic curvature tensors on R^n and the model geometries.
 
-A curvature tensor here is a dense rank-4 array carrying the classical
-symmetries of a Riemannian curvature tensor at a point: antisymmetry in the
-first and second index pairs, symmetry under pair exchange, and the first
-Bianchi identity.  The sign convention makes sectional curvature
-``K(X, Y) = R(X, Y, X, Y)`` for orthonormal ``X, Y``, positive on the round
-sphere.
+A curvature tensor carries the classical symmetries of a Riemannian
+curvature tensor at a point: antisymmetry in the first and second index
+pairs, symmetry under pair exchange, and the first Bianchi identity.  The
+sign convention makes sectional curvature ``K(X, Y) = R(X, Y, X, Y)`` for
+orthonormal ``X, Y``, positive on the round sphere.  A tensor is held as
+its operator M on Lambda^2 (``lambda2``); this module alone converts
+between M and the n^4 components, which it expands from M on first use.
 
 Model constructors cover the spaces needed for borderline experiments:
 round spheres, complex projective space with the standard Kaehler
@@ -15,11 +16,12 @@ seeded random tensors.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lambda2 import _pairs, expand, operator, project
+from .lambda2 import _pairs, _quads, expand, operator, project
 
 __all__ = [
     "CurvatureTensor",
@@ -41,53 +43,82 @@ SYM_TOL_DEFAULT = 1e-9
 PLANE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CurvatureTensor:
-    """Dense algebraic curvature tensor on R^n.
+    """Algebraic curvature tensor on R^n, held as its Lambda^2 operator.
+
+    The constructor takes ``n**4`` raw components, entry ``(i, j, k, l)``
+    at offset ``i*n**3 + j*n**2 + k*n + l``, checks every symmetry on them
+    (``symmetry_residuals``) and keeps their M; ``from_operator`` takes M.
 
     Attributes
     ----------
     n : int
         Ambient dimension, at least 2.
-    comps : ndarray
-        Flat array of length ``n**4``; entry ``(i, j, k, l)`` sits at
-        offset ``i*n**3 + j*n**2 + k*n + l``.
+    operator : ndarray
+        The read-only N x N matrix M[(i<j), (k<l)] = R_ijkl, pairs in
+        lexicographic order.
     sym_tol : float
         Max-norm tolerance used to validate the symmetries on construction.
     """
 
     n: int
-    comps: np.ndarray
+    operator: np.ndarray
     sym_tol: float = SYM_TOL_DEFAULT
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"dimension must be >= 2, got {self.n}")
-        comps = np.asarray(self.comps, dtype=float).reshape(-1)
-        if comps.size != self.n**4:
-            raise ValueError(
-                f"expected {self.n**4} components for n={self.n}, got {comps.size}"
-            )
+    def __init__(self, n: int, comps, sym_tol: float = SYM_TOL_DEFAULT):
+        if n < 2:
+            raise ValueError(f"dimension must be >= 2, got {n}")
+        comps = np.asarray(comps, dtype=float).reshape(-1)
+        if comps.size != n**4:
+            raise ValueError(f"expected {n**4} components for n={n}, got {comps.size}")
         if not np.all(np.isfinite(comps)):
             raise ValueError("curvature components must be finite")
-        comps = comps.copy()
-        comps.flags.writeable = False
-        object.__setattr__(self, "comps", comps)
-        if self.sym_tol < 0:
-            raise ValueError("sym_tol must be nonnegative")
-        anti, pair, bianchi = symmetry_residuals(self.array)
-        worst = max(anti, pair, bianchi)
-        if worst > self.sym_tol:
+        r = comps.reshape(n, n, n, n)
+        self._hold(n, operator(r), sym_tol, *symmetry_residuals(r))
+
+    @classmethod
+    def from_operator(cls, n: int, m, sym_tol: float = SYM_TOL_DEFAULT) -> CurvatureTensor:
+        """The tensor with the N x N operator M, checked only on what M can
+        break: finite entries, the pair residual max |M - M^T| and the Bianchi
+        residual max |M[ij,kl] - M[ik,jl] + M[il,jk]| at i < j < k < l."""
+        if n < 2:
+            raise ValueError(f"dimension must be >= 2, got {n}")
+        big = n * (n - 1) // 2
+        m = np.array(m, dtype=float)
+        if m.shape != (big, big):
+            raise ValueError(f"expected a {big} x {big} operator for n={n}, got shape {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("curvature components must be finite")
+        v = m.reshape(-1)[_quads(big)[0]]
+        r = object.__new__(cls)
+        r._hold(n, m, sym_tol, 0.0, float(np.abs(m - m.T).max()), float(np.abs(v[0] - v[1] + v[2]).max(initial=0.0)))
+        return r
+
+    def _hold(self, n: int, m: np.ndarray, sym_tol: float, anti: float, pair: float, bianchi: float) -> None:
+        """Keep M if every residual is within sym_tol, which must be >= 0 (NaN is not)."""
+        if not sym_tol >= 0:
+            raise ValueError(f"sym_tol must be nonnegative, got {sym_tol}")
+        if max(anti, pair, bianchi) > sym_tol:
             raise ValueError(
                 "symmetry violation: residuals "
                 f"(antisymmetry={anti:.3e}, pair={pair:.3e}, bianchi={bianchi:.3e}) "
-                f"exceed sym_tol={self.sym_tol:.3e}"
+                f"exceed sym_tol={sym_tol:.3e}"
             )
+        m.flags.writeable = False
+        self.__dict__.update(n=n, operator=m, sym_tol=sym_tol)  # past the frozen __setattr__
+
+    @functools.cached_property
+    def array(self) -> np.ndarray:
+        """Components as a read-only (n, n, n, n) array, expanded from M once."""
+        full = expand(self.operator, self.n)
+        full.flags.writeable = False
+        return full
 
     @property
-    def array(self) -> np.ndarray:
-        """Components as a read-only (n, n, n, n) view."""
-        return self.comps.reshape(self.n, self.n, self.n, self.n)
+    def comps(self) -> np.ndarray:
+        """Components as a flat read-only array of length ``n**4``."""
+        return self.array.reshape(-1)
 
     def __call__(self, x, y, z, w) -> float:
         """Multilinear evaluation R(x, y, z, w) on four vectors."""
@@ -95,7 +126,7 @@ class CurvatureTensor:
         return float(np.einsum("ijkl,i,j,k,l->", r, x, y, z, w, optimize=True))
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.comps))) if self.comps.size else 0.0
+        return float(np.abs(self.operator).max())
 
 
 def symmetry_residuals(r: np.ndarray) -> tuple[float, float, float]:
@@ -133,8 +164,8 @@ def project_curvature(raw, n: int, sym_tol: float = SYM_TOL_DEFAULT) -> Curvatur
     Returns
     -------
     CurvatureTensor
-        ``expand`` of the projected operator, which reads back bit for bit:
-        exact pair symmetries, Bianchi up to round-off.
+        The tensor of the projected operator: exact pair symmetries,
+        Bianchi up to round-off.
     """
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
@@ -148,7 +179,7 @@ def project_curvature(raw, n: int, sym_tol: float = SYM_TOL_DEFAULT) -> Curvatur
     ji = (ij % n) * n + ij // n
     rows, swapped = t[ij], t[ji]
     m = 0.25 * (rows[:, ij] - swapped[:, ij] - rows[:, ji] + swapped[:, ji])
-    return CurvatureTensor(n=n, comps=expand(project(m), n), sym_tol=sym_tol)
+    return CurvatureTensor.from_operator(n, project(m), sym_tol)
 
 
 def sectional(r: CurvatureTensor, x, y) -> float:
@@ -179,9 +210,7 @@ def scalar_curvature(r: CurvatureTensor) -> float:
 
 def sphere(n: int, kappa: float) -> CurvatureTensor:
     """Constant-curvature tensor: every sectional curvature equals kappa."""
-    if n < 2:
-        raise ValueError(f"dimension must be >= 2, got {n}")
-    return CurvatureTensor(n=n, comps=expand(np.diag(np.full(n * (n - 1) // 2, float(kappa))), n))
+    return CurvatureTensor.from_operator(n, np.diag(np.full(n * (n - 1) // 2, float(kappa))))
 
 
 def standard_complex_structure(m: int) -> np.ndarray:
@@ -206,7 +235,18 @@ def fubini_study(m: int, c: float) -> CurvatureTensor:
     a, b = np.triu_indices(n, 1)
     aa, ab, ba, bb = np.ix_(a, a), np.ix_(a, b), np.ix_(b, a), np.ix_(b, b)
     op = e[aa] * e[bb] - e[ab] * e[ba] + j[aa] * j[bb] - j[ab] * j[ba] + 2.0 * np.outer(j[a, b], j[a, b])
-    return CurvatureTensor(n=n, comps=expand((c / 4.0) * op, n))
+    return CurvatureTensor.from_operator(n, (c / 4.0) * op)
+
+
+def _placed(n: int, *blocks: tuple[int, CurvatureTensor]) -> CurvatureTensor:
+    """The tensor on R^n whose operator holds each block's M on the pairs
+    of the coordinates start, ..., start + n_block - 1, and zeros elsewhere."""
+    m = np.zeros((n * (n - 1) // 2,) * 2)
+    for start, r in blocks:
+        i, j = np.triu_indices(r.n, 1)
+        pairs = np.searchsorted(_pairs(n), (i + start) * n + j + start)
+        m[np.ix_(pairs, pairs)] = r.operator
+    return CurvatureTensor.from_operator(n, m)
 
 
 def product(r1: CurvatureTensor, r2: CurvatureTensor) -> CurvatureTensor:
@@ -215,11 +255,7 @@ def product(r1: CurvatureTensor, r2: CurvatureTensor) -> CurvatureTensor:
     Components with all indices in one factor equal that factor's components;
     every mixed component vanishes.
     """
-    n = r1.n + r2.n
-    out = np.zeros((n, n, n, n))
-    out[: r1.n, : r1.n, : r1.n, : r1.n] = r1.array
-    out[r1.n :, r1.n :, r1.n :, r1.n :] = r2.array
-    return CurvatureTensor(n=n, comps=out.reshape(-1))
+    return _placed(r1.n + r2.n, (0, r1), (r1.n, r2))
 
 
 def pad_euclidean(r: CurvatureTensor, k: int) -> CurvatureTensor:
@@ -228,10 +264,7 @@ def pad_euclidean(r: CurvatureTensor, k: int) -> CurvatureTensor:
         raise ValueError(f"padding dimension must be >= 0, got {k}")
     if k == 0:
         return r
-    n = r.n + k
-    out = np.zeros((n, n, n, n))
-    out[: r.n, : r.n, : r.n, : r.n] = r.array
-    return CurvatureTensor(n=n, comps=out.reshape(-1))
+    return _placed(r.n + k, (0, r))
 
 
 def combine(a: float, r1: CurvatureTensor, b: float, r2: CurvatureTensor) -> CurvatureTensor:
@@ -240,7 +273,7 @@ def combine(a: float, r1: CurvatureTensor, b: float, r2: CurvatureTensor) -> Cur
         raise ValueError(f"dimension mismatch: {r1.n} vs {r2.n}")
     if not (np.isfinite(a) and np.isfinite(b)):
         raise ValueError("combination coefficients must be finite")
-    return CurvatureTensor(n=r1.n, comps=expand(a * operator(r1.array) + b * operator(r2.array), r1.n))
+    return CurvatureTensor.from_operator(r1.n, a * r1.operator + b * r2.operator)
 
 
 def random_tensor(seed: int, n: int) -> CurvatureTensor:

@@ -117,6 +117,22 @@ def test_operator_form_rejects_malformed():
         tensor_from_json('{"n": 2, "operator": [NaN]}')
 
 
+def test_operator_form_rejects_broken_symmetries():
+    # the only entry M[(12),(34)] = M[(34),(12)] = 1 at n = 4 is a pure
+    # Lambda^4 part: its Bianchi cyclic sum is 1
+    upper = [0.0] * 21
+    upper[5] = 1.0
+    with pytest.raises(ValueError, match="symmetry violation.*bianchi=1.000e"):
+        tensor_from_json(json.dumps({"n": 4, "operator": upper}))
+    # the operator form is symmetric by construction; an M passed whole can
+    # break the pair exchange
+    m = sphere(4, 1.0).operator.copy()
+    m[0, 1] = 2e-9
+    with pytest.raises(ValueError, match="symmetry violation.*pair=2.000e-09"):
+        CurvatureTensor.from_operator(4, m)
+    assert CurvatureTensor.from_operator(4, m, sym_tol=3e-9).operator[0, 1] == 2e-9
+
+
 def test_tensor_json_is_plain_json():
     r = sphere(4, 1.0 / 3.0)
     data = json.loads(tensor_to_json(r))

@@ -1,8 +1,13 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
 
+from curvlab import tensors
+from curvlab.conditions import MinimizeOpts
+from curvlab.flow import FlowOpts, integrate, quadratic_reaction
+from curvlab.serialization import read_tensor, write_tensor
 from curvlab.tensors import (
     CurvatureTensor,
     combine,
@@ -164,6 +169,39 @@ def test_tensor_validation():
         CurvatureTensor(n=1, comps=np.zeros(1))
 
 
+def test_nan_sym_tol_is_rejected_by_every_constructor():
+    # a NaN sym_tol made both comparisons false and switched validation
+    # off: the components lack their antisymmetric partners, M its transpose
+    bad = np.zeros((3, 3, 3, 3))
+    bad[0, 1, 0, 1] = 1.0
+    for build in (
+        lambda tol: CurvatureTensor(n=3, comps=bad.reshape(-1), sym_tol=tol),
+        lambda tol: CurvatureTensor.from_operator(3, np.triu(np.ones((3, 3))), sym_tol=tol),
+        lambda tol: project_curvature(bad, 3, sym_tol=tol),
+    ):
+        for tol in (float("nan"), -1.0):
+            with pytest.raises(ValueError, match="sym_tol must be nonnegative"):
+                build(tol)
+
+
+def test_from_operator_checks_its_input_and_keeps_a_read_only_copy():
+    m = np.diag([1.0, 2.0, 3.0])
+    r = CurvatureTensor.from_operator(3, m)
+    m[0, 0] = 5.0
+    assert r.operator[0, 0] == 1.0 and r.max_abs() == 3.0
+    with pytest.raises(ValueError):
+        r.operator[0, 0] = 5.0
+    with pytest.raises(AttributeError):
+        r.operator = m
+    assert np.array_equal(r.operator, CurvatureTensor(n=3, comps=r.comps).operator)
+    with pytest.raises(ValueError, match="3 x 3 operator for n=3"):
+        CurvatureTensor.from_operator(3, np.eye(4))
+    with pytest.raises(ValueError, match="finite"):
+        CurvatureTensor.from_operator(3, np.full((3, 3), np.nan))
+    with pytest.raises(ValueError, match="dimension"):
+        CurvatureTensor.from_operator(1, np.zeros((0, 0)))
+
+
 def test_tensor_immutable():
     s = sphere(4, 1.0)
     with pytest.raises(ValueError):
@@ -309,3 +347,24 @@ def test_evaluation_call():
     e = np.eye(4)
     assert s(e[0], e[1], e[0], e[1]) == pytest.approx(3.0, abs=1e-14)
     assert s(e[0], e[1], e[2], e[3]) == pytest.approx(0.0, abs=1e-14)
+
+
+def test_tensors_built_from_operators_skip_the_component_check(monkeypatch, tmp_path):
+    # only raw components pay for the n^4 symmetry check; every tensor
+    # curvlab builds comes from its operator
+    calls = []
+    check = tensors.symmetry_residuals
+    monkeypatch.setattr(tensors, "symmetry_residuals", lambda r: calls.append(r.shape[0]) or check(r))
+    s = sphere(4, 1.0)
+    r = combine(1.0, random_tensor(3, 5), 0.5, pad_euclidean(fubini_study(2, 4.0), 1))
+    product(sphere(2, 1.0), s)
+    quadratic_reaction(r)
+    path = tmp_path / "r.json"
+    write_tensor(str(path), r)
+    read_tensor(str(path))
+    trace = integrate(r, 0.02, FlowOpts(dt=0.005, minimize=MinimizeOpts(restarts=1)))
+    assert len(trace.rows) > 2 and trace.final.n == 5
+    assert calls == []
+    path.write_text(json.dumps({"n": 4, "components": s.comps.tolist()}))
+    assert np.array_equal(read_tensor(str(path)).operator, s.operator)
+    assert calls == [4]
