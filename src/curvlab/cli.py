@@ -295,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--normalize", action="store_true")
     p.add_argument("--fixed-step", action="store_true", help="disable step-size control and use --dt exactly")
     p.add_argument("--out", default=None, help="trace CSV file (default stdout)")
-    p.add_argument("--stride", type=int, default=1)
+    p.add_argument("--stride", type=int, default=1, help="a diagnostics row every STRIDE * dt of time, and at t_end")
     p.add_argument("--restarts", type=int, default=FlowOpts.minimize.restarts, help="restarts per diagnostic row")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_flow)

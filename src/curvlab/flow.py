@@ -49,13 +49,13 @@ __all__ = [
     "sphere_kappa",
 ]
 
-# Richardson halvings allowed per step before a step-size underflow, the
-# safety factor of the step-size controller, and the max |component| past
-# which integration aborts as a blow-up.
+# Halvings (rejected trials) allowed per step before a step-size
+# underflow, the safety factor of the step-size controller, and the max
+# |component| past which integration aborts as a blow-up.
 MAX_HALVINGS = 40
 SAFETY = 0.8
 BLOWUP_CAP = 1e12
-# A trajectory within this of t_end has reached it.
+# Times within END_TOL * max(1, t_end) of each other are one time.
 END_TOL = 1e-15
 
 
@@ -122,14 +122,14 @@ class FlowOpts:
     """Integrator options.
 
     ``dt`` is the largest step.  ``ode_tol`` is the per-step error
-    tolerance of the step-size controller and of Richardson halving, mixed
-    absolute and relative: a step from state y may err by ``ode_tol *
-    max(1, max |y|)``, and a trace row's ``err_est`` is in that unit, the
-    estimate over max(1, max |y|).  None disables both and runs plain
-    fixed-step RK4 at ``dt`` (used to measure the method order).
-    ``normalize`` rescales after each step to hold scalar curvature at its
-    initial value.  ``stride`` controls how many accepted steps separate
-    diagnostic rows; the initial and final rows are always present.
+    tolerance of the step-size controller, mixed absolute and relative: a
+    step from state y may err by ``ode_tol * max(1, max |y|)``, and a
+    trace row's ``err_est`` is in that unit, the estimate over
+    max(1, max |y|).  None disables it and runs plain fixed-step RK4 at
+    ``dt`` (used to measure the method order).  ``normalize`` rescales
+    after each step to hold scalar curvature at its initial value.
+    Diagnostic rows lie on the time grid t = j * ``stride`` * ``dt`` and
+    at t_end; the initial and final rows are always present.
     """
 
     dt: float = 0.01
@@ -226,19 +226,6 @@ def decomposition_residual(r: CurvatureTensor, frame: Frame) -> float:
 # Integration
 
 
-def _rk4(y: np.ndarray, h: float, k1: np.ndarray | None = None) -> np.ndarray:
-    # Overflow near a blow-up yields non-finite entries; callers test for
-    # them and either halve the step or raise, so the warnings are noise.
-    # ``k1`` = Q(y) may be passed in when several steps start from y.
-    with np.errstate(over="ignore", invalid="ignore"):
-        if k1 is None:
-            k1 = _reaction_raw(y)
-        k2 = _reaction_raw(y + 0.5 * h * k1)
-        k3 = _reaction_raw(y + 0.5 * h * k2)
-        k4 = _reaction_raw(y + h * k3)
-        return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 class _Diagnostics:
     """Warm-started per-row minimizations for trace diagnostics.
 
@@ -269,56 +256,60 @@ class _Diagnostics:
         )
 
 
-def _step_toward(left: float, h: float) -> float:
-    """The step to take with ``left`` to go when the controller proposes h:
-    all of ``left`` if it is at most h, and half of it if a step of h
-    would leave a sliver, less than h / 2 but more than ``END_TOL``, so
-    that no step to t_end is shorter than h / 2."""
-    if left <= h:
+def _step_toward(left: float, h: float, near: float) -> float:
+    """The step to take with ``left`` to go to the next stop when the
+    controller proposes h: all of ``left`` if it is at most h (give or
+    take ``near``), and half of it if a step of h would leave a sliver,
+    less than h / 2, so that no step before a stop is shorter than h / 2."""
+    if left - h <= near:
         return left
-    if left < 1.5 * h and left - h > END_TOL:
+    if left < 1.5 * h:
         return 0.5 * left
     return h
 
 
 def _growth(err: float, tol: float) -> float:
     """Step-size factor after a step accepted with error estimate err
-    (Hairer-Norsett-Wanner, *Solving ODEs I*, II.4): the local error of
-    RK4 is O(h^5), so h (tol / err)^(1/5) would meet tol exactly;
-    ``SAFETY`` aims below it, and the factor stays within [0.2, 2]."""
+    (Hairer-Norsett-Wanner, *Solving ODEs I*, II.4): the estimate is the
+    local error of the embedded third-order solution, O(h^4), so
+    h (tol / err)^(1/4) would meet tol exactly; ``SAFETY`` aims below it,
+    and the factor stays within [0.2, 2]."""
     if err == 0.0:
         return 2.0
-    return min(2.0, max(0.2, SAFETY * (tol / err) ** 0.2))
+    return min(2.0, max(0.2, SAFETY * (tol / err) ** 0.25))
 
 
 @single_threaded
 def integrate(r0: CurvatureTensor, t_end: float, opts: FlowOpts | None = None) -> FlowTrace:
     """Integrate dR/dt = Q(R) from 0 to t_end with diagnostics.
 
-    Classical RK4 with Richardson error control: each step is compared
-    against two half steps, the error estimate is max |full - halved| / 15,
-    and the halved result is the one accepted.  A trial whose estimate
-    exceeds the step's tolerance tol = ``opts.ode_tol`` * max(1, max |y|),
-    y the state at the start of the step (Atol = Rtol = ``ode_tol``), is
-    halved and tried again, its full step being the rejected trial's first
-    half step; more than ``MAX_HALVINGS`` halvings of one
-    step are a step-size underflow (RuntimeError).  After each accepted
-    step the next step is h times ``_growth(err, tol)``, at most
-    ``opts.dt``, the first one is ``opts.dt``, and a step that would leave
-    a sliver before t_end is cut to half the rest (``_step_toward``).
-    A row's ``err_est`` is the largest estimate since the previous row,
-    each over its step's max(1, max |y|), so an accepted step reports at
-    most ``ode_tol``.  With ``ode_tol=None`` every step is ``opts.dt``
-    (the last one cut to t_end), the full fixed-step result is used and
-    the estimate is only recorded.  The blow-up guard aborts with
-    FlowBlowupError when components pass ``BLOWUP_CAP``; because the
-    tolerance grows with the state, the steps toward a finite-time
-    singularity do not shrink without end, and the guard is reached.
+    Classical RK4 with its embedded third-order estimate
+    (Hairer-Norsett-Wanner, *Solving ODEs I*, II.4-5): k5 = Q(y_{n+1}) is
+    also the next step's k1 (first same as last), and the solution with
+    weights (1/6, 1/3, 1/3, 0, 1/6) differs from RK4's, which is
+    accepted, by (h/6)(k4 - k5).  A trial costs 4 Q.  One whose estimate
+    exceeds tol = ``opts.ode_tol`` * max(1, max |y|), y the state at the
+    start of the step (Atol = Rtol = ``ode_tol``), is halved and tried
+    again; more than ``MAX_HALVINGS`` halvings of one step are a step-size
+    underflow (RuntimeError).  The first step is ``opts.dt``, and each
+    next one h times ``_growth(err, tol)``, at most ``opts.dt``.
+
+    Rows lie at t = j * ``opts.stride`` * ``opts.dt`` and at t_end, so a
+    row is a computed state: steps are cut to land on the next row time
+    without a sliver (``_step_toward``), and a row time less than half a
+    step before t_end gives way to t_end.  A row's ``err_est`` is the
+    largest estimate since the previous row, each over its step's
+    max(1, max |y|), so it is at most ``ode_tol``.  With ``ode_tol=None``
+    every step is ``opts.dt`` (the last one cut to t_end) and the estimate
+    is only recorded.  After a ``normalize`` rescale, k1 is Q of the
+    rescaled y.  The blow-up guard aborts with FlowBlowupError when
+    components pass ``BLOWUP_CAP``; because the tolerance grows with the
+    state, the steps toward a finite-time singularity do not shrink
+    without end, and the guard is reached.
 
     The state is the Lambda^2 operator of R, whose entries are exactly the
     distinct components of R up to sign, so the maxima above are the same
-    as over the full array.  The trace counts the Q evaluations and
-    halvings.
+    as over the full array.  The trace counts Q evaluations and halvings.
     """
     opts = opts or FlowOpts()
     if t_end <= 0 or not np.isfinite(t_end):
@@ -330,62 +321,71 @@ def integrate(r0: CurvatureTensor, t_end: float, opts: FlowOpts | None = None) -
         raise ValueError("cannot normalize: initial scalar curvature vanishes")
     diag = _Diagnostics(opts.minimize)
     rows = [diag.row(0.0, r0, 0.0, 0.0)]
-    r_now = None
     t = 0.0
     h = opts.dt
+    k1 = None
     steps = q_evals = halvings = 0
     err_since_row = 0.0
-    while t < t_end - END_TOL:
+    near = END_TOL * max(1.0, t_end)
+    while t < t_end:
         scale = max(1.0, float(np.abs(y).max()))
+        stop = min(t_end, len(rows) * opts.stride * opts.dt)
         if opts.ode_tol is None:
-            h = min(opts.dt, t_end - t)
+            h = opts.dt if t_end - t > opts.dt - near else t_end - t
+            if t_end - stop <= near:
+                stop = t_end
         else:
-            h = _step_toward(t_end - t, h)
             tol = opts.ode_tol * scale
+            if t_end - stop < 0.5 * h:
+                stop = t_end
+            h = _step_toward(stop - t, h, near)
         tries = 0
+        # Overflow near a blow-up yields non-finite entries, which halve
+        # the step or raise below, so the warnings are noise.
         with np.errstate(over="ignore", invalid="ignore"):
-            k1 = _reaction_raw(y)
-        full = _rk4(y, h, k1)
-        q_evals += 4
-        while True:
-            mid = _rk4(y, 0.5 * h, k1)
-            halved = _rk4(mid, 0.5 * h)
-            q_evals += 7
-            err = float(np.abs(full - halved).max()) / 15.0
-            if not np.isfinite(err):
-                err = float("inf")
-            if opts.ode_tol is None or err <= tol:
-                break
-            tries += 1
-            if tries > MAX_HALVINGS:
-                raise RuntimeError(f"step size underflow at t = {t:.6g}: error estimate {err:.3e}")
-            # the halved step's full trial is this trial's first half step
-            h *= 0.5
-            full = mid
+            if k1 is None:
+                k1 = _reaction_raw(y)
+                q_evals += 1
+            while True:
+                k2 = _reaction_raw(y + 0.5 * h * k1)
+                k3 = _reaction_raw(y + 0.5 * h * k2)
+                k4 = _reaction_raw(y + h * k3)
+                y_new = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                k5 = _reaction_raw(y_new)
+                q_evals += 4
+                err = h / 6.0 * float(np.abs(k4 - k5).max())
+                if not np.isfinite(err):
+                    err = float("inf")
+                if opts.ode_tol is None or err <= tol:
+                    break
+                tries += 1
+                if tries > MAX_HALVINGS:
+                    raise RuntimeError(f"step size underflow at t = {t:.6g}: error estimate {err:.3e}")
+                h *= 0.5
         halvings += tries
-        y = full if opts.ode_tol is None else halved
+        y, k1 = y_new, k5
         if not np.all(np.isfinite(y)):
             raise FlowBlowupError(t + h, float("inf"), BLOWUP_CAP)
         if opts.normalize:
             s_new = _scalar(y)
             if abs(s_new) < 1e-300 or (s_new > 0) != (scalar0 > 0):
                 raise ValueError(f"normalization failed at t = {t + h:.6g}: scalar curvature degenerated")
-            y = y * (scalar0 / s_new)
+            y, k1 = y * (scalar0 / s_new), None
         size = float(np.abs(y).max())
         if size > BLOWUP_CAP:
             raise FlowBlowupError(t + h, size, BLOWUP_CAP)
-        t += h
         steps += 1
+        t = steps * opts.dt if opts.ode_tol is None else t + h
         err_since_row = max(err_since_row, err / scale)
-        if steps % opts.stride == 0 or t >= t_end - END_TOL:
+        if t >= stop - near:
+            t = stop
             r_now = _tensor(y, n)
             rows.append(diag.row(t, r_now, h, err_since_row))
             err_since_row = 0.0
         if opts.ode_tol is not None:
             h = min(opts.dt, h * _growth(err, tol))
-    # the last row is at the last step, so its tensor is the final one
-    final = r_now if r_now is not None else _tensor(y, n)
-    return FlowTrace(rows=tuple(rows), final=final, q_evals=q_evals, halvings=halvings)
+    # the last step lands on t_end, so its row's tensor is the final one
+    return FlowTrace(rows=tuple(rows), final=r_now, q_evals=q_evals, halvings=halvings)
 
 
 @dataclass(frozen=True)

@@ -43,13 +43,14 @@ SYM_TOL_DEFAULT = 1e-9
 PLANE_TOL = 1e-12
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class CurvatureTensor:
     """Algebraic curvature tensor on R^n, held as its Lambda^2 operator.
 
     The constructor takes ``n**4`` raw components, entry ``(i, j, k, l)``
     at offset ``i*n**3 + j*n**2 + k*n + l``, checks every symmetry on them
     (``symmetry_residuals``) and keeps their M; ``from_operator`` takes M.
+    Tensors compare and hash by identity; compare ``operator`` for values.
 
     Attributes
     ----------

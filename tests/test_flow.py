@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from curvlab.serialization import write_tensor
 from curvlab.stiefel import descend
 from curvlab.tensors import (
     CurvatureTensor,
+    combine,
     fubini_study,
     product,
     project_curvature,
@@ -183,38 +185,43 @@ def test_row_tensors_are_exact_on_the_pair_symmetries(monkeypatch):
         assert bianchi < 1e-15
 
 
-def test_integrate_shares_first_stage(monkeypatch):
-    # The full step and the first half step share Q(y); with the other
-    # stages that is 1 + 3 + 3 + 4 = 11 evaluations per step, not 12.
-    calls = []
+def _counting_reaction(monkeypatch) -> list:
+    # records the argument of every Q evaluation of the integrator
+    args = []
     raw = flow._reaction_raw
 
     def counting(y):
-        calls.append(1)
+        args.append(y)
         return raw(y)
 
     monkeypatch.setattr(flow, "_reaction_raw", counting)
-    integrate(sphere(4, 1.0), 0.03, FlowOpts(dt=0.01, ode_tol=None, stride=10**9, minimize=LIGHT))
-    assert len(calls) == 3 * 11
+    return args
+
+
+def test_integrate_shares_first_stage(monkeypatch):
+    # k5 = Q(y_{n+1}) of the error estimate is the next step's k1, so three
+    # steps cost the first k1 and 4 evaluations each: 1 + 3 * 4 = 13
+    calls = _counting_reaction(monkeypatch)
+    trace = integrate(sphere(4, 1.0), 0.03, FlowOpts(dt=0.01, ode_tol=None, stride=10**9, minimize=LIGHT))
+    assert len(calls) == trace.q_evals == 1 + 3 * 4
 
 
 def test_step_size_is_kept_between_steps(monkeypatch):
     # CP^2 (c = 4) needs steps well below dt = 0.01; restarting each step at
-    # dt and halving down made 1326 Q evaluations here
-    calls = []
-    raw = flow._reaction_raw
-
-    def counting(y):
-        calls.append(1)
-        return raw(y)
-
-    monkeypatch.setattr(flow, "_reaction_raw", counting)
+    # dt and halving down made 1326 Q evaluations here, Richardson halving
+    # with a kept step 256 at an error of 1.3e-7
+    calls = _counting_reaction(monkeypatch)
+    accepted = []
+    growth = flow._growth
+    monkeypatch.setattr(flow, "_growth", lambda err, tol: accepted.append(err) or growth(err, tol))
     trace = integrate(fubini_study(2, 4.0), 0.05, FlowOpts())
-    assert trace.q_evals == len(calls) <= 400
-    steps = len(trace.rows) - 1
-    assert trace.q_evals == 11 * steps + 7 * trace.halvings
-    assert trace.rows[-1].t == pytest.approx(0.05)
+    assert trace.q_evals == len(calls) <= 470
+    assert trace.q_evals == 4 * (len(accepted) + trace.halvings) + 1
+    assert trace.rows[-1].t == 0.05
     assert all(row.dt <= 0.01 for row in trace.rows)
+    monkeypatch.undo()
+    ref = integrate(fubini_study(2, 4.0), 0.05, FlowOpts(ode_tol=1e-12, stride=10**9, minimize=LIGHT))
+    assert np.abs(trace.final.operator - ref.final.operator).max() < 1e-8
 
 
 def test_err_est_is_in_the_unit_of_ode_tol():
@@ -228,19 +235,103 @@ def test_err_est_is_in_the_unit_of_ode_tol():
     assert max(row.err_est for row in trace.rows) > 0.0
 
 
-def test_no_sliver_step_before_t_end():
-    # with every step accepted at dt, steps of dt would leave 1e-4 before
-    # t_end; the last two steps share what is left instead
+def test_no_sliver_step_before_t_end(monkeypatch):
+    # with every step accepted at dt, a row at 0.03 would leave 1e-4
+    # before t_end; it gives way to the t_end row, and the last two steps
+    # share what is left, so no step is shorter than half the controller's
+    steps = []
+    toward = flow._step_toward
+    monkeypatch.setattr(flow, "_step_toward", lambda left, h, near: steps.append((toward(left, h, near), h)) or steps[-1][0])
     opts = FlowOpts(dt=0.01, ode_tol=1.0, minimize=LIGHT)
     trace = integrate(sphere(4, 1.0), 0.0301, opts)
-    dts = [row.dt for row in trace.rows[1:]]
-    assert dts[:2] == [0.01, 0.01]
-    assert dts[2] == dts[3] == pytest.approx(0.00505, rel=1e-12) and len(dts) == 4
-    assert trace.rows[-1].t == pytest.approx(0.0301, abs=1e-15)
-    # the fixed-step path keeps dt and ends with the short step
+    assert [row.t for row in trace.rows] == [0.0, 0.01, 0.02, 0.0301]
+    assert [step for step, _ in steps] == pytest.approx([0.01, 0.01, 0.00505, 0.00505], rel=1e-12)
+    assert all(step >= 0.5 * h for step, h in steps)
+    assert [row.dt for row in trace.rows[1:]] == pytest.approx([0.01, 0.01, 0.00505], rel=1e-12)
+    # the fixed-step path keeps dt, a row after every step, and ends with
+    # the short step
     fixed = integrate(sphere(4, 1.0), 0.0301, FlowOpts(dt=0.01, ode_tol=None, minimize=LIGHT))
+    assert [row.t for row in fixed.rows] == [0.0, 0.01, 0.02, 0.03, 0.0301]
     assert [row.dt for row in fixed.rows[1:]] == pytest.approx([0.01, 0.01, 0.01, 0.0001])
     assert fixed.halvings == 0
+
+
+@pytest.mark.parametrize("ode_tol", [1e-9, None])
+def test_rows_lie_on_the_time_grid(ode_tol):
+    # S^4 to 0.05 at dt 0.01 takes steps near 1e-3 at the default
+    # tolerance; its rows are still the six grid times
+    trace = integrate(sphere(4, 1.0), 0.05, FlowOpts(dt=0.01, ode_tol=ode_tol, minimize=LIGHT))
+    assert [row.t for row in trace.rows] == [j * 0.01 for j in range(6)]
+    # CP^2 (c = 4) is error-limited far below dt; rows every 3 * dt, then
+    # t_end, 2e-3 after the last grid time
+    trace = integrate(fubini_study(2, 4.0), 0.05, FlowOpts(dt=0.004, ode_tol=ode_tol, stride=3, minimize=LIGHT))
+    assert [row.t for row in trace.rows] == [j * 3 * 0.004 for j in range(5)] + [0.05]
+    assert all(row.dt < 0.004 for row in trace.rows[1:]) == (ode_tol is not None)
+    # 11 * 0.03 rounds to 4e-17 below 0.33: that grid time is t_end's row
+    trace = integrate(sphere(4, 0.1), 0.33, FlowOpts(dt=0.03, ode_tol=ode_tol, minimize=LIGHT))
+    assert [row.t for row in trace.rows] == [j * 0.03 for j in range(11)] + [0.33]
+    # far from 0 a grid difference rounds by more than 1e-15, which must
+    # not split a step of dt in two
+    trace = integrate(_zero(4), 100.0, FlowOpts(dt=0.7, ode_tol=ode_tol, minimize=LIGHT))
+    assert [row.t for row in trace.rows] == [j * 0.7 for j in range(143)] + [100.0]
+    assert [row.dt for row in trace.rows[1:]] == pytest.approx([0.7] * 142 + [0.6])
+
+
+def _plain_rk4(r, dt, steps, normalize=False):
+    # Classical RK4 on the operator with a fresh k1 every step, rescaled to
+    # the initial scalar curvature after each step if ``normalize``.
+    y = r.operator
+    scalar0 = np.trace(y)
+    for _ in range(steps):
+        k1 = lambda2.reaction(y)
+        k2 = lambda2.reaction(y + 0.5 * dt * k1)
+        k3 = lambda2.reaction(y + 0.5 * dt * k2)
+        k4 = lambda2.reaction(y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if normalize:
+            y = y * (scalar0 / np.trace(y))
+    return lambda2.project(y)
+
+
+def test_fixed_step_is_a_plain_rk4_loop():
+    r = combine(1.0, fubini_study(2, 1.0), 0.3, random_tensor(5, 4))
+    trace = integrate(r, 0.08, FlowOpts(dt=0.01, ode_tol=None, stride=3, minimize=LIGHT))
+    assert np.array_equal(trace.final.operator, _plain_rk4(r, 0.01, 8))
+
+
+def test_normalize_recomputes_the_first_stage(monkeypatch):
+    # after the rescale k1 is Q of the rescaled state, not the step's k5:
+    # one more Q per step, and the result is a plain normalized RK4 loop
+    r = combine(1.0, fubini_study(2, 1.0), 0.3, random_tensor(5, 4))
+    calls = _counting_reaction(monkeypatch)
+    trace = integrate(r, 0.04, FlowOpts(dt=0.01, ode_tol=None, normalize=True, minimize=LIGHT))
+    assert trace.q_evals == len(calls) == 4 * 4 + 4
+    assert np.array_equal(trace.final.operator, _plain_rk4(r, 0.01, 4, normalize=True))
+
+
+def test_embedded_weights_are_third_order():
+    # RK4 with the FSAL stage k5 = Q(y_{n+1}): the weights
+    # (1/6, 1/3, 1/3, 0, 1/6) meet the four third-order conditions, and the
+    # row's err_est is the difference of the two solutions
+    f = Fraction
+    a = [[0] * 5, [f(1, 2), 0, 0, 0, 0], [0, f(1, 2), 0, 0, 0], [0, 0, 1, 0, 0], [f(1, 6), f(1, 3), f(1, 3), f(1, 6), 0]]
+    c = [sum(row) for row in a]
+    b3 = [f(1, 6), f(1, 3), f(1, 3), 0, f(1, 6)]
+    assert sum(b3) == 1
+    assert sum(b * ci for b, ci in zip(b3, c)) == f(1, 2)
+    assert sum(b * ci**2 for b, ci in zip(b3, c)) == f(1, 3)
+    assert sum(b3[i] * a[i][j] * c[j] for i in range(5) for j in range(5)) == f(1, 6)
+    r = CurvatureTensor(n=5, comps=random_tensor(8, 5).comps * 0.5)
+    h = 0.01
+    y = r.operator
+    k = []
+    for row in a:
+        k.append(lambda2.reaction(y + h * sum(float(w) * kj for w, kj in zip(row, k))))
+    b4 = [f(1, 6), f(1, 3), f(1, 3), f(1, 6), 0]
+    diff = h * sum(float(p - q) * kj for p, q, kj in zip(b4, b3, k))
+    trace = integrate(r, h, FlowOpts(dt=h, ode_tol=None, minimize=LIGHT))
+    scale = max(1.0, r.max_abs())
+    assert trace.rows[1].err_est == pytest.approx(np.abs(diff).max() / scale, rel=1e-10)
 
 
 def test_integrator_order_is_four():

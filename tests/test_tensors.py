@@ -342,6 +342,18 @@ def test_random_tensor_deterministic():
     assert not np.array_equal(a.comps, c.comps)
 
 
+def test_equality_and_hash_do_not_raise():
+    # tensors compare by identity, so == and hash are total, and a trace
+    # holding its final tensor compares as well
+    a, b = sphere(4, 1.0), sphere(4, 1.0)
+    assert a == a and a != b and len({a, b}) == 2
+    assert np.array_equal(a.operator, b.operator)
+    opts = FlowOpts(dt=0.01, minimize=MinimizeOpts(restarts=1))
+    trace = integrate(a, 0.01, opts)
+    assert trace == trace and hash(trace) == hash(trace)
+    assert trace != integrate(a, 0.01, opts)
+
+
 def test_evaluation_call():
     s = sphere(4, 3.0)
     e = np.eye(4)
