@@ -4,8 +4,8 @@ Subcommands: model, check, minimize, identity, flow, report.  Exit codes:
 0 on success, 1 when a condition is violated or an identity battery fails,
 2 on usage or I/O errors.  Seeds default to --seed, then the CURVLAB_SEED
 environment variable, then 0, and are echoed in every report.  Reports are
-JSON on stdout with floats at 17 significant digits; apart from the
-timestamp field they are byte-identical for identical argv.
+JSON on stdout (``serialization.dumps_json``); apart from the timestamp
+field they are byte-identical for identical argv.
 """
 
 from __future__ import annotations

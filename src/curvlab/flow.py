@@ -301,11 +301,11 @@ def integrate(r0: CurvatureTensor, t_end: float, opts: FlowOpts | None = None) -
     largest estimate since the previous row, each over its step's
     max(1, max |y|), so it is at most ``ode_tol``.  With ``ode_tol=None``
     every step is ``opts.dt`` (the last one cut to t_end) and the estimate
-    is only recorded.  After a ``normalize`` rescale, k1 is Q of the
-    rescaled y.  The blow-up guard aborts with FlowBlowupError when
-    components pass ``BLOWUP_CAP``; because the tolerance grows with the
-    state, the steps toward a finite-time singularity do not shrink
-    without end, and the guard is reached.
+    is only recorded.  After a ``normalize`` rescale of y by c, k1 is
+    c^2 k5, since Q is homogeneous of degree 2.  The blow-up guard aborts
+    with FlowBlowupError when components pass ``BLOWUP_CAP``; because the
+    tolerance grows with the state, the steps toward a finite-time
+    singularity do not shrink without end, and the guard is reached.
 
     The state is the Lambda^2 operator of R, whose entries are exactly the
     distinct components of R up to sign, so the maxima above are the same
@@ -323,8 +323,12 @@ def integrate(r0: CurvatureTensor, t_end: float, opts: FlowOpts | None = None) -
     rows = [diag.row(0.0, r0, 0.0, 0.0)]
     t = 0.0
     h = opts.dt
-    k1 = None
-    steps = q_evals = halvings = 0
+    # Overflow near a blow-up yields non-finite entries, which halve the
+    # step or raise below, so the warnings are noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        k1 = _reaction_raw(y)
+    steps = halvings = 0
+    q_evals = 1
     err_since_row = 0.0
     near = END_TOL * max(1.0, t_end)
     while t < t_end:
@@ -340,12 +344,7 @@ def integrate(r0: CurvatureTensor, t_end: float, opts: FlowOpts | None = None) -
                 stop = t_end
             h = _step_toward(stop - t, h, near)
         tries = 0
-        # Overflow near a blow-up yields non-finite entries, which halve
-        # the step or raise below, so the warnings are noise.
         with np.errstate(over="ignore", invalid="ignore"):
-            if k1 is None:
-                k1 = _reaction_raw(y)
-                q_evals += 1
             while True:
                 k2 = _reaction_raw(y + 0.5 * h * k1)
                 k3 = _reaction_raw(y + 0.5 * h * k2)
@@ -370,7 +369,8 @@ def integrate(r0: CurvatureTensor, t_end: float, opts: FlowOpts | None = None) -
             s_new = _scalar(y)
             if abs(s_new) < 1e-300 or (s_new > 0) != (scalar0 > 0):
                 raise ValueError(f"normalization failed at t = {t + h:.6g}: scalar curvature degenerated")
-            y, k1 = y * (scalar0 / s_new), None
+            c = scalar0 / s_new
+            y, k1 = c * y, (c * c) * k5  # Q is homogeneous of degree 2
         size = float(np.abs(y).max())
         if size > BLOWUP_CAP:
             raise FlowBlowupError(t + h, size, BLOWUP_CAP)

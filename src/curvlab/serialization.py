@@ -1,7 +1,9 @@
 """File formats: tensor JSON and trace CSV.
 
-Writers emit floating-point values with 17 significant digits so that a
-write/read cycle reproduces IEEE doubles bit for bit.
+The standard ``json`` and ``csv`` modules write every float as its repr,
+the shortest string that reads back to the same double, so a write/read
+cycle reproduces IEEE doubles bit for bit, and an integral float reads
+back as a float.
 
 Tensors are written as ``{"n": n, "operator": [...]}``, the upper triangle
 of a tensor's operator M[(i<j), (k<l)] = R_ijkl row by row, pairs in
@@ -16,7 +18,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 
 import numpy as np
 
@@ -24,7 +25,6 @@ from .flow import TRACE_COLUMNS, FlowTrace, TraceRow
 from .tensors import CurvatureTensor
 
 __all__ = [
-    "fmt17",
     "dumps_json",
     "tensor_to_json",
     "tensor_from_json",
@@ -37,44 +37,10 @@ __all__ = [
 ]
 
 
-def fmt17(x: float) -> str:
-    """A float at 17 significant digits (lossless double round trip)."""
-    return format(float(x), ".17g")
-
-
-_INDENT = 2
-
-
 def dumps_json(obj) -> str:
-    """json.dumps with floats emitted at 17 significant digits, keys sorted,
-    indented by two spaces."""
-    return _emit(obj, 0) + "\n"
-
-
-def _emit(obj, level: int) -> str:
-    pad = " " * (_INDENT * level)
-    inner = " " * (_INDENT * (level + 1))
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = (f'{inner}{json.dumps(str(k))}: {_emit(v, level + 1)}' for k, v in sorted(obj.items()))
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = (f"{inner}{_emit(v, level + 1)}" for v in obj)
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        if not np.isfinite(obj):
-            raise ValueError("cannot serialize non-finite float")
-        return fmt17(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    """A report as JSON: keys sorted, indented by two spaces, NaN and
+    infinity refused (ValueError)."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -83,9 +49,7 @@ def _emit(obj, level: int) -> str:
 
 def tensor_to_json(r: CurvatureTensor) -> str:
     upper = r.operator[np.triu_indices(r.n * (r.n - 1) // 2)].tolist()
-    # fmt17 writes -0.0 as "-0", which JSON reads as the integer 0
-    values = ", ".join("-0.0" if x == 0.0 and math.copysign(1.0, x) < 0.0 else fmt17(x) for x in upper)
-    return f'{{"n": {r.n}, "operator": [{values}]}}\n'
+    return json.dumps({"n": r.n, "operator": upper}) + "\n"
 
 
 def tensor_from_json(text: str) -> CurvatureTensor:
@@ -134,7 +98,7 @@ def trace_to_csv(trace: FlowTrace) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(TRACE_COLUMNS)
     for row in trace.rows:
-        writer.writerow([fmt17(x) for x in row.astuple()])
+        writer.writerow(row.astuple())
     return buf.getvalue()
 
 

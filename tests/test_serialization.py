@@ -6,7 +6,6 @@ import pytest
 from curvlab.flow import FlowTrace, TraceRow
 from curvlab.serialization import (
     dumps_json,
-    fmt17,
     read_tensor,
     read_trace,
     tensor_from_json,
@@ -34,16 +33,45 @@ def _bits(r):
 
 def _components_json(r):
     # the components-form writer as it was before the operator form, frozen
-    comps = ", ".join(fmt17(x) for x in r.comps)
+    comps = ", ".join(format(x, ".17g") for x in r.comps)
     return f'{{"n": {r.n}, "components": [{comps}]}}\n'
 
 
-def test_fmt17_round_trips_doubles():
+def _operator_json_17g(r):
+    # the operator-form writer as it was with 17-digit floats, frozen: 1.0
+    # was written "1", and a negative zero "-0.0"
+    upper = r.operator[np.triu_indices(r.n * (r.n - 1) // 2)].tolist()
+    values = ", ".join("-0.0" if x == 0.0 and np.signbit(x) else format(x, ".17g") for x in upper)
+    return f'{{"n": {r.n}, "operator": [{values}]}}\n'
+
+
+def _same_double(got, expect):
+    return type(got) is float and np.float64(got).view(np.uint64) == np.float64(expect).view(np.uint64)
+
+
+def test_writers_round_trip_doubles():
     rng = np.random.default_rng(0)
-    values = list(rng.standard_normal(200))
-    values += [0.0, -0.0, 1e-300, -1e300, 1.0 / 3.0, np.pi, 2.0**-1074]
-    for x in values:
-        assert float(fmt17(float(x))) == float(x)
+    values = [float(x) for x in rng.standard_normal(200)]
+    values += [0.0, -0.0, 1.0, 4.0, 1e-300, -1e300, 1.0 / 3.0, np.pi, 2.0**-1074]
+    # reports: every value a float again, -0.0 with its sign
+    back = json.loads(dumps_json({"values": values}))["values"]
+    assert all(_same_double(got, x) for got, x in zip(back, values, strict=True))
+    # traces: each value once in every column
+    rows = tuple(TraceRow(*([float(i)] + [x] * 7)) for i, x in enumerate(values))
+    back = trace_from_csv(trace_to_csv(FlowTrace(rows=rows)))
+    for got, expect in zip(back.rows, rows, strict=True):
+        assert all(_same_double(a, b) for a, b in zip(got.astuple(), expect.astuple(), strict=True))
+    # tensor files: the values on the diagonal of a 10 x 10 operator, whose
+    # off-diagonal zeros hold no Lambda^4 part
+    m = np.zeros((10, 10))
+    for start in range(0, len(values), 10):
+        chunk = values[start:start + 10]
+        np.fill_diagonal(m, chunk + [0.0] * (10 - len(chunk)))
+        text = tensor_to_json(CurvatureTensor.from_operator(5, m))
+        assert all(type(x) is float for x in json.loads(text)["operator"])
+        assert np.array_equal(tensor_from_json(text).operator.view(np.uint64), m.view(np.uint64))
+    for text in (dumps_json([-0.0]), trace_to_csv(FlowTrace(rows=(TraceRow(*[-0.0] * 8),)))):
+        assert "-0.0" in text
 
 
 def test_tensor_round_trip_bit_for_bit(tmp_path):
@@ -85,6 +113,20 @@ def test_components_form_reads_as_before(tmp_path):
     back = tensor_from_json(tensor_to_json(cases[-1]))
     assert not np.array_equal(back.comps, cases[-1].comps)
     assert np.max(np.abs(back.comps - cases[-1].comps)) < 1e-14
+
+
+def test_17_digit_operator_files_read_bit_for_bit(tmp_path):
+    zoo = [sphere(4, 1.0), sphere(5, -0.5), fubini_study(2, 4.0), fubini_study(3, -1.5),
+           product(sphere(2, 1.0), sphere(3, -1.0))]
+    cases = zoo + [random_tensor(7, 6), pad_euclidean(random_tensor(3, 4), 2)]
+    assert '"operator": [1, ' in _operator_json_17g(cases[0])  # 1.0 written as an integer
+    assert any(np.signbit(r.operator[r.operator == 0.0]).any() for r in cases)  # and -0.0 covered
+    path = tmp_path / "old.json"
+    for r in cases:
+        path.write_text(_operator_json_17g(r))
+        back = read_tensor(str(path))
+        assert back.n == r.n
+        assert np.array_equal(back.operator.view(np.uint64), r.operator.view(np.uint64))
 
 
 def test_operator_form_rejects_malformed():
@@ -193,10 +235,10 @@ def test_trace_csv_header_and_shape_errors():
         trace_from_csv(header + "\n1,2,3\n")
 
 
-def test_dumps_json_is_sorted_and_17_digits():
+def test_dumps_json_is_sorted_and_shortest_repr():
     text = dumps_json({"b": 1.0 / 3.0, "a": True, "c": [1, 2.5], "d": None, "e": "x"})
     assert text.index('"a"') < text.index('"b"') < text.index('"c"')
-    assert "0.33333333333333331" in text
+    assert '"b": 0.3333333333333333,' in text
     parsed = json.loads(text)
     assert parsed["b"] == 1.0 / 3.0
     with pytest.raises(ValueError):
