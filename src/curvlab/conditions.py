@@ -55,6 +55,7 @@ import numpy as np
 
 from .blas import single_threaded
 from .frames import Frame, cyclic_frames, lift_frame, random_frame
+from .lambda2 import place
 from .stiefel import descend, dots, orthonormal_rows
 from .tensors import CurvatureTensor, pad_euclidean
 
@@ -451,8 +452,7 @@ def _lower_bound(m: np.ndarray, spectrum, obj: _FrameObjective, flat: int, sign:
     """
     if obj.n + flat == 4 and obj.norms == [2.0, 2.0]:
         if flat:  # the operator of R x R^flat: R's, with zero rows for the flat pairs
-            lift = np.eye(6)[:, np.triu_indices(4, 1)[1] < obj.n]
-            m = lift @ m @ lift.T
+            m = place(4, (0, m))
         m = -m if sign < 0 else m
         return _thorpe_bound(m, tol) if obj.rows == 2 else _nic_bound(m)
     w = spectrum()
@@ -483,15 +483,16 @@ def minimize_searches(
     r: CurvatureTensor,
     searches: Sequence[tuple[int, float, tuple[Frame, ...]]],
     objective: str = "isotropic",
-    opts: MinimizeOpts | None = None,
+    opts: MinimizeOpts = MinimizeOpts(),
     weights: Weights | None = None,
 ) -> list[ConditionReport]:
     """Several multistart minimizations of one functional as one descent.
 
-    A search is a tuple (flat, sign, init_frames), ``minimize_frame``'s
-    search of sign times the functional on R x R^flat, over frames in
-    R^{n+flat}, with sign 1.0 or -1.0.  Each keeps its own
-    starts, sign, lower bound, stop and report; the stacked descent
+    A search is a tuple (flat, sign, init_frames): sign 1.0 or -1.0 (for
+    maxima) times the functional on R x R^flat, over frames in
+    R^{n+flat}, with warm starts that precede the random ones and are
+    orthonormalized by their own stacked QR.  Each keeps its own starts,
+    sign, lower bound, stop and report; the stacked descent
     (``stiefel.descend``), M, its gap and its spectrum are shared.  A
     narrower search's starts, drawn in its own dimension, are padded with
     zero columns, which the gradient and the QR retraction keep at exactly
@@ -500,7 +501,6 @@ def minimize_searches(
     steps also sum over its zero columns, so it matches only up to
     round-off, which can change where it stops.
     """
-    opts = opts or MinimizeOpts()
     obj = _FrameObjective(r, objective, weights)
     k, width = obj.rows, r.n + max(flat for flat, _, _ in searches)
     m = r.operator
@@ -549,22 +549,20 @@ def minimize_searches(
 def minimize_frame(
     r: CurvatureTensor,
     objective: str = "isotropic",
-    opts: MinimizeOpts | None = None,
+    opts: MinimizeOpts = MinimizeOpts(),
     weights: Weights | None = None,
-    sign: float = 1.0,
-    init_frames: tuple[Frame, ...] = (),
 ) -> ConditionReport:
     """Multistart frame minimization of a curvature functional.
 
-    The warm starts and the seeded random starts descend together as one
-    batch (``stiefel.descend``), each with its own step and stopping; the
+    The seeded random starts descend together as one batch
+    (``stiefel.descend``), each with its own step and stopping; the
     report is the start with the lowest value, the lowest start index
     among equal values.  Random start i is
     ``random_frame([opts.seed, i], n, k)`` for every ``opts.restarts``, in
     a stack that later searches of its shape reuse; of the descended
     frames only the argmin is validated as a ``Frame``.  The batch stops as soon as
     one start is within ``GAP_TOL * max(1, max |R|)`` of the eigenvalue
-    lower bound.  This is the one-search case of ``minimize_searches``.
+    lower bound.  This is the search (0, 1.0, ()) of ``minimize_searches``.
 
     Parameters
     ----------
@@ -573,12 +571,6 @@ def minimize_frame(
         the other two refuse), ``sectional``.
     opts : MinimizeOpts
         Restart count and seed.
-    sign : float
-        1.0 to minimize the functional, -1.0 to minimize its negation
-        (used to locate maxima); any other value is a ValueError.
-    init_frames : tuple of Frame
-        Warm starts, tried before the random restarts and sharing the
-        deterministic tie-break; orthonormalized by their own stacked QR.
 
     Returns
     -------
@@ -587,7 +579,7 @@ def minimize_frame(
         global minimum, with the lower bound; certified when the gap
         closed.
     """
-    return minimize_searches(r, ((0, sign, init_frames),), objective, opts, weights)[0]
+    return minimize_searches(r, ((0, 1.0, ()),), objective, opts, weights)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -599,18 +591,17 @@ def _nic_decision(report: ConditionReport, opts: MinimizeOpts) -> tuple[bool, Co
     return ok, replace(report, boundary=bool(ok and report.min_value <= opts.margin))
 
 
-def check_nic(r: CurvatureTensor, opts: MinimizeOpts | None = None) -> tuple[bool, ConditionReport]:
+def check_nic(r: CurvatureTensor, opts: MinimizeOpts = MinimizeOpts()) -> tuple[bool, ConditionReport]:
     """Nonnegative isotropic curvature, decided by multistart minimization.
 
     True iff the reported minimum is at least ``-opts.margin``; the
     report's ``lower_bound`` and ``certified`` say how far that minimum is
     proven (see module docstring).
     """
-    opts = opts or MinimizeOpts()
     return _nic_decision(minimize_frame(r, "isotropic", opts), opts)
 
 
-def check_pic2(r: CurvatureTensor, opts: MinimizeOpts | None = None) -> tuple[bool, ConditionReport]:
+def check_pic2(r: CurvatureTensor, opts: MinimizeOpts = MinimizeOpts()) -> tuple[bool, ConditionReport]:
     """Nonnegative isotropic curvature of the product with flat R^2 (PIC2).
 
     The NIC search and decision on R x R^2, run on r, with the frame in
@@ -618,12 +609,11 @@ def check_pic2(r: CurvatureTensor, opts: MinimizeOpts | None = None) -> tuple[bo
     value of a lifted frame, so this minimum also bounds the family
     minimum over frames and weights from above.
     """
-    opts = opts or MinimizeOpts()
     return _nic_decision(minimize_searches(r, ((2, 1.0, ()),), "isotropic", opts)[0], opts)
 
 
 def quarter_pinch_reports(
-    r: CurvatureTensor, opts: MinimizeOpts | None = None
+    r: CurvatureTensor, opts: MinimizeOpts = MinimizeOpts()
 ) -> tuple[bool, ConditionReport, ConditionReport]:
     """Weak quarter-pinching decision with the two extremization reports.
 
@@ -636,7 +626,6 @@ def quarter_pinch_reports(
     Both searches descend as one stack, the second with the sign flipped
     (``minimize_searches``).
     """
-    opts = opts or MinimizeOpts()
     kmin_rep, kmax_rep = minimize_searches(r, ((0, 1.0, ()), (0, -1.0, ())), "sectional", opts)
     kmin = kmin_rep.min_value
     kmax = -kmax_rep.min_value
@@ -663,16 +652,17 @@ def holonomy_orbit_invariance(
     ``functools.partial(random_unitary, m=2)`` for U(2) on CP^2, or
     ``functools.partial(random_block_rotation, dims=(2, 2))`` for the
     factor rotations of S^2 x S^2.  The input frame must already have
-    isotropic curvature below ``ZERO_FRAME_TOL``, every sample must act on
-    the tensor's R^n, and ``samples`` must be positive.  For tensors
-    actually invariant under the group, the returned maximum stays at the
-    scale of the input residual.
+    isotropic curvature below ``ZERO_FRAME_TOL * max(1, max |R|)``, every
+    sample must act on the tensor's R^n, and ``samples`` must be positive.
+    For tensors actually invariant under the group, the returned maximum
+    stays at the scale of the input residual.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
     u0 = abs(isotropic_curvature(r, frame))
-    if u0 >= ZERO_FRAME_TOL:
-        raise ValueError(f"frame is not a zero frame: |u| = {u0:.3e} >= {ZERO_FRAME_TOL:.0e}")
+    tol = ZERO_FRAME_TOL * max(1.0, r.max_abs())
+    if u0 >= tol:
+        raise ValueError(f"frame is not a zero frame: |u| = {u0:.3e} >= {tol:.3e}")
     worst = 0.0
     for s in range(samples):
         u = sample([seed, s])

@@ -34,7 +34,7 @@ from .conditions import MinimizeOpts, check_pic2, isotropic_curvature, minimize_
 from .frames import Frame, complete_basis
 from .lambda2 import project
 from .lambda2 import reaction as _reaction_raw  # looked up per call, so tests can count calls
-from .tensors import CurvatureTensor, SYM_TOL_DEFAULT, scalar_curvature
+from .tensors import CurvatureTensor, scalar_curvature
 
 __all__ = [
     "TraceRow",
@@ -151,12 +151,6 @@ class FlowOpts:
 # Reaction term
 
 
-def _tensor(m: np.ndarray, n: int) -> CurvatureTensor:
-    """The tensor of M projected on Lambda^2, with sym_tol scaled to the data."""
-    tol = max(SYM_TOL_DEFAULT, 1e-12 * float(np.abs(m).max(initial=0.0)))
-    return CurvatureTensor.from_operator(n, project(m), tol)
-
-
 def _scalar(m: np.ndarray) -> float:
     """Scalar curvature of the tensor with Lambda^2 operator M."""
     return 2.0 * float(np.trace(m))
@@ -170,7 +164,7 @@ def quadratic_reaction(r: CurvatureTensor) -> CurvatureTensor:
     Maps the algebraic symmetry class to itself; on the constant-curvature
     ray Q(sphere(n, kappa)) = sphere(n, 2 (n-1) kappa^2).
     """
-    return _tensor(_reaction_raw(r.operator), r.n)
+    return CurvatureTensor.from_operator(r.n, project(_reaction_raw(r.operator)))
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +274,7 @@ def _growth(err: float, tol: float) -> float:
 
 
 @single_threaded
-def integrate(r0: CurvatureTensor, t_end: float, opts: FlowOpts | None = None) -> FlowTrace:
+def integrate(r0: CurvatureTensor, t_end: float, opts: FlowOpts = FlowOpts()) -> FlowTrace:
     """Integrate dR/dt = Q(R) from 0 to t_end with diagnostics.
 
     Classical RK4 with its embedded third-order estimate
@@ -311,7 +305,6 @@ def integrate(r0: CurvatureTensor, t_end: float, opts: FlowOpts | None = None) -
     distinct components of R up to sign, so the maxima above are the same
     as over the full array.  The trace counts Q evaluations and halvings.
     """
-    opts = opts or FlowOpts()
     if t_end <= 0 or not np.isfinite(t_end):
         raise ValueError("t_end must be positive and finite")
     n = r0.n
@@ -379,7 +372,7 @@ def integrate(r0: CurvatureTensor, t_end: float, opts: FlowOpts | None = None) -
         err_since_row = max(err_since_row, err / scale)
         if t >= stop - near:
             t = stop
-            r_now = _tensor(y, n)
+            r_now = CurvatureTensor.from_operator(n, project(y))
             rows.append(diag.row(t, r_now, h, err_since_row))
             err_since_row = 0.0
         if opts.ode_tol is not None:
@@ -397,14 +390,13 @@ class ConeMarginResult:
     worst_pic2: float
 
 
-def cone_margin_experiment(r0: CurvatureTensor, t_end: float, opts: FlowOpts | None = None) -> ConeMarginResult:
+def cone_margin_experiment(r0: CurvatureTensor, t_end: float, opts: FlowOpts = FlowOpts()) -> ConeMarginResult:
     """Track the padded-nonnegativity margin along a trajectory.
 
     Requires the initial tensor to pass check_pic2; the verdict is whether
     min_pic2 stays at or above the negative decision margin on every
     diagnostic row.
     """
-    opts = opts or FlowOpts()
     ok0, _ = check_pic2(r0, opts.minimize)
     if not ok0:
         raise ValueError("initial tensor fails the padded nonnegativity check")

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-__all__ = ["operator", "expand", "project", "reaction"]
+__all__ = ["operator", "expand", "place", "project", "reaction"]
 
 
 _ZERO = np.zeros(1)
@@ -111,6 +111,18 @@ def expand(m: np.ndarray, n: int) -> np.ndarray:
     full = full.reshape(n, n, n, n)
     full = full - full.transpose(1, 0, 2, 3)
     return full - full.transpose(0, 1, 3, 2)
+
+
+def place(n: int, *blocks: tuple[int, np.ndarray]) -> np.ndarray:
+    """The operator on Lambda^2 R^n that holds each block's M on the pairs
+    of the coordinates start, ..., start + n_block - 1, and zeros elsewhere:
+    the operator of a metric product or of a flat padding."""
+    m = np.zeros((n * (n - 1) // 2,) * 2)
+    for start, block in blocks:
+        i, j = np.triu_indices((1 + math.isqrt(1 + 8 * len(block))) // 2, 1)
+        pairs = np.searchsorted(_pairs(n), (i + start) * n + j + start)
+        m[np.ix_(pairs, pairs)] = block
+    return m
 
 
 def project(m: np.ndarray) -> np.ndarray:

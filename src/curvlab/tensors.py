@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lambda2 import _pairs, _quads, expand, operator, project
+from .lambda2 import _pairs, _quads, expand, operator, place, project
 
 __all__ = [
     "CurvatureTensor",
@@ -39,7 +39,7 @@ __all__ = [
     "random_tensor",
 ]
 
-SYM_TOL_DEFAULT = 1e-9
+SYM_TOL = 1e-9
 PLANE_TOL = 1e-12
 
 
@@ -50,6 +50,8 @@ class CurvatureTensor:
     The constructor takes ``n**4`` raw components, entry ``(i, j, k, l)``
     at offset ``i*n**3 + j*n**2 + k*n + l``, checks every symmetry on them
     (``symmetry_residuals``) and keeps their M; ``from_operator`` takes M.
+    Each residual must be within ``SYM_TOL * max(1, 1e-3 max |M|)``,
+    relative past max |M| = 1000, as M's round-off grows with its entries.
     Tensors compare and hash by identity; compare ``operator`` for values.
 
     Attributes
@@ -59,15 +61,12 @@ class CurvatureTensor:
     operator : ndarray
         The read-only N x N matrix M[(i<j), (k<l)] = R_ijkl, pairs in
         lexicographic order.
-    sym_tol : float
-        Max-norm tolerance used to validate the symmetries on construction.
     """
 
     n: int
     operator: np.ndarray
-    sym_tol: float = SYM_TOL_DEFAULT
 
-    def __init__(self, n: int, comps, sym_tol: float = SYM_TOL_DEFAULT):
+    def __init__(self, n: int, comps):
         if n < 2:
             raise ValueError(f"dimension must be >= 2, got {n}")
         comps = np.asarray(comps, dtype=float).reshape(-1)
@@ -76,10 +75,10 @@ class CurvatureTensor:
         if not np.all(np.isfinite(comps)):
             raise ValueError("curvature components must be finite")
         r = comps.reshape(n, n, n, n)
-        self._hold(n, operator(r), sym_tol, *symmetry_residuals(r))
+        self._hold(n, operator(r), *symmetry_residuals(r))
 
     @classmethod
-    def from_operator(cls, n: int, m, sym_tol: float = SYM_TOL_DEFAULT) -> CurvatureTensor:
+    def from_operator(cls, n: int, m) -> CurvatureTensor:
         """The tensor with the N x N operator M, checked only on what M can
         break: finite entries, the pair residual max |M - M^T| and the Bianchi
         residual max |M[ij,kl] - M[ik,jl] + M[il,jk]| at i < j < k < l."""
@@ -93,21 +92,20 @@ class CurvatureTensor:
             raise ValueError("curvature components must be finite")
         v = m.reshape(-1)[_quads(big)[0]]
         r = object.__new__(cls)
-        r._hold(n, m, sym_tol, 0.0, float(np.abs(m - m.T).max()), float(np.abs(v[0] - v[1] + v[2]).max(initial=0.0)))
+        r._hold(n, m, 0.0, float(np.abs(m - m.T).max()), float(np.abs(v[0] - v[1] + v[2]).max(initial=0.0)))
         return r
 
-    def _hold(self, n: int, m: np.ndarray, sym_tol: float, anti: float, pair: float, bianchi: float) -> None:
-        """Keep M if every residual is within sym_tol, which must be >= 0 (NaN is not)."""
-        if not sym_tol >= 0:
-            raise ValueError(f"sym_tol must be nonnegative, got {sym_tol}")
-        if max(anti, pair, bianchi) > sym_tol:
+    def _hold(self, n: int, m: np.ndarray, anti: float, pair: float, bianchi: float) -> None:
+        """Keep M if every residual is within the tolerance at M's scale."""
+        tol = SYM_TOL * max(1.0, 1e-3 * float(np.abs(m).max()))
+        if max(anti, pair, bianchi) > tol:
             raise ValueError(
                 "symmetry violation: residuals "
                 f"(antisymmetry={anti:.3e}, pair={pair:.3e}, bianchi={bianchi:.3e}) "
-                f"exceed sym_tol={sym_tol:.3e}"
+                f"exceed {tol:.3e}"
             )
         m.flags.writeable = False
-        self.__dict__.update(n=n, operator=m, sym_tol=sym_tol)  # past the frozen __setattr__
+        self.__dict__.update(n=n, operator=m)  # past the frozen __setattr__
 
     @functools.cached_property
     def array(self) -> np.ndarray:
@@ -147,7 +145,7 @@ def symmetry_residuals(r: np.ndarray) -> tuple[float, float, float]:
     return anti, pair, bianchi
 
 
-def project_curvature(raw, n: int, sym_tol: float = SYM_TOL_DEFAULT) -> CurvatureTensor:
+def project_curvature(raw, n: int) -> CurvatureTensor:
     """Orthogonal projection of a raw rank-4 array onto curvature tensors.
 
     The projection is closed form and idempotent and runs on the Lambda^2
@@ -180,7 +178,7 @@ def project_curvature(raw, n: int, sym_tol: float = SYM_TOL_DEFAULT) -> Curvatur
     ji = (ij % n) * n + ij // n
     rows, swapped = t[ij], t[ji]
     m = 0.25 * (rows[:, ij] - swapped[:, ij] - rows[:, ji] + swapped[:, ji])
-    return CurvatureTensor.from_operator(n, project(m), sym_tol)
+    return CurvatureTensor.from_operator(n, project(m))
 
 
 def sectional(r: CurvatureTensor, x, y) -> float:
@@ -239,24 +237,14 @@ def fubini_study(m: int, c: float) -> CurvatureTensor:
     return CurvatureTensor.from_operator(n, (c / 4.0) * op)
 
 
-def _placed(n: int, *blocks: tuple[int, CurvatureTensor]) -> CurvatureTensor:
-    """The tensor on R^n whose operator holds each block's M on the pairs
-    of the coordinates start, ..., start + n_block - 1, and zeros elsewhere."""
-    m = np.zeros((n * (n - 1) // 2,) * 2)
-    for start, r in blocks:
-        i, j = np.triu_indices(r.n, 1)
-        pairs = np.searchsorted(_pairs(n), (i + start) * n + j + start)
-        m[np.ix_(pairs, pairs)] = r.operator
-    return CurvatureTensor.from_operator(n, m)
-
-
 def product(r1: CurvatureTensor, r2: CurvatureTensor) -> CurvatureTensor:
     """Curvature tensor of a metric product: block direct sum of the factors.
 
     Components with all indices in one factor equal that factor's components;
     every mixed component vanishes.
     """
-    return _placed(r1.n + r2.n, (0, r1), (r1.n, r2))
+    n = r1.n + r2.n
+    return CurvatureTensor.from_operator(n, place(n, (0, r1.operator), (r1.n, r2.operator)))
 
 
 def pad_euclidean(r: CurvatureTensor, k: int) -> CurvatureTensor:
@@ -265,7 +253,7 @@ def pad_euclidean(r: CurvatureTensor, k: int) -> CurvatureTensor:
         raise ValueError(f"padding dimension must be >= 0, got {k}")
     if k == 0:
         return r
-    return _placed(r.n + k, (0, r))
+    return CurvatureTensor.from_operator(r.n + k, place(r.n + k, (0, r.operator)))
 
 
 def combine(a: float, r1: CurvatureTensor, b: float, r2: CurvatureTensor) -> CurvatureTensor:

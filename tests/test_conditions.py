@@ -16,6 +16,7 @@ from curvlab.conditions import (
     isotropic_curvature,
     lift_identity_residual,
     minimize_frame,
+    minimize_searches,
     quarter_pinch_reports,
     weighted_isotropic_curvature,
 )
@@ -146,14 +147,15 @@ def test_cyclic_sum_battery_and_sphere():
     assert rhs == pytest.approx(expect, abs=1e-12)
 
 
-def test_cyclic_sum_needs_bianchi():
+def test_cyclic_sum_needs_bianchi(monkeypatch):
     # Remove only the Bianchi part of the construction: the identity's
     # cancellation mechanism breaks and residuals become order one.
+    monkeypatch.setattr("curvlab.tensors.SYM_TOL", 100.0)
     rng = np.random.default_rng(5)
     t = rng.standard_normal((5, 5, 5, 5))
     s = 0.25 * (t - t.transpose(1, 0, 2, 3) - t.transpose(0, 1, 3, 2) + t.transpose(1, 0, 3, 2))
     s = 0.5 * (s + s.transpose(2, 3, 0, 1))
-    bad = CurvatureTensor(n=5, comps=s.reshape(-1), sym_tol=100.0)
+    bad = CurvatureTensor(n=5, comps=s.reshape(-1))
     residuals = [
         cyclic_sum_identity(bad, random_frame(i, 5), Weights(0.7, -0.2))[2] for i in range(20)
     ]
@@ -350,12 +352,12 @@ def test_descend_batch_independence_and_tie_break(monkeypatch):
     # (two warm starts, then the random one)
     r = random_tensor(5, 6)
     warm = random_frame(9, 6)
-    v0 = _start_stack_of(monkeypatch, r, "isotropic", MinimizeOpts(restarts=1), init_frames=(warm, warm))
+    v0 = _start_stack_of(monkeypatch, r, "isotropic", MinimizeOpts(restarts=1), (warm, warm))
     monkeypatch.undo()
     vals, frames, iters, *_ = descend(frame_objective(r, "isotropic"), v0)
     assert len(v0) == 3 and np.array_equal(v0[0], v0[1])
     assert vals[0] == vals[1] and np.array_equal(frames[0], frames[1]) and iters[0] == iters[1]
-    rep = minimize_frame(r, "isotropic", MinimizeOpts(restarts=1), init_frames=(warm, warm))
+    rep = minimize_searches(r, ((0, 1.0, (warm, warm)),), "isotropic", MinimizeOpts(restarts=1))[0]
     best = int(np.argmin(vals))
     assert not rep.certified and rep.min_value == vals[best] and rep.iterations == iters[best]
     assert np.array_equal(rep.argmin_frame.vectors, frames[best])
@@ -366,7 +368,7 @@ def test_descend_batch_independence_and_tie_break(monkeypatch):
     f1 = Frame(n=5, vectors=e[[0, 1, 2, 3]])
     f2 = Frame(n=5, vectors=e[[4, 3, 2, 1]])
     for first, second in ((f1, f2), (f2, f1)):
-        rep = minimize_frame(sphere(5, 1.0), "isotropic", MinimizeOpts(restarts=1), init_frames=(first, second))
+        rep = minimize_searches(sphere(5, 1.0), ((0, 1.0, (first, second)),), "isotropic", MinimizeOpts(restarts=1))[0]
         assert rep.min_value == 4.0
         assert np.array_equal(rep.argmin_frame.vectors, first.vectors)
 
@@ -387,16 +389,16 @@ def test_batched_kernel_matches_single_frames():
 
 
 class _Starts(Exception):
-    """Carries the start stack out of minimize_frame before any descent."""
+    """Carries the start stack out of a search before any descent."""
 
 
-def _start_stack_of(monkeypatch, *args, **kwargs) -> np.ndarray:
+def _start_stack_of(monkeypatch, r, kind, opts, init_frames=()) -> np.ndarray:
     def stop(obj, v0, stop_at=None, sign=None, sizes=None):
         raise _Starts(v0)
 
     monkeypatch.setattr(conditions, "descend", stop)
     with pytest.raises(_Starts) as caught:
-        minimize_frame(*args, **kwargs)
+        minimize_searches(r, ((0, 1.0, init_frames),), kind, opts)
     return caught.value.args[0]
 
 
@@ -415,7 +417,7 @@ def test_starts_are_random_frames(monkeypatch):
 
     # warm starts come first and do not shift the random starts
     warm = random_frame(63, 6)
-    v = _start_stack_of(monkeypatch, random_tensor(1, 6), "isotropic", MinimizeOpts(restarts=3, seed=4), init_frames=(warm,))
+    v = _start_stack_of(monkeypatch, random_tensor(1, 6), "isotropic", MinimizeOpts(restarts=3, seed=4), (warm,))
     assert np.max(np.abs(v[0] - warm.vectors)) < 1e-15
     for i in range(3):
         assert np.array_equal(v[1 + i], random_frame([4, i], 6).vectors)
@@ -527,11 +529,11 @@ def test_minimize_warm_start_and_validation():
     prod = product(sphere(2, 1.0), sphere(2, 1.0))
     e = np.eye(4)
     zero_frame = Frame(n=4, vectors=np.array([e[0], e[1], e[2], e[3]]))
-    rep = minimize_frame(prod, "isotropic", MinimizeOpts(restarts=1, seed=0), init_frames=(zero_frame,))
+    rep = minimize_searches(prod, ((0, 1.0, (zero_frame,)),), "isotropic", MinimizeOpts(restarts=1, seed=0))[0]
     assert rep.min_value <= 1e-12
     assert rep.restarts == 2
     with pytest.raises(ValueError, match="wrong ambient"):
-        minimize_frame(prod, "isotropic", FAST, init_frames=(random_frame(0, 5),))
+        minimize_searches(prod, ((0, 1.0, (random_frame(0, 5),)),), "isotropic", FAST)
     with pytest.raises(ValueError, match="unknown objective"):
         minimize_frame(prod, "bogus", FAST)
     with pytest.raises(ValueError, match="needs weights"):
@@ -540,7 +542,7 @@ def test_minimize_warm_start_and_validation():
         minimize_frame(sphere(3, 1.0), "isotropic", FAST)
     for sign in (0.0, 2.0, -0.5, np.nan, True, False):
         with pytest.raises(ValueError, match="sign"):
-            minimize_frame(prod, "isotropic", FAST, sign=sign)
+            minimize_searches(prod, ((0, sign, ()),), "isotropic", FAST)
 
 
 def _full_minimum(r, kind, sign, weights=None, starts=64):
@@ -689,7 +691,7 @@ def test_descend_stops_at_the_bound():
     v0 = np.stack([mixed.vectors] + [random_frame([i, 76], 4).vectors for i in range(8)])
     vals, _, iters, _, _, history = descend(obj, v0, conditions.GAP_TOL)
     assert vals[0] == 0.0 and not iters.any() and len(history) == 1
-    rep = minimize_frame(prod, "isotropic", FAST, init_frames=(mixed,))
+    rep = minimize_searches(prod, ((0, 1.0, (mixed,)),), "isotropic", FAST)[0]
     assert rep.iterations == 0 and rep.min_value == 0.0
     assert rep.certified and rep.converged and rep.lower_bound == 0.0
 
@@ -810,8 +812,8 @@ def test_grouped_searches_report_as_alone(monkeypatch):
     for r in tensors:
         warm = (random_frame([r.n, 112], r.n, k=2),), (random_frame([r.n, 113], r.n, k=2),)
         for init in (((), ()), warm):
-            alone = [minimize_frame(r, "sectional", FAST, sign=sign, init_frames=frames) for sign, frames in zip((1.0, -1.0), init)]
-            shared = conditions.minimize_searches(r, ((0, 1.0, init[0]), (0, -1.0, init[1])), "sectional", FAST)
+            alone = [minimize_searches(r, ((0, sign, frames),), "sectional", FAST)[0] for sign, frames in zip((1.0, -1.0), init)]
+            shared = minimize_searches(r, ((0, 1.0, init[0]), (0, -1.0, init[1])), "sectional", FAST)
             assert all(_same_report(a, b) for a, b in zip(alone, shared)), r.n
         monkeypatch.setattr(conditions, "descend", counting)
         ok, kmin_rep, kmax_rep = quarter_pinch_reports(r, FAST)
@@ -819,7 +821,7 @@ def test_grouped_searches_report_as_alone(monkeypatch):
         assert len(calls) == 1 and len(calls.pop()[1]) == 2 * FAST.restarts
         # the check sets only the first report's boundary
         assert _same_report(replace(kmin_rep, boundary=False), minimize_frame(r, "sectional", FAST))
-        assert _same_report(kmax_rep, minimize_frame(r, "sectional", FAST, sign=-1.0))
+        assert _same_report(kmax_rep, minimize_searches(r, ((0, -1.0, ()),), "sectional", FAST)[0])
 
 
 def test_a_search_at_its_stop_leaves_the_others_running():
@@ -913,6 +915,12 @@ def test_holonomy_orbit_invariance():
     assert abs(isotropic_curvature(fs, zero)) < 1e-12
     worst = holonomy_orbit_invariance(fs, zero, functools.partial(random_unitary, m=2), samples=100, seed=0)
     assert worst < 1e-10
+    # a rotated zero frame is a zero frame up to round-off at the scale of
+    # R, and is accepted as one at every scale
+    rotated = Frame(n=4, vectors=zero.vectors @ random_unitary([1, 2], 2).T)
+    for c in (4.0, 4e8):
+        worst = holonomy_orbit_invariance(fubini_study(2, c), rotated, functools.partial(random_unitary, m=2), samples=100, seed=0)
+        assert worst < 1e-14 * c
 
 
 def test_holonomy_errors():

@@ -89,7 +89,7 @@ def test_reaction_preserves_symmetry_class():
         n = 4 + trial % 5
         r = random_tensor(trial, n)
         q = quadratic_reaction(r)
-        again = project_curvature(q.array, n, sym_tol=q.sym_tol)
+        again = project_curvature(q.array, n)
         assert np.max(np.abs(again.comps - q.comps)) < 1e-10
 
 
@@ -136,6 +136,8 @@ def test_decomposition_sums_edge_cases():
     assert i2 == 0.0 and i3 == 0.0  # empty index ranges at n = 4
     assert i1 == pytest.approx(8.0, abs=1e-12)
     assert _frame_block_sums(_zero(5), random_frame(0, 5)) == (0.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="tensor n=5, frame n=4"):
+        decomposition_residual(sphere(5, 1.0), random_frame(0, 4))
 
 
 def test_decomposition_identity_battery():
@@ -370,6 +372,9 @@ def test_normalized_sphere_is_fixed():
 def test_normalize_rejects_scalar_flat():
     with pytest.raises(ValueError, match="normalize"):
         integrate(_zero(4), 0.01, FlowOpts(dt=0.01, normalize=True, minimize=LIGHT))
+    # the scalar curvature of S^2 x S^2(-1.01) changes sign within the first step
+    with pytest.raises(ValueError, match="normalization failed at t = 0.005"):
+        integrate(product(sphere(2, 1.0), sphere(2, -1.01)), 0.1, FlowOpts(dt=0.01, normalize=True, minimize=LIGHT))
 
 
 def test_zero_is_fixed_point():

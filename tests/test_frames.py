@@ -91,6 +91,8 @@ def test_random_frame_deterministic():
     assert random_frame(0, 5, k=2).k == 2
     with pytest.raises(ValueError):
         random_frame(0, 5, k=0)
+    with pytest.raises(ValueError, match="dimension 3 too small for a 4-frame"):
+        random_frame(0, 3, 4)
 
 
 def test_pcg64_draws_are_default_rng_draws():

@@ -7,7 +7,7 @@ import pytest
 from curvlab import tensors
 from curvlab.conditions import MinimizeOpts
 from curvlab.flow import FlowOpts, integrate, quadratic_reaction
-from curvlab.serialization import read_tensor, write_tensor
+from curvlab.serialization import read_tensor, tensor_from_json, tensor_to_json, write_tensor
 from curvlab.tensors import (
     CurvatureTensor,
     combine,
@@ -169,19 +169,27 @@ def test_tensor_validation():
         CurvatureTensor(n=1, comps=np.zeros(1))
 
 
-def test_nan_sym_tol_is_rejected_by_every_constructor():
-    # a NaN sym_tol made both comparisons false and switched validation
-    # off: the components lack their antisymmetric partners, M its transpose
-    bad = np.zeros((3, 3, 3, 3))
-    bad[0, 1, 0, 1] = 1.0
-    for build in (
-        lambda tol: CurvatureTensor(n=3, comps=bad.reshape(-1), sym_tol=tol),
-        lambda tol: CurvatureTensor.from_operator(3, np.triu(np.ones((3, 3))), sym_tol=tol),
-        lambda tol: project_curvature(bad, 3, sym_tol=tol),
-    ):
-        for tol in (float("nan"), -1.0):
-            with pytest.raises(ValueError, match="sym_tol must be nonnegative"):
-                build(tol)
+def test_symmetry_tolerance_scales_with_the_tensor():
+    # round-off in building M grows with its entries: at max |M| ~ 1e7 the
+    # Bianchi residual of a valid combination is ~2e-9, past an absolute
+    # 1e-9, and such tensors build and round-trip
+    for scale in (1e7, 1e8):
+        r = combine(scale, random_tensor(3, 6), 0.0, sphere(6, 1.0))
+        assert np.array_equal(tensor_from_json(tensor_to_json(r)).operator, r.operator)
+    # broken tensors at scale still fail: a Lambda^4 part or a pair
+    # asymmetry of 1e-3 max |M|, or of twice the tolerance
+    big = 1e8 * sphere(4, 1.0).operator
+    tol = tensors.SYM_TOL * 1e-3 * 1e8
+    for size in (1e-3 * 1e8, 2.0 * tol):
+        lam4 = big.copy()
+        lam4[0, 5] = lam4[5, 0] = size  # M[(01),(23)], a pure Lambda^4 part at n = 4
+        pair = big.copy()
+        pair[0, 1] = size
+        for m in (lam4, pair):
+            with pytest.raises(ValueError, match="symmetry violation"):
+                CurvatureTensor.from_operator(4, m)
+    pair[0, 1] = 0.5 * tol
+    assert CurvatureTensor.from_operator(4, pair).operator[0, 1] == 0.5 * tol
 
 
 def test_from_operator_checks_its_input_and_keeps_a_read_only_copy():
@@ -250,6 +258,8 @@ def test_sectional_degenerate_plane():
         sectional(s, e[0], 2 * e[0])
     with pytest.raises(ValueError):
         sectional(s, np.zeros(4), e[1])
+    with pytest.raises(ValueError, match=r"shape \(4,\)"):
+        sectional(s, np.ones(3), np.ones(3))
 
 
 def test_ricci_against_loop_oracle():
@@ -332,6 +342,8 @@ def test_combine():
     assert np.max(np.abs(combine(1.0, r, 0.0, s2).comps - r.comps)) == 0.0
     with pytest.raises(ValueError):
         combine(1.0, s2, 1.0, sphere(5, 1.0))
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        combine(np.nan, s2, 1.0, r)
 
 
 def test_random_tensor_deterministic():
