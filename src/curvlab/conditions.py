@@ -526,7 +526,7 @@ def minimize_searches(
         lowers.append(_lower_bound(m, spectrum, obj, flat, sign, 0.5 * gap))
     sizes = [len(v0) for v0 in stacks]
     signs = [sign for _, sign, _ in searches]
-    vals, frames, iters, gnorms, convs, _ = descend(obj, np.concatenate(stacks), [lower + gap for lower in lowers], signs, sizes)
+    vals, frames, iters, gnorms, convs = descend(obj, np.concatenate(stacks), [lower + gap for lower in lowers], signs, sizes)
     reports, begin = [], 0
     for (flat, _, _), lower, size in zip(searches, lowers, sizes):
         dim, end = r.n + flat, begin + size

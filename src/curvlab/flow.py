@@ -24,8 +24,8 @@ core count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from operator import attrgetter
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,11 +69,11 @@ class FlowBlowupError(RuntimeError):
         self.cap = cap
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     """One diagnostic row: extremal curvatures, minimized functionals,
     scalar curvature, and the step size / error estimate that produced it.
-    Its fields, in order, are the trace columns (``TRACE_COLUMNS``)."""
+    It is the tuple of its fields, which are, in order, the trace columns
+    (``TRACE_COLUMNS``)."""
 
     t: float
     kmin: float
@@ -84,12 +84,8 @@ class TraceRow:
     dt: float
     err_est: float
 
-    def astuple(self) -> tuple[float, ...]:
-        return _row_values(self)
 
-
-TRACE_COLUMNS = tuple(f.name for f in fields(TraceRow))
-_row_values = attrgetter(*TRACE_COLUMNS)
+TRACE_COLUMNS = TraceRow._fields
 
 
 @dataclass(frozen=True)
@@ -111,7 +107,7 @@ class FlowTrace:
         if not self.rows:
             raise ValueError("trace must have at least one row")
         ts = [row.t for row in self.rows]
-        if any(not np.all(np.isfinite(row.astuple())) for row in self.rows):
+        if any(not np.all(np.isfinite(row)) for row in self.rows):
             raise ValueError("trace entries must be finite")
         if any(t1 <= t0 for t0, t1 in zip(ts, ts[1:])):
             raise ValueError("trace times must be strictly increasing")

@@ -97,8 +97,7 @@ def trace_to_csv(trace: FlowTrace) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(TRACE_COLUMNS)
-    for row in trace.rows:
-        writer.writerow(row.astuple())
+    writer.writerows(trace.rows)
     return buf.getvalue()
 
 

@@ -19,9 +19,9 @@ other starts share its batch.
 
 One batch may carry several searches, each a run of consecutive starts
 with its own sign (a search minimizes f or -f, so maxima come from the
-same stack) and its own ``stop_at``, a value none of its frames can go
-much below: once one of its starts reaches it, the starts of that search
-stop and the other searches go on.
+same stack) and its own stop, a value none of its frames can go much
+below: once one of its starts reaches it, the starts of that search stop
+and the other searches go on.
 """
 
 from __future__ import annotations
@@ -107,20 +107,7 @@ def _line_search(obj, v, p, ref, slope, gnorm, sign, trial, tries: int = 60):
     return v_try, f_try, g_try, trial, ok
 
 
-def _per_start(x, sizes: Sequence[int], default: float) -> np.ndarray:
-    """A per-search value, one for all searches or one each (None meaning
-    ``default``), repeated over the starts of each search."""
-    each = [x] * len(sizes) if np.ndim(x) == 0 else x
-    return np.repeat(np.array([default if y is None else y for y in each], dtype=float), sizes)
-
-
-def descend(
-    obj,
-    v0: np.ndarray,
-    stop_at: float | Sequence[float | None] | None = None,
-    sign: float | Sequence[float] | None = None,
-    sizes: Sequence[int] | None = None,
-):
+def descend(obj, v0: np.ndarray, stops: Sequence[float], signs: Sequence[float], sizes: Sequence[int]):
     """Nonmonotone projected gradient descent from a stack of orthonormal
     starts (S, k, n).
 
@@ -146,34 +133,29 @@ def descend(
     is at most C, so C never increases and no start ends above its start
     value, but a start's values may rise on the way.
 
-    ``sizes`` splits the starts into searches, runs of consecutive starts
-    (default: one search of all of them).  ``sign`` is each search's sign,
-    +1 to minimize f and -1 to minimize -f, and ``stop_at`` each search's
-    stop, a value no frame can go much below: a lower bound on the minimum
-    plus a tolerance.  Either is one value for every search or a sequence
-    with one per search; None means +1 and no stop.  The batch is checked
-    after its first evaluation and after every iteration: once a start
-    still descending has a value at most its search's ``stop_at``, every
-    start of that search stops where it is, and the other searches go on.
+    ``sizes`` splits the starts into searches, runs of consecutive starts,
+    and ``signs`` and ``stops`` give one value per search: its sign, +1 to
+    minimize f and -1 to minimize -f, and its stop, a value no frame can
+    go much below (a lower bound on the minimum plus a tolerance; -inf for
+    a search with no stop).  The batch is checked after its first
+    evaluation and after every iteration: once a start still descending
+    has a value at most its search's stop, every start of that search
+    stops where it is, and the other searches go on.
     A start's path up to that point depends neither on the other starts
     nor on the other searches of its batch, but where its search stops
     depends on the other starts of that search.
 
-    Returns per-start arrays (values of the signed functional, frames,
-    iterations, grad norms, converged) and the history of accepted values:
-    the start values of every start, then per iteration the indices of
-    the starts that took a step and their new values.
+    Returns per-start arrays: values of the signed functional, frames,
+    iterations, grad norms and converged.
     """
     v = np.asarray(v0, dtype=float)
-    sizes = [len(v)] if sizes is None else list(sizes)
     search = np.repeat(np.arange(len(sizes)), sizes)
-    stop = _per_start(stop_at, sizes, -np.inf)
-    sign = _per_start(sign, sizes, 1.0)
+    stop = np.repeat(np.asarray(stops, dtype=float), sizes)
+    sign = np.repeat(np.asarray(signs, dtype=float), sizes)
     val, grad = _evaluate(obj, v, sign)
     p = tangent_project(grad, v)
     gnorm = np.sqrt(dots(p, p))
     ids = np.arange(len(v))
-    history = [(ids, val)]
     out_val, out_v, out_gnorm = val.copy(), v.copy(), gnorm.copy()
     out_iters = np.zeros(len(v), dtype=int)
     ref, weight = val, np.ones(len(v))
@@ -217,13 +199,12 @@ def descend(
         # f <= C, so f - C <= 0 and C cannot grow even by round-off
         weight = ETA * weight + 1.0
         ref = ref + (val - ref) / weight
-        history.append((ids, val))
         reached = val <= stop[ids]
         done = (gnorm < GRAD_TOL) | reached
         if done.any():
-            # a start at its stop_at stops its whole search
+            # a start at its stop stops its whole search
             done |= stopped(reached)
             retire(done)
             ids, v, p, val, gnorm, step, ref, weight = (x[~done] for x in (ids, v, p, val, gnorm, step, ref, weight))
     retire(np.ones(len(ids), dtype=bool))
-    return out_val, out_v, out_iters, out_gnorm, out_gnorm < GRAD_TOL, history
+    return out_val, out_v, out_iters, out_gnorm, out_gnorm < GRAD_TOL

@@ -185,15 +185,17 @@ def sectional(r: CurvatureTensor, x, y) -> float:
     """Sectional curvature of the plane spanned by x and y.
 
     Uses ``R(X, Y, X, Y) / (|X|^2 |Y|^2 - <X, Y>^2)``; the denominator is the
-    Gram determinant of the pair and must exceed ``PLANE_TOL``.
+    Gram determinant of the pair and must exceed ``PLANE_TOL`` |X|^2 |Y|^2,
+    so the test does not depend on the lengths of x and y.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != (r.n,) or y.shape != (r.n,):
         raise ValueError(f"vectors must have shape ({r.n},)")
-    gram = float(x @ x) * float(y @ y) - float(x @ y) ** 2
-    if gram <= PLANE_TOL:
-        raise ValueError(f"degenerate plane: Gram determinant {gram:.3e} <= {PLANE_TOL:.3e}")
+    norms = float(x @ x) * float(y @ y)
+    gram = norms - float(x @ y) ** 2
+    if gram <= PLANE_TOL * norms:
+        raise ValueError(f"degenerate plane: Gram determinant {gram:.3e} <= {PLANE_TOL * norms:.3e}")
     return r(x, y, x, y) / gram
 
 

@@ -216,21 +216,38 @@ def test_kernel_matches_multilinear_oracle():
                 assert abs(weighted_isotropic_curvature(r, f, wts) - family) <= 1e-12 * max(1.0, abs(family))
 
 
-def test_descend_is_nonmonotone_armijo():
-    # Zhang-Hager: the reference values C_k rebuilt from the history never
-    # increase, every accepted value is at most the C_k it was tested
+def _accepted_values(monkeypatch) -> list[float]:
+    """The values a one-start ``descend`` accepts from here on: each
+    top-level ``stiefel._line_search`` call that returns ``ok``."""
+    line_search, depth, accepted = stiefel._line_search, [0], []
+
+    def recording(*args):
+        depth[0] += 1
+        _, f_try, _, _, ok = out = line_search(*args)
+        depth[0] -= 1
+        if depth[0] == 0 and ok[0]:
+            accepted.append(f_try[0])
+        return out
+
+    monkeypatch.setattr(stiefel, "_line_search", recording)
+    return accepted
+
+
+def test_descend_is_nonmonotone_armijo(monkeypatch):
+    # Zhang-Hager: the reference values C_k rebuilt from the accepted values
+    # never increase, every accepted value is at most the C_k it was tested
     # against, and so no start ends above its start value; the values
-    # themselves are allowed to rise, and do on these starts
+    # themselves are allowed to rise, and do on these starts.  Each start
+    # descends alone, as it does in any batch
     r = random_tensor(21, 5)
     obj = frame_objective(r, "isotropic")
-    v0 = np.stack([random_frame(seed, 5).vectors for seed in range(5)])
-    vals, *_, history = descend(obj, v0)
-    per_start = [[] for _ in range(len(v0))]
-    for ids, accepted in history:
-        for i, f in zip(ids, accepted):
-            per_start[i].append(f)
     rises = 0
-    for final, values in zip(vals, per_start):
+    for seed in range(5):
+        v0 = random_frame(seed, 5).vectors[None]
+        accepted = _accepted_values(monkeypatch)
+        final = descend(obj, v0, [-np.inf], [1.0], [1])[0][0]
+        monkeypatch.undo()
+        values = [obj.batch(v0)[0][0]] + accepted
         assert len(values) > 1
         ref, weight = values[0], 1.0
         for f in values[1:]:
@@ -262,7 +279,7 @@ def test_descend_work_and_convergence_guard():
     # these 64 starts short of GRAD_TOL
     obj = _CountingObjective(frame_objective(random_tensor(93, 9), "isotropic"))
     v0 = np.stack([random_frame([9, i, 94], 9).vectors for i in range(64)])
-    vals, _, iters, gnorms, convs, _ = descend(obj, v0)
+    vals, _, iters, gnorms, convs = descend(obj, v0, [-np.inf], [1.0], [64])
     assert obj.calls <= 3 * iters.max()
     assert convs.all() and gnorms.max() < stiefel.GRAD_TOL
 
@@ -294,15 +311,18 @@ def test_descend_failed_line_search_stops_the_start_where_it_is(monkeypatch):
         random_frame([i, 132], 6, k=2).vectors if i == 3 else np.pad(random_frame([i, 132], 5, k=2).vectors, ((0, 0), (0, 1)))
         for i in range(8)
     ])
-    vals, frames, iters, gnorms, convs, history = descend(_Refusing(obj, 5), v0)
+    vals, frames, iters, gnorms, convs = descend(_Refusing(obj, 5), v0, [-np.inf], [1.0], [8])
     for i in (0, 1, 2, 4, 5, 6, 7):
-        alone = descend(obj, v0[i : i + 1])
-        for got, want in zip((vals, frames, iters, gnorms, convs), alone[:5]):
+        alone = descend(obj, v0[i : i + 1], [-np.inf], [1.0], [1])
+        for got, want in zip((vals, frames, iters, gnorms, convs), alone):
             assert np.array_equal(got[i], want[0]), i
-    steps = sum(3 in ids for ids, _ in history) - 1  # accepted steps of start 3
+    accepted = _accepted_values(monkeypatch)
+    descend(_Refusing(obj, 5), v0[3:4], [-np.inf], [1.0], [1])
+    monkeypatch.undo()
+    steps = len(accepted)  # accepted steps of start 3
     assert steps >= 1 and iters[3] == steps + 1 and not convs[3]
     monkeypatch.setattr(stiefel, "MAX_ITERS", steps)
-    capped = descend(obj, v0[3:4])
+    capped = descend(obj, v0[3:4], [-np.inf], [1.0], [1])
     assert vals[3] == capped[0][0] and np.array_equal(frames[3], capped[1][0]) and gnorms[3] == capped[3][0]
 
 
@@ -340,9 +360,9 @@ def test_descend_batch_independence_and_tie_break(monkeypatch):
     for kind, sign, n in (("isotropic", 1.0, 6), ("sectional", -1.0, 7)):
         obj = frame_objective(random_tensor([n, 41], n), kind)
         v0 = np.stack([random_frame([n, i, 42], n, k=obj.rows).vectors for i in range(64)])
-        vals, frames, iters, gnorms, convs, _ = descend(obj, v0, sign=sign)
+        vals, frames, iters, gnorms, convs = descend(obj, v0, [-np.inf], [sign], [64])
         for i in (0, 17, 63):
-            val, frame, it, gnorm, conv, _ = descend(obj, v0[i : i + 1], sign=sign)
+            val, frame, it, gnorm, conv = descend(obj, v0[i : i + 1], [-np.inf], [sign], [1])
             assert val[0] == vals[i]
             assert np.array_equal(frame[0], frames[i])
             assert it[0] == iters[i] and gnorm[0] == gnorms[i] and conv[0] == convs[i]
@@ -354,7 +374,7 @@ def test_descend_batch_independence_and_tie_break(monkeypatch):
     warm = random_frame(9, 6)
     v0 = _start_stack_of(monkeypatch, r, "isotropic", MinimizeOpts(restarts=1), (warm, warm))
     monkeypatch.undo()
-    vals, frames, iters, *_ = descend(frame_objective(r, "isotropic"), v0)
+    vals, frames, iters, *_ = descend(frame_objective(r, "isotropic"), v0, [-np.inf], [1.0], [3])
     assert len(v0) == 3 and np.array_equal(v0[0], v0[1])
     assert vals[0] == vals[1] and np.array_equal(frames[0], frames[1]) and iters[0] == iters[1]
     rep = minimize_searches(r, ((0, 1.0, (warm, warm)),), "isotropic", MinimizeOpts(restarts=1))[0]
@@ -393,7 +413,7 @@ class _Starts(Exception):
 
 
 def _start_stack_of(monkeypatch, r, kind, opts, init_frames=()) -> np.ndarray:
-    def stop(obj, v0, stop_at=None, sign=None, sizes=None):
+    def stop(obj, v0, stops, signs, sizes):
         raise _Starts(v0)
 
     monkeypatch.setattr(conditions, "descend", stop)
@@ -550,7 +570,7 @@ def _full_minimum(r, kind, sign, weights=None, starts=64):
     functional."""
     obj = frame_objective(r, kind, weights)
     v0 = np.stack([random_frame([r.n, i, 71], r.n, k=obj.rows).vectors for i in range(starts)])
-    return descend(obj, v0, sign=sign)[0].min()
+    return descend(obj, v0, [-np.inf], [sign], [starts])[0].min()
 
 
 LAMBDA_MU_GRID = [Weights(0.0, 0.0), Weights(1.0, 0.0), Weights(1.0, 1.0), Weights(0.5, -0.3), Weights(-0.8, 0.6)]
@@ -671,8 +691,8 @@ def test_descend_stops_at_the_bound():
     ):
         obj = frame_objective(r, kind)
         v0 = np.stack([random_frame([r.n, i, 75], r.n, k=obj.rows).vectors for i in range(16)])
-        full_vals, _, full_iters, *_ = descend(obj, v0, sign=sign)
-        vals, frames, iters, *_ = descend(obj, v0, lower + gap, sign)
+        full_vals, _, full_iters, *_ = descend(obj, v0, [-np.inf], [sign], [16])
+        vals, frames, iters, *_ = descend(obj, v0, [lower + gap], [sign], [16])
         assert vals.min() <= lower + gap
         assert full_vals.min() - 1e-14 <= vals.min() <= full_vals.min() + gap
         assert iters.max() < full_iters.max()
@@ -687,10 +707,10 @@ def test_descend_stops_at_the_bound():
     # the report counts as converged because it is certified
     prod = product(sphere(2, 1.0), sphere(2, 1.0))
     mixed = Frame(n=4, vectors=np.eye(4))
-    obj = frame_objective(prod, "isotropic")
+    obj = _CountingObjective(frame_objective(prod, "isotropic"))
     v0 = np.stack([mixed.vectors] + [random_frame([i, 76], 4).vectors for i in range(8)])
-    vals, _, iters, _, _, history = descend(obj, v0, conditions.GAP_TOL)
-    assert vals[0] == 0.0 and not iters.any() and len(history) == 1
+    vals, _, iters, *_ = descend(obj, v0, [conditions.GAP_TOL], [1.0], [9])
+    assert vals[0] == 0.0 and not iters.any() and obj.calls == 1
     rep = minimize_searches(prod, ((0, 1.0, (mixed,)),), "isotropic", FAST)[0]
     assert rep.iterations == 0 and rep.min_value == 0.0
     assert rep.certified and rep.converged and rep.lower_bound == 0.0
@@ -832,12 +852,12 @@ def test_a_search_at_its_stop_leaves_the_others_running():
     a = np.stack([random_frame([i, 121], 4, k=2).vectors for i in range(8)])
     b = np.stack([random_frame([i, 122], 4, k=2).vectors for i in range(8)])
     stop = 1.0 + conditions.GAP_TOL * 4.0
-    shared = descend(frame_objective(r, "sectional"), np.concatenate((a, b)), [stop, None], [1.0, -1.0], [8, 8])
-    alone_a = descend(frame_objective(r, "sectional"), a, stop)
-    alone_b = descend(frame_objective(r, "sectional"), b, sign=-1.0)
+    shared = descend(frame_objective(r, "sectional"), np.concatenate((a, b)), [stop, -np.inf], [1.0, -1.0], [8, 8])
+    alone_a = descend(frame_objective(r, "sectional"), a, [stop], [1.0], [8])
+    alone_b = descend(frame_objective(r, "sectional"), b, [-np.inf], [-1.0], [8])
     iters = shared[2]
     assert shared[0][:8].min() <= stop and iters[:8].max() < iters[8:].max()
-    for got, want_a, want_b in zip(shared[:5], alone_a[:5], alone_b[:5]):
+    for got, want_a, want_b in zip(shared, alone_a, alone_b):
         assert np.array_equal(got[:8], want_a) and np.array_equal(got[8:], want_b)
 
 

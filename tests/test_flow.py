@@ -93,6 +93,34 @@ def test_reaction_preserves_symmetry_class():
         assert np.max(np.abs(again.comps - q.comps)) < 1e-10
 
 
+def _r2_minus_sharp(r):
+    # R^2 - R# is 4 M M - Q, projected, as the R^2 term of the raw reaction
+    # is 2 M M
+    m = r.operator
+    return CurvatureTensor.from_operator(r.n, lambda2.project(4.0 * m @ m - quadratic_reaction(r).operator))
+
+
+def _tangency(r, seed, reaction=quadratic_reaction):
+    """Shift R along the sphere onto the NIC boundary, R_b = R - (nu / 4)
+    S^4 with nu the multistart isotropic minimum at the frame F, and return
+    the isotropic value of reaction(R_b) at F over max(1, its max |entry|)."""
+    rep = conditions.minimize_frame(r, "isotropic", MinimizeOpts(restarts=16, seed=seed))
+    assert rep.certified  # the Micallef-Moore bound is exact at n = 4, so nu is the minimum
+    q = reaction(combine(1.0, r, -rep.min_value / 4.0, sphere(4, 1.0)))
+    return isotropic_curvature(q, rep.argmin_frame) / max(1.0, np.abs(q.operator).max())
+
+
+def test_reaction_is_inward_on_the_nic_boundary_at_n4():
+    # Hamilton: at n = 4 the ODE dR/dt = Q(R) preserves NIC, so at a null
+    # frame of a tensor on the boundary Q's isotropic value is nonnegative;
+    # R^2 - R# is not inward, and fails on some of the same tensors
+    s4, cp2 = sphere(4, 1.0), fubini_study(2, 4.0)
+    zoo = [s4, cp2, product(sphere(2, 1.0), sphere(2, 1.0)), combine(1.0, s4, 0.3, cp2)]
+    cases = [(random_tensor([i, 4], 4), i) for i in range(200)] + [(r, 0) for r in zoo]
+    assert all(_tangency(r, seed) >= -1e-9 for r, seed in cases)
+    assert any(_tangency(r, seed, _r2_minus_sharp) < -1e-9 for r, seed in cases)
+
+
 def _sums_oracle(r, frame):
     # Naive translation of the three displayed block sums: an einsum change
     # of basis, then plain Python loops over (p, q).

@@ -60,7 +60,7 @@ def test_writers_round_trip_doubles():
     rows = tuple(TraceRow(*([float(i)] + [x] * 7)) for i, x in enumerate(values))
     back = trace_from_csv(trace_to_csv(FlowTrace(rows=rows)))
     for got, expect in zip(back.rows, rows, strict=True):
-        assert all(_same_double(a, b) for a, b in zip(got.astuple(), expect.astuple(), strict=True))
+        assert all(_same_double(a, b) for a, b in zip(tuple(got), tuple(expect), strict=True))
     # tensor files: the values on the diagonal of a 10 x 10 operator, whose
     # off-diagonal zeros hold no Lambda^4 part
     m = np.zeros((10, 10))
@@ -220,7 +220,7 @@ def test_trace_round_trip(tmp_path):
     back = read_trace(str(path))
     assert len(back.rows) == 2
     for got, expect in zip(back.rows, rows):
-        assert got.astuple() == expect.astuple()
+        assert tuple(got) == tuple(expect)
     assert back.final is None and back.q_evals is None and back.halvings is None
 
 

@@ -262,6 +262,19 @@ def test_sectional_degenerate_plane():
         sectional(s, np.ones(3), np.ones(3))
 
 
+def test_sectional_plane_test_is_relative():
+    # an orthogonal pair spans a plane at any length (the absolute test
+    # rejected c <= 1e-3); a parallel or zero pair is degenerate at any
+    s = sphere(4, 1.0)
+    e = np.eye(4)
+    for c in (1e-4, 1e-3, 1.0, 1e3):
+        assert sectional(s, c * e[0], c * e[1]) == pytest.approx(1.0, abs=1e-15)
+        with pytest.raises(ValueError, match="degenerate plane"):
+            sectional(s, c * e[0], 2 * c * e[0])
+    with pytest.raises(ValueError, match="degenerate plane"):
+        sectional(s, np.zeros(4), np.zeros(4))
+
+
 def test_ricci_against_loop_oracle():
     r = random_tensor(5, 5)
     arr = r.array
