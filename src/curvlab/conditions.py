@@ -526,12 +526,13 @@ def minimize_searches(
         lowers.append(_lower_bound(m, spectrum, obj, flat, sign, 0.5 * gap))
     sizes = [len(v0) for v0 in stacks]
     signs = [sign for _, sign, _ in searches]
-    vals, frames, iters, gnorms, convs = descend(obj, np.concatenate(stacks), [lower + gap for lower in lowers], signs, sizes)
+    stops = [lower + gap for lower in lowers]
+    vals, frames, iters, gnorms, convs = descend(obj, np.concatenate(stacks), stops, signs, sizes)
     reports, begin = [], 0
-    for (flat, _, _), lower, size in zip(searches, lowers, sizes):
+    for (flat, _, _), lower, stop, size in zip(searches, lowers, stops, sizes):
         dim, end = r.n + flat, begin + size
         best = begin + int(np.argmin(vals[begin:end]))  # lowest value, then lowest start index
-        certified = bool(vals[best] <= lower + gap)
+        certified = bool(vals[best] <= stop)
         reports.append(ConditionReport(
             min_value=float(vals[best]),
             argmin_frame=Frame(n=dim, vectors=frames[best][:, :dim]),

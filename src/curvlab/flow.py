@@ -306,7 +306,8 @@ def integrate(r0: CurvatureTensor, t_end: float, opts: FlowOpts = FlowOpts()) ->
     n = r0.n
     y = r0.operator
     scalar0 = _scalar(y)
-    if opts.normalize and abs(scalar0) < 1e-12 * max(1.0, float(np.abs(y).max())):
+    size = float(np.abs(y).max())
+    if opts.normalize and abs(scalar0) < 1e-12 * max(1.0, size):
         raise ValueError("cannot normalize: initial scalar curvature vanishes")
     diag = _Diagnostics(opts.minimize)
     rows = [diag.row(0.0, r0, 0.0, 0.0)]
@@ -321,7 +322,7 @@ def integrate(r0: CurvatureTensor, t_end: float, opts: FlowOpts = FlowOpts()) ->
     err_since_row = 0.0
     near = END_TOL * max(1.0, t_end)
     while t < t_end:
-        scale = max(1.0, float(np.abs(y).max()))
+        scale = max(1.0, size)
         stop = min(t_end, len(rows) * opts.stride * opts.dt)
         if opts.ode_tol is None:
             h = opts.dt if t_end - t > opts.dt - near else t_end - t

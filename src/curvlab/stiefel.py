@@ -118,11 +118,9 @@ def descend(obj, v0: np.ndarray, stops: Sequence[float], signs: Sequence[float],
     gradient, the trial step alternates between the long step s.s/s.y,
     after odd iterations, and the short step s.y/y.y, after even ones,
     clipped to [1e-12, 1e6]; where s.y is not positive it is twice the
-    accepted step.  Each stops on its own (gradient below ``GRAD_TOL``, a
-    line search that fails by step tolerance or 60 halvings, ``MAX_ITERS``
-    iterations) and then leaves the batch.  Each retracted frame goes
-    through ``obj.batch`` once, for value and gradient together, so the
-    accepted trial's gradient is reused.
+    accepted step.  Each retracted frame goes through ``obj.batch`` once,
+    for value and gradient together, so the accepted trial's gradient is
+    reused.
 
     The Armijo test is Zhang-Hager's: a trial must improve on a reference
     value C, not on the current value, so the Barzilai-Borwein steps,
@@ -137,13 +135,20 @@ def descend(obj, v0: np.ndarray, stops: Sequence[float], signs: Sequence[float],
     and ``signs`` and ``stops`` give one value per search: its sign, +1 to
     minimize f and -1 to minimize -f, and its stop, a value no frame can
     go much below (a lower bound on the minimum plus a tolerance; -inf for
-    a search with no stop).  The batch is checked after its first
-    evaluation and after every iteration: once a start still descending
-    has a value at most its search's stop, every start of that search
-    stops where it is, and the other searches go on.
-    A start's path up to that point depends neither on the other starts
-    nor on the other searches of its batch, but where its search stops
-    depends on the other starts of that search.
+    a search with no stop).
+
+    A start leaves the batch at one place, a check made after the first
+    evaluation and after every iteration, and with its state there and
+    the number of iterations so far as its result.  The check tests, in
+    this order: a line search that failed in the iteration just made (by
+    step tolerance or 60 halvings; the start has kept its last accepted
+    frame), a projected gradient norm below ``GRAD_TOL``, a start of the
+    same search whose value is at most the search's stop (then every start
+    of that search leaves, and the other searches go on), and ``MAX_ITERS``
+    iterations (then every start leaves).  A start's path up to its exit
+    depends neither on the other starts nor on the other searches of its
+    batch, but where its search stops depends on the other starts of that
+    search.
 
     Returns per-start arrays: values of the signed functional, frames,
     iterations, grad norms and converged.
@@ -156,36 +161,34 @@ def descend(obj, v0: np.ndarray, stops: Sequence[float], signs: Sequence[float],
     p = tangent_project(grad, v)
     gnorm = np.sqrt(dots(p, p))
     ids = np.arange(len(v))
-    out_val, out_v, out_gnorm = val.copy(), v.copy(), gnorm.copy()
-    out_iters = np.zeros(len(v), dtype=int)
-    ref, weight = val, np.ones(len(v))
-    it = 0
-
-    def retire(gone: np.ndarray) -> None:
-        # the current state of the starts ids[gone] is their result
-        out_val[ids[gone]], out_v[ids[gone]], out_gnorm[ids[gone]] = val[gone], v[gone], gnorm[gone]
-        out_iters[ids[gone]] = it
-
-    def stopped(reached: np.ndarray) -> np.ndarray:
-        # the starts of every search one of whose starts ids[reached] is at its stop
-        hit = np.zeros(len(sizes), dtype=bool)
-        hit[search[ids[reached]]] = True
-        return hit[search[ids]]
-
+    out_val, out_v, out_gnorm, out_iters = (np.empty_like(x) for x in (val, v, gnorm, ids))
     step = 1.0 / np.maximum(1.0, gnorm)
-    live = ~((gnorm < GRAD_TOL) | stopped(val <= stop))
-    ids, v, p, val, gnorm, step, ref, weight = (x[live] for x in (ids, v, p, val, gnorm, step, ref, weight))
-    while ids.size and it < MAX_ITERS:
+    ref, weight = val, np.ones(len(v))
+    it, failed = 0, None
+    while True:
+        # the one exit: a failed line search, GRAD_TOL, a start of the same
+        # search at its stop, MAX_ITERS; the current state is the result
+        done = gnorm < GRAD_TOL if failed is None else failed | (gnorm < GRAD_TOL)
+        reached = val <= stop[ids]
+        if reached.any():
+            hit = np.zeros(len(sizes), dtype=bool)
+            hit[search[ids[reached]]] = True
+            done |= hit[search[ids]]
+        if it == MAX_ITERS:
+            done[:] = True
+        if done.any():
+            gone = ids[done]
+            out_val[gone], out_v[gone], out_gnorm[gone], out_iters[gone] = val[done], v[done], gnorm[done], it
+            if done.all():
+                break
+            ids, v, p, val, gnorm, step, ref, weight = (x[~done] for x in (ids, v, p, val, gnorm, step, ref, weight))
         it += 1
         v_try, f_try, g_try, trial, ok = _line_search(obj, v, p, ref, 1e-4 * gnorm * gnorm, gnorm, sign[ids], step)
-        if not ok.all():
-            # the line search failed: these starts stop where they are
-            retire(~ok)
-            ids, v, p, val, gnorm, trial, v_try, f_try, g_try, ref, weight = (
-                x[ok] for x in (ids, v, p, val, gnorm, trial, v_try, f_try, g_try, ref, weight))
-            if not ids.size:
-                break
         p_try = tangent_project(g_try, v_try)
+        failed = None if ok.all() else ~ok
+        if failed is not None:
+            # these starts keep where they are and leave at the next check
+            v_try[failed], p_try[failed], f_try[failed] = v[failed], p[failed], val[failed]
         # Barzilai-Borwein step for the next iteration, the long step s.s/s.y
         # after odd iterations and the short step s.y/y.y after even ones,
         # doubling the accepted step where the curvature s.y is not positive
@@ -199,12 +202,4 @@ def descend(obj, v0: np.ndarray, stops: Sequence[float], signs: Sequence[float],
         # f <= C, so f - C <= 0 and C cannot grow even by round-off
         weight = ETA * weight + 1.0
         ref = ref + (val - ref) / weight
-        reached = val <= stop[ids]
-        done = (gnorm < GRAD_TOL) | reached
-        if done.any():
-            # a start at its stop stops its whole search
-            done |= stopped(reached)
-            retire(done)
-            ids, v, p, val, gnorm, step, ref, weight = (x[~done] for x in (ids, v, p, val, gnorm, step, ref, weight))
-    retire(np.ones(len(ids), dtype=bool))
     return out_val, out_v, out_iters, out_gnorm, out_gnorm < GRAD_TOL

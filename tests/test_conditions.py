@@ -326,6 +326,48 @@ def test_descend_failed_line_search_stops_the_start_where_it_is(monkeypatch):
     assert vals[3] == capped[0][0] and np.array_equal(frames[3], capped[1][0]) and gnorms[3] == capped[3][0]
 
 
+def test_descend_every_exit_in_one_batch(monkeypatch):
+    # one batch, every way out: search A (CP^2's Kmax, with its exact stop)
+    # stops at its bound; search B (Kmin, no stop) holds a start whose line
+    # search fails, starts that reach GRAD_TOL and a start cut at MAX_ITERS
+    obj = frame_objective(fubini_study(2, 4.0), "sectional")
+    pad = functools.partial(np.pad, pad_width=((0, 0), (0, 1)))
+    a = np.stack([pad(random_frame([i, 143], 4, k=2).vectors) for i in range(6)])
+    b = np.stack([random_frame([i, 146], 5, k=2).vectors if i == 2 else pad(random_frame([i, 146], 4, k=2).vectors) for i in range(6)])
+    stop, cap = -4.0 + conditions.GAP_TOL * 4.0, 5
+    monkeypatch.setattr(stiefel, "MAX_ITERS", cap)
+    out = descend(_Refusing(obj, 3), np.concatenate((a, b)), [stop, -np.inf], [-1.0, 1.0], [6, 6])
+    vals, frames, iters, gnorms, convs = out
+
+    def alone(v, sign, max_iters):
+        monkeypatch.setattr(stiefel, "MAX_ITERS", max_iters)
+        return descend(obj, v[None], [-np.inf], [sign], [1])
+
+    # every A start still running when one reaches the stop ends at that
+    # iteration, where it is as it would be alone
+    reached = int(iters[:6].max())
+    assert 0 < reached < cap and vals[:6].min() <= stop
+    for i in range(6):
+        assert iters[i] == reached or (convs[i] and iters[i] < reached)
+        for got, want in zip(out, alone(a[i], -1.0, int(iters[i]))):
+            assert np.array_equal(got[i], want[0]), i
+    # each unrefused B start is bitwise its run alone under the same cap
+    kept = [6, 7, 9, 10, 11]
+    assert any(convs[j] and iters[j] < cap for j in kept) and any(not convs[j] and iters[j] == cap for j in kept)
+    for j in kept:
+        for got, want in zip(out, alone(b[j - 6], 1.0, cap)):
+            assert np.array_equal(got[j], want[0]), j
+    # the refused start is where its accepted steps left it
+    accepted = _accepted_values(monkeypatch)
+    monkeypatch.setattr(stiefel, "MAX_ITERS", cap)
+    descend(_Refusing(obj, 3), b[2:3], [-np.inf], [1.0], [1])
+    monkeypatch.undo()
+    steps = len(accepted)
+    assert steps >= 1 and iters[8] == steps + 1 < cap and not convs[8]
+    capped = alone(b[2], 1.0, steps)
+    assert vals[8] == capped[0][0] and np.array_equal(frames[8], capped[1][0]) and gnorms[8] == capped[3][0]
+
+
 def test_descend_contracts_each_frame_once(monkeypatch):
     # every orthonormalized frame (each start, in its random_frame QR, and
     # each line-search trial of each start) is contracted exactly
