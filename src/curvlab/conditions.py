@@ -12,17 +12,20 @@ search runs on R, at the first n columns of frames in R^{n+2}.  By the
 lift identity every weighted-family value is an isotropic value on
 R x R^2; the family stays as a test oracle, not as a second search.
 
-Every frame functional is <S, F> with F[a, b, c, d] = R(e_a, e_b, e_c, e_d)
-on the frame rows and one of two coefficient tensors S, isotropic (on
-4-frames) or sectional (on 2-frames), that carry the pair symmetries of
-R.  Because S and R share those symmetries, the Euclidean gradient in the
-frame is 4 S C with C[a, b, c, :] = R(e_a, e_b, e_c, .), contracting S
-with C over the first three slots, and since the functional is
-homogeneous of degree 4 its value is <gradient, frame> / 4.  One kernel
-computes both on a stack of frames (S, k, n), through the pair
-contraction D = R(e_a, e_b, ., .) for a < b, with one small matmul per
-frame.  The weighted family is the isotropic kernel on the frame rows
-scaled by (1, mu, 1, lam).
+Every frame functional is a sum of quadratic forms of the curvature
+operator M on Lambda^2: sum_alpha R(w_alpha, w_alpha) over bivectors
+w_alpha = sum_{a<b} A_alpha[a, b] e_a ^ e_b of the frame rows, from a
+small table of antisymmetric coefficient matrices A_alpha.  The isotropic
+curvature is R(w1, w1) + R(w2, w2) with w1 = e13 - e24 and w2 = e14 + e23
+(Micallef-Moore 1988), the weighted family the same with w1 = e13 - lam mu
+e24 and w2 = lam e14 + mu e23, and the sectional term K12 is R(e12, e12).
+With W_alpha = v^T A_alpha v, w_alpha its entries at the pairs i < j and
+U_alpha the antisymmetric n x n matrix of M w_alpha, the Euclidean
+gradient in the frame v is -2 sum_alpha A_alpha v U_alpha, and since the
+functional is homogeneous of degree 4 its value is <gradient, frame> / 4.
+One kernel computes both on a stack of frames (S, k, n), with one small
+matmul per frame for each product.  The squared norms |w_alpha|^2 of the
+same table weight the eigenvalue lower bound.
 
 The multistart search descends its (S, k, n) stack of orthonormal starts
 as one batch (``stiefel``), each start with its own alternating
@@ -55,7 +58,7 @@ import numpy as np
 
 from .blas import single_threaded
 from .frames import Frame, cyclic_frames, lift_frame, random_frame
-from .lambda2 import place
+from .lambda2 import _pairs, place
 from .stiefel import descend, dots, orthonormal_rows
 from .tensors import CurvatureTensor, pad_euclidean
 
@@ -154,55 +157,6 @@ class ConditionReport:
 
 
 # ---------------------------------------------------------------------------
-# The frame-contraction kernel
-
-
-def _contract(m: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """D[s, p] = R(e_a, e_b, ., .) for the frame pairs (e_a, e_b) =
-    (first[s, p], second[s, p]) of a stack of frames, shaped (S, P n, n).
-
-    ``m`` is R as an n^2 x n^2 matrix; each start's pairs go through one
-    P x n^2 by n^2 x n^2 matmul of the stack.
-    """
-    s, p, n = first.shape
-    return ((first[..., :, None] * second[..., None, :]).reshape(s, p, n * n) @ m).reshape(s, p * n, n)
-
-
-# The frame pairs a < b of a k-frame, as the kernel's row indices: all
-# first members, then all second members.
-_PAIRS = {k: np.triu_indices(k, 1) for k in (2, 4)}
-_PAIR_ROWS = {k: np.concatenate(pairs) for k, pairs in _PAIRS.items()}
-
-
-def _grad_coeffs(k: int, terms) -> np.ndarray:
-    """The kernel's gradient coefficients of the functional on k-frames
-    that sums c R(e_a, e_b, e_c, e_d) over ``terms`` (c, (a, b, c, d)),
-    rows (d, pair a < b) and columns c.
-
-    Its coefficient tensor S is the terms averaged over the pair
-    symmetries of R, so all four slots contribute the same derivative and
-    the gradient is 4 S contracted with C.  S is antisymmetric in its
-    first pair, so that sum runs twice over the frame pairs a < b:
-      G[d] = 8 sum_{a<b, c} S[a, b, c, d] R(e_a, e_b, e_c, .).
-    """
-    s = np.zeros((k, k, k, k))
-    for coeff, (a, b, c, d) in terms:
-        for i, j, p, q, sign in ((a, b, c, d, 1), (b, a, c, d, -1), (a, b, d, c, -1), (b, a, d, c, 1)):
-            s[i, j, p, q] += coeff * sign / 8.0
-            s[p, q, i, j] += coeff * sign / 8.0
-    first, second = _PAIRS[k]
-    return 8.0 * s[first, second].transpose(2, 0, 1).reshape(k * len(first), k)
-
-
-# The two coefficient tables, built once: K13 + K14 + K23 + K24 - 2 R(e1,
-# e2, e3, e4) on 4-frames and K12 on 2-frames.
-_GRAD_COEFFS = {
-    "isotropic": _grad_coeffs(4, ((1, (0, 2, 0, 2)), (1, (0, 3, 0, 3)), (1, (1, 2, 1, 2)), (1, (1, 3, 1, 3)), (-2, (0, 1, 2, 3)))),
-    "sectional": _grad_coeffs(2, ((1, (0, 1, 0, 1)),)),
-}
-
-
-# ---------------------------------------------------------------------------
 # Functionals
 
 
@@ -265,16 +219,50 @@ def cyclic_sum_identity(r: CurvatureTensor, frame: Frame, w: Weights) -> tuple[f
 # Frame objectives and their gradients
 
 
+def _bivectors(kind: str, weights: Weights | None) -> np.ndarray:
+    """The functional's table (alpha, k, k) of the coefficients A_alpha[a, b],
+    a < b, of the bivectors w_alpha = sum_{a<b} A_alpha[a, b] e_a ^ e_b of
+    a frame, zero on and below the diagonal: e12 for ``sectional``, e13 -
+    lam mu e24 and lam e14 + mu e23 for ``lambda_mu`` and ``isotropic``
+    (lam = mu = 1)."""
+    if kind == "sectional":
+        a = np.zeros((1, 2, 2))
+        a[0, 0, 1] = 1.0
+    else:
+        lam, mu = (1.0, 1.0) if weights is None else (weights.lam, weights.mu)
+        a = np.zeros((2, 4, 4))
+        a[0, 0, 2], a[0, 1, 3], a[1, 0, 3], a[1, 1, 2] = 1.0, -lam * mu, lam, mu
+    return a
+
+
+@functools.cache
+def _layout(n: int, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index plans of the kernel for ``count`` bivectors in R^n.
+
+    The offsets (count, N) of the pairs i < j of W_alpha = v^T A_alpha v
+    held at [i, alpha, j], and the columns and factors that build -2 M E
+    from M: column i n + j is -2 times M's column of the pair (i, j), column
+    j n + i twice it, and the diagonal columns are zero.
+    """
+    pairs = _pairs(n)
+    i, j = divmod(pairs, n)
+    at = (i * count + np.arange(count)[:, None]) * n + j
+    cols, factors = np.zeros(n * n, dtype=np.intp), np.zeros(n * n)
+    cols[pairs] = cols[j * n + i] = np.arange(len(pairs))
+    factors[pairs], factors[j * n + i] = -2.0, 2.0
+    return at, cols, factors
+
+
 class _FrameObjective:
     """Value and Euclidean gradient of a frame functional on stacks of
     k x n matrices (``batch``) and on single ones (the stack of one).
 
-    ``isotropic`` (4-frames) and ``sectional`` (2-frames) are <S, F> with
-    their fixed coefficient table.  ``lambda_mu`` is the isotropic kernel
-    on the rows scaled by D = diag(1, mu, 1, lam) from ``weights``, which
-    turns K13 + K14 + K23 + K24 - 2 R1234 into the weighted family, and
-    its gradient at v is D times the isotropic gradient at D v.  A search
-    for a maximum minimizes it with sign -1 in ``stiefel.descend``.
+    Every functional is sum_alpha R(w_alpha, w_alpha) over the bivectors of
+    its table (``_bivectors``): K12 on 2-frames; on 4-frames K13 + lam^2 K14
+    + mu^2 K23 + lam^2 mu^2 K24 - 2 lam mu R(e1, e2, e3, e4) by the Bianchi
+    identity, the isotropic curvature at lam = mu = 1.  ``norms`` are the
+    squared norms |w_alpha|^2 in descending order (``_lower_bound``).  A
+    search for a maximum minimizes it with sign -1 in ``stiefel.descend``.
     """
 
     def __init__(self, r: CurvatureTensor, kind: str, weights: Weights | None = None):
@@ -282,42 +270,40 @@ class _FrameObjective:
             raise ValueError(f"unknown objective kind {kind!r}")
         if (kind == "lambda_mu") != (weights is not None):
             raise ValueError("lambda_mu objective needs weights" if weights is None else f"{kind} objective takes no weights")
-        self.rows = 2 if kind == "sectional" else 4
-        self.grad_coeffs = _GRAD_COEFFS["sectional" if kind == "sectional" else "isotropic"]
-        self.pair_rows = _PAIR_ROWS[self.rows]
+        a = _bivectors(kind, weights)
+        count, k = len(a), a.shape[1]
+        self.rows = k
+        self.norms = sorted(np.square(a).sum(axis=(1, 2)).tolist(), reverse=True)
+        # the antisymmetric A stacked so that A v holds (A_alpha v)[a] in row (a, alpha)
+        self.coeffs = (a - a.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(k * count, k)
         self.n = r.n
-        self.m = r.array.reshape(r.n**2, r.n**2)
-        lam, mu = (1.0, 1.0) if weights is None else (weights.lam, weights.mu)
-        self.scale = None if weights is None else np.array([[1.0], [mu], [1.0], [lam]])
-        # squared norms of the bivectors e13 - lam mu e24 and lam e14 + mu
-        # e23 of a 4-frame value, in descending order (``_lower_bound``)
-        self.norms = sorted((1.0 + (lam * mu) ** 2, lam * lam + mu * mu), reverse=True)
+        self.at, cols, factors = _layout(r.n, count)
+        # -2 M E: w @ me is -2 U, U the antisymmetric n x n matrix of M w
+        self.me = r.operator.take(cols, axis=1) * factors
 
     def batch(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Values (S,) and Euclidean gradients (S, k, n + j) of R x R^j on a
         stack of frames in R^{n+j}: R's at the first n columns, 0 past them."""
         if v.shape[2] > self.n:
-            vals, g = self.batch(np.ascontiguousarray(v[:, :, : self.n]))
+            vals, g = self._kernel(np.ascontiguousarray(v[:, :, : self.n]))
             grads = np.zeros(v.shape)
             grads[:, :, : self.n] = g
             return vals, grads
-        if self.scale is None:
-            return self._kernel(v)
-        vals, grads = self._kernel(self.scale * v)
-        return vals, self.scale * grads
+        return self._kernel(v)
 
     def _kernel(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """<S, F> and its gradient on a stack of frames.
+        """sum_alpha R(w_alpha, w_alpha) and its gradient on a stack of frames.
 
-        With D[p] = R(e_a, e_b, ., .) for the pairs p, the gradient row d is
-        sum_{p, c} grad_coeffs[(d, p), c] e_c D[p], and since the functional
-        is homogeneous of degree 4 in the frame, its value is <G, v> / 4.
+        With W_alpha = v^T A_alpha v, w_alpha its entries at the pairs i < j
+        and U_alpha the antisymmetric matrix of M w_alpha, the gradient is
+        -2 sum_alpha A_alpha v U_alpha, and since the functional is
+        homogeneous of degree 4 in the frame, its value is <G, v> / 4.
+        Each product is one small matmul per frame.
         """
-        s, k, _ = v.shape
-        pairs = len(self.pair_rows) // 2
-        rows = np.take(v, self.pair_rows, axis=1)
-        d = _contract(self.m, rows[:, :pairs], rows[:, pairs:])
-        g = (self.grad_coeffs @ v).reshape(s, k, -1) @ d
+        s, k, n = v.shape
+        x = (self.coeffs @ v).reshape(s, k, -1)
+        w = (v.transpose(0, 2, 1) @ x).reshape(s, -1).take(self.at, axis=1)
+        g = x @ (w @ self.me).reshape(s, -1, n)
         return dots(g, v) / 4.0, g
 
     def value(self, v: np.ndarray) -> float:
@@ -450,7 +436,7 @@ def _lower_bound(m: np.ndarray, spectrum, obj: _FrameObjective, flat: int, sign:
     one after Thorpe's shift by the star (``_thorpe_bound``); other weights
     keep their Ky Fan bound.
     """
-    if obj.n + flat == 4 and obj.norms == [2.0, 2.0]:
+    if obj.n + flat == 4 and obj.norms in ([2.0, 2.0], [1.0]):  # unit weights, or sectional
         if flat:  # the operator of R x R^flat: R's, with zero rows for the flat pairs
             m = place(4, (0, m))
         m = -m if sign < 0 else m

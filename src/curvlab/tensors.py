@@ -205,8 +205,8 @@ def ricci(r: CurvatureTensor) -> np.ndarray:
 
 
 def scalar_curvature(r: CurvatureTensor) -> float:
-    """Trace of the Ricci contraction."""
-    return float(np.trace(ricci(r)))
+    """Trace of the Ricci contraction, sum_ij R_ijij = 2 tr M."""
+    return 2.0 * float(np.trace(r.operator))
 
 
 def sphere(n: int, kappa: float) -> CurvatureTensor:

@@ -191,9 +191,9 @@ def test_gradients_match_central_differences():
 
 
 def test_kernel_matches_multilinear_oracle():
-    # The contraction kernel against direct evaluation through
+    # The bivector kernel against direct evaluation through
     # CurvatureTensor.__call__ and tensors.sectional, and the weighted
-    # family, the isotropic kernel on scaled rows, against its definition.
+    # family against its definition.
     for n in range(4, 9):
         r = random_tensor([n, 31], n)
         iso = frame_objective(r, "isotropic")
@@ -214,6 +214,63 @@ def test_kernel_matches_multilinear_oracle():
                     + lam**2 * mu**2 * r(e2, e4, e2, e4) - 2.0 * lam * mu * r(e1, e2, e3, e4)
                 )
                 assert abs(weighted_isotropic_curvature(r, f, wts) - family) <= 1e-12 * max(1.0, abs(family))
+
+
+# The functionals as the index formula writes them: (coefficient, frame
+# rows (a, b, c, d) of R(e_a, e_b, e_c, e_d)).
+def _index_terms(kind: str, w: Weights | None = None):
+    if kind == "sectional":
+        return ((1.0, (0, 1, 0, 1)),)
+    lam, mu = (1.0, 1.0) if w is None else (w.lam, w.mu)
+    return ((1.0, (0, 2, 0, 2)), (lam**2, (0, 3, 0, 3)), (mu**2, (1, 2, 1, 2)),
+            (lam**2 * mu**2, (1, 3, 1, 3)), (-2.0 * lam * mu, (0, 1, 2, 3)))
+
+
+def _index_value_grad(arr: np.ndarray, v: np.ndarray, terms):
+    """The value and gradient of sum c R(e_a, e_b, e_c, e_d) by einsum on the
+    full (n, n, n, n) array: the gradient in row x sums the terms with
+    their slots at x left free."""
+    value, grad = 0.0, np.zeros(v.shape)
+    for c, rows in terms:
+        value += c * np.einsum("ijkl,i,j,k,l->", arr, *v[list(rows)])
+        for slot, x in enumerate(rows):
+            vecs = [v[a] for a in rows]
+            spec = ["i", "j", "k", "l"]
+            free = spec.pop(slot)
+            del vecs[slot]
+            grad[x] += c * np.einsum(f"ijkl,{','.join(spec)}->{free}", arr, *vecs)
+    return value, grad
+
+
+def test_bivector_kernel_matches_index_formula():
+    # values and gradients of every kind against explicit index sums on the
+    # n^4 array, also on frames in R^{n+2} evaluated on R x R^2
+    for n in range(4, 13):
+        r = random_tensor([n, 35], n)
+        scale = max(1.0, r.max_abs())
+        kinds = [("isotropic", None), ("sectional", None)]
+        kinds += [("lambda_mu", _random_weights([n, i, 36])) for i in range(2)]
+        for kind, w in kinds:
+            obj = frame_objective(r, kind, w)
+            for flat, arr in ((0, r.array), (2, pad_euclidean(r, 2).array)):
+                v = np.stack([random_frame([n, flat, i, 37], n + flat, k=obj.rows).vectors for i in range(3)])
+                vals, grads = obj.batch(v)
+                for i in range(3):
+                    want, want_grad = _index_value_grad(arr, v[i], _index_terms(kind, w))
+                    assert abs(vals[i] - want) <= 1e-13 * scale
+                    assert np.max(np.abs(grads[i] - want_grad)) <= 1e-13 * scale
+                    assert np.all(grads[i, :, n:] == 0.0)
+
+
+def test_objective_norms_come_from_its_bivectors():
+    # |w1|^2 = 1 + lam^2 mu^2 and |w2|^2 = lam^2 + mu^2 in descending order,
+    # |e12|^2 = 1 for the sectional functional
+    r = random_tensor(4, 5)
+    assert frame_objective(r, "isotropic").norms == [2.0, 2.0]
+    assert frame_objective(r, "sectional").norms == [1.0]
+    for lam, mu in ((0.5, -0.25), (1.0, 0.0), (-0.9, 0.7)):
+        norms = frame_objective(r, "lambda_mu", Weights(lam, mu)).norms
+        assert norms == sorted((1.0 + (lam * mu) ** 2, lam * lam + mu * mu), reverse=True)
 
 
 def _accepted_values(monkeypatch) -> list[float]:
@@ -370,10 +427,10 @@ def test_descend_every_exit_in_one_batch(monkeypatch):
 
 def test_descend_contracts_each_frame_once(monkeypatch):
     # every orthonormalized frame (each start, in its random_frame QR, and
-    # each line-search trial of each start) is contracted exactly
-    # once, for value and gradient together; frames are counted through the
-    # leading stack dimension
-    counts = {"contract": 0, "orthonormalize": 0}
+    # each line-search trial of each start) goes through the bivector
+    # kernel exactly once, for value and gradient together; frames are
+    # counted through the leading stack dimension
+    counts = {"kernel": 0, "orthonormalize": 0}
 
     def counting(name, fn, stack):
         def wrapped(*args):
@@ -382,18 +439,19 @@ def test_descend_contracts_each_frame_once(monkeypatch):
 
         return wrapped
 
-    monkeypatch.setattr(conditions, "_contract", counting("contract", conditions._contract, 1))
+    kernel = conditions._FrameObjective._kernel
+    monkeypatch.setattr(conditions._FrameObjective, "_kernel", counting("kernel", kernel, 1))
     for module in (conditions, frames, stiefel):
         monkeypatch.setattr(module, "orthonormal_rows", counting("orthonormalize", module.orthonormal_rows, 0))
     conditions._draws.cache_clear()
     rep = minimize_frame(random_tensor(0, 6), "isotropic", MinimizeOpts(restarts=8))
     assert counts["orthonormalize"] > 8 * rep.iterations
-    assert counts["contract"] == counts["orthonormalize"]
+    assert counts["kernel"] == counts["orthonormalize"]
     # a second search of the same shape reuses the orthonormalized starts,
     # so only its line-search trials are orthonormalized
-    counts.update(contract=0, orthonormalize=0)
+    counts.update(kernel=0, orthonormalize=0)
     minimize_frame(random_tensor(1, 6), "isotropic", MinimizeOpts(restarts=8))
-    assert counts["contract"] == counts["orthonormalize"] + 8
+    assert counts["kernel"] == counts["orthonormalize"] + 8
 
 
 def test_descend_batch_independence_and_tie_break(monkeypatch):
@@ -436,18 +494,19 @@ def test_descend_batch_independence_and_tie_break(monkeypatch):
 
 
 def test_batched_kernel_matches_single_frames():
+    # bitwise: a frame's value and gradient do not depend on the other
+    # frames of its stack, up to the 64-start stacks at n = 9 and 12
     for n in range(4, 13):
         r = random_tensor([n, 51], n)
-        for kind, sign in (("isotropic", 1.0), ("sectional", -1.0)):
-            obj = _Signed(frame_objective(r, kind), sign)
+        for kind, w, sign in (("isotropic", None, 1.0), ("sectional", None, -1.0), ("lambda_mu", Weights(0.6, -0.8), 1.0)):
+            obj = _Signed(frame_objective(r, kind, w), sign)
             for s in (1, 3, 64):
                 v = np.stack([random_frame([n, s, i, 52], n, k=obj.rows).vectors for i in range(s)])
                 vals, grads = obj.batch(v)
                 assert vals.shape == (s,) and grads.shape == v.shape
                 for i in range(s):
                     f, g = obj.value_grad(v[i])
-                    assert abs(vals[i] - f) <= 1e-14
-                    assert np.max(np.abs(grads[i] - g)) <= 1e-14
+                    assert vals[i] == f and np.array_equal(grads[i], g)
 
 
 class _Starts(Exception):

@@ -288,6 +288,19 @@ def test_ricci_against_loop_oracle():
     assert scalar_curvature(r) == pytest.approx(np.trace(expected), abs=1e-12)
 
 
+def test_scalar_curvature_is_twice_the_operator_trace():
+    # 2 tr M against the trace of the einsum Ricci contraction of the n^4 array
+    zoo = [sphere(4, 1.0), sphere(6, -0.5), fubini_study(2, 4.0), fubini_study(3, -1.5),
+           product(sphere(2, 1.0), sphere(3, 1.0)), pad_euclidean(fubini_study(2, 4.0), 2),
+           combine(1.0, sphere(4, 1.0), 0.3, fubini_study(2, 4.0))]
+    randoms = [random_tensor([n, 7], n) for n in range(2, 13)]
+    randoms.append(combine(1e7, random_tensor(3, 6), 0.0, sphere(6, 1.0)))
+    for r in zoo + randoms:
+        want = float(np.trace(np.einsum("ijil->jl", r.array)))
+        assert abs(scalar_curvature(r) - want) <= 1e-13 * max(1.0, r.max_abs()) * r.n**2
+    assert scalar_curvature(sphere(5, 2.0)) == 40.0
+
+
 def test_ricci_sphere():
     for n in range(4, 9):
         kappa = 0.5 + 0.25 * n
