@@ -11,11 +11,11 @@ alternating Barzilai-Borwein trial steps (the long and the short step by
 turns: Wen-Yin 2013; Frassoldati-Zanni-Zanghirati 2008, *New adaptive
 stepsize selections in gradient methods*), nonmonotone Armijo
 backtracking (Zhang-Hager 2004, *A nonmonotone line search technique and
-its application to unconstrained optimization*) and a QR retraction
-(Edelman-Arias-Smith 1998; Wen-Yin 2013), each start with its own step,
-reference value and stopping.  Every stacked product is one small matmul
-or LAPACK call per start, so a start's path does not depend on which
-other starts share its batch.
+its application to unconstrained optimization*) and a Cholesky QR
+retraction (Edelman-Arias-Smith 1998; Wen-Yin 2013), each start with its
+own step, reference value and stopping.  Every stacked product is one
+small matmul or LAPACK call per start, so a start's path does not depend
+on which other starts share its batch.
 
 One batch may carry several searches, each a run of consecutive starts
 with its own sign (a search minimizes f or -f, so maxima come from the
@@ -33,6 +33,7 @@ from numpy.linalg import _umath_linalg
 
 MAX_ITERS = 500
 STEP_TOL = 1e-10
+MAX_STEP = np.pi  # cap on t |p|_F of every trial, see retract
 GRAD_TOL = 1e-8
 # Zhang-Hager weight of the past in the reference value a trial must
 # improve on: 0 is the monotone Armijo test, values near 1 an average of
@@ -53,8 +54,9 @@ def tangent_project(grad: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def orthonormal_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sign-fixed QR of the rows of each matrix in a stack (S, k, n), the
-    one row orthonormalization in curvlab (Gram-Schmidt in exact arithmetic).
+    """Sign-fixed Householder QR of the rows of each matrix in a stack
+    (S, k, n), Gram-Schmidt in exact arithmetic, for rows of any
+    conditioning: random starts, warm starts and ``frames.complete_basis``.
 
     Returns the orthonormal rows Q (C-contiguous) and |R_jj| (S, k): row j
     of Q[s] lies in the span of rows 0..j of m[s] with a positive inner
@@ -70,6 +72,17 @@ def orthonormal_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     diag = np.diagonal(a, axis1=1, axis2=2)
     signs = np.where(diag < 0.0, -1.0, 1.0)
     return np.multiply(q.transpose(0, 2, 1), signs[:, :, None], order="C"), signs * diag
+
+
+def retract(m: np.ndarray) -> np.ndarray:
+    """Cholesky QR L^-1 m, with G = m m^T = L L^T, of a stack (S, k, n) of
+    line-search trials m = v - t p, v orthonormal rows and p tangent at v:
+    the rows ``orthonormal_rows`` returns, for one k x k factorization per
+    start.  G = I + t^2 p p^T >= I, and with t |p|_F <= MAX_STEP its
+    condition is at most 1 + MAX_STEP^2, so the rows are orthonormal to
+    round-off (Fukaya et al. 2014, *CholeskyQR2*)."""
+    l = _umath_linalg.cholesky_lo(m @ m.transpose(0, 2, 1), signature="d->d")
+    return _umath_linalg.inv(l, signature="d->d") @ m
 
 
 def _evaluate(obj, v: np.ndarray, sign: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -90,7 +103,7 @@ def _line_search(obj, v, p, ref, slope, gnorm, sign, trial, tries: int = 60):
     the batch stopped.  Returns the trial frames, values and gradients
     (accepted where ``ok``), the last steps and the mask ``ok``.
     """
-    v_try = orthonormal_rows(v - trial[:, None, None] * p)[0]
+    v_try = retract(v - trial[:, None, None] * p)
     f_try, g_try = _evaluate(obj, v_try, sign)
     ok = f_try <= ref - trial * slope
     if tries == 1 or ok.all():
@@ -113,14 +126,14 @@ def descend(obj, v0: np.ndarray, stops: Sequence[float], signs: Sequence[float],
 
     All starts descend together as one batch.  Each steps along its
     negative tangent-projected gradient with its own Barzilai-Borwein trial
-    step and Armijo backtracking, retracting by row re-orthonormalization.
+    step and Armijo backtracking, retracting by Cholesky QR (``retract``).
     With s the step between frames and y the change of the projected
     gradient, the trial step alternates between the long step s.s/s.y,
     after odd iterations, and the short step s.y/y.y, after even ones,
     clipped to [1e-12, 1e6]; where s.y is not positive it is twice the
-    accepted step.  Each retracted frame goes through ``obj.batch`` once,
-    for value and gradient together, so the accepted trial's gradient is
-    reused.
+    accepted step.  Every trial step t is capped at t |p|_F <= ``MAX_STEP``.
+    Each retracted frame goes through ``obj.batch`` once, for value and
+    gradient together, so the accepted trial's gradient is reused.
 
     The Armijo test is Zhang-Hager's: a trial must improve on a reference
     value C, not on the current value, so the Barzilai-Borwein steps,
@@ -199,6 +212,8 @@ def descend(obj, v0: np.ndarray, stops: Sequence[float], signs: Sequence[float],
         bb = np.minimum(np.maximum(bb, 1e-12), 1e6)
         step = bb if curved.all() else np.where(curved, bb, np.minimum(trial * 2.0, 1e6))
         v, p, val, gnorm = v_try, p_try, f_try, np.sqrt(dots(p_try, p_try))
+        # a start below GRAD_TOL leaves at the check, before another trial
+        step = np.minimum(step, MAX_STEP / np.maximum(gnorm, GRAD_TOL))
         # f <= C, so f - C <= 0 and C cannot grow even by round-off
         weight = ETA * weight + 1.0
         ref = ref + (val - ref) / weight

@@ -427,10 +427,10 @@ def test_descend_every_exit_in_one_batch(monkeypatch):
 
 def test_descend_contracts_each_frame_once(monkeypatch):
     # every orthonormalized frame (each start, in its random_frame QR, and
-    # each line-search trial of each start) goes through the bivector
-    # kernel exactly once, for value and gradient together; frames are
-    # counted through the leading stack dimension
-    counts = {"kernel": 0, "orthonormalize": 0}
+    # each line-search trial of each start, in its Cholesky QR retraction)
+    # goes through the bivector kernel exactly once, for value and gradient
+    # together; frames are counted through the leading stack dimension
+    counts = {"kernel": 0, "start": 0, "trial": 0}
 
     def counting(name, fn, stack):
         def wrapped(*args):
@@ -442,16 +442,60 @@ def test_descend_contracts_each_frame_once(monkeypatch):
     kernel = conditions._FrameObjective._kernel
     monkeypatch.setattr(conditions._FrameObjective, "_kernel", counting("kernel", kernel, 1))
     for module in (conditions, frames, stiefel):
-        monkeypatch.setattr(module, "orthonormal_rows", counting("orthonormalize", module.orthonormal_rows, 0))
+        monkeypatch.setattr(module, "orthonormal_rows", counting("start", module.orthonormal_rows, 0))
+    monkeypatch.setattr(stiefel, "retract", counting("trial", stiefel.retract, 0))
     conditions._draws.cache_clear()
     rep = minimize_frame(random_tensor(0, 6), "isotropic", MinimizeOpts(restarts=8))
-    assert counts["orthonormalize"] > 8 * rep.iterations
-    assert counts["kernel"] == counts["orthonormalize"]
+    assert counts["start"] == 8
+    assert counts["start"] + counts["trial"] > 8 * rep.iterations
+    assert counts["kernel"] == counts["start"] + counts["trial"]
     # a second search of the same shape reuses the orthonormalized starts,
     # so only its line-search trials are orthonormalized
-    counts.update(kernel=0, orthonormalize=0)
+    counts.update(kernel=0, start=0, trial=0)
     minimize_frame(random_tensor(1, 6), "isotropic", MinimizeOpts(restarts=8))
-    assert counts["kernel"] == counts["orthonormalize"] + 8
+    assert counts["start"] == 0
+    assert counts["kernel"] == counts["trial"] + 8
+
+
+def test_retract_is_the_householder_qr_of_tangent_steps():
+    # Cholesky QR of a trial v - t p, with t |p|_F spread over (0, pi], is
+    # the sign-fixed QR of orthonormal_rows, is orthonormal to round-off up
+    # to the step cap, is computed start by start, and keeps zero columns at 0
+    for k, n in ((2, 2), (2, 6), (4, 4), (4, 9), (4, 14)):
+        rng = np.random.default_rng([k, n])
+        v = orthonormal_rows(rng.standard_normal((64, k, n)))[0]
+        p = stiefel.tangent_project(rng.standard_normal((64, k, n)), v)
+        t = np.linspace(np.pi / 64, np.pi, 64) / np.sqrt(stiefel.dots(p, p))
+        m = v - t[:, None, None] * p
+        q = stiefel.retract(m)
+        assert np.abs(q - orthonormal_rows(m)[0]).max() < 1e-13
+        assert np.abs(q @ q.transpose(0, 2, 1) - np.eye(k)).max() < 1e-13
+        for i in (0, 31, 63):
+            assert np.array_equal(stiefel.retract(m[i : i + 1])[0], q[i])
+        padded = stiefel.retract(np.concatenate((m, np.zeros((64, k, 3))), axis=2))
+        assert np.all(padded[:, :, n:] == 0.0)
+        assert np.abs(padded[:, :, :n] - q).max() < 1e-13
+
+
+def test_descend_trials_stay_within_the_step_cap(monkeypatch):
+    # every trial that reaches the retraction has t |p|_F <= MAX_STEP, so
+    # its Gram matrix I + t^2 p p^T has largest eigenvalue at most 1 + pi^2
+    largest = []
+    retract = stiefel.retract
+
+    def recording(m):
+        largest.append(np.linalg.eigvalsh(m @ m.transpose(0, 2, 1))[:, -1].max())
+        return retract(m)
+
+    monkeypatch.setattr(stiefel, "retract", recording)
+    s4, cp2 = sphere(4, 1.0), fubini_study(2, 4.0)
+    zoo = [s4, cp2, product(sphere(2, 1.0), sphere(2, 1.0)), product(sphere(2, 1.0), sphere(3, 1.0)), combine(1.0, s4, 0.3, cp2)]
+    for r in zoo + [random_tensor(3, n) for n in (4, 6, 9)]:
+        check_nic(r)
+        check_pic2(r)
+        quarter_pinch_reports(r)
+    assert len(largest) > 100
+    assert max(largest) <= 1.0 + np.pi**2 + 1e-9
 
 
 def test_descend_batch_independence_and_tie_break(monkeypatch):

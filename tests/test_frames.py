@@ -81,6 +81,28 @@ def test_orthonormalize_keeps_the_flag():
     assert _qr_rows(np.vstack([m[:3], m[0]]))[1].min() <= RANK_TOL
 
 
+def test_private_linalg_gufuncs_match_numpy():
+    # stiefel calls the gufuncs behind np.linalg directly; a numpy that
+    # renames or changes them fails here, not in the first descent
+    from numpy.linalg import _umath_linalg
+
+    names = ("cholesky_lo", "inv", "qr_r_raw", "qr_reduced")
+    missing = [name for name in names if not hasattr(_umath_linalg, name)]
+    assert not missing, f"numpy {np.__version__} lacks numpy.linalg._umath_linalg.{missing}"
+    a = np.random.default_rng(2).standard_normal((5, 4, 9))
+    g = a @ a.transpose(0, 2, 1)
+    assert np.array_equal(_umath_linalg.cholesky_lo(g, signature="d->d"), np.linalg.cholesky(g)), \
+        f"numpy {np.__version__}: _umath_linalg.cholesky_lo no longer matches np.linalg.cholesky"
+    assert np.array_equal(_umath_linalg.inv(g, signature="d->d"), np.linalg.inv(g)), \
+        f"numpy {np.__version__}: _umath_linalg.inv no longer matches np.linalg.inv"
+    q, rdiag = orthonormal_rows(a)
+    q_ref, r_ref = np.linalg.qr(a.transpose(0, 2, 1))
+    r_diag = np.diagonal(r_ref, axis1=1, axis2=2)
+    assert np.abs(q - q_ref.transpose(0, 2, 1) * np.sign(r_diag)[:, :, None]).max() < 1e-15, \
+        f"numpy {np.__version__}: orthonormal_rows no longer matches np.linalg.qr"
+    assert np.abs(rdiag - np.abs(r_diag)).max() < 1e-14
+
+
 def test_random_frame_deterministic():
     a = random_frame(3, 6)
     b = random_frame(3, 6)
