@@ -55,9 +55,10 @@ from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .blas import single_threaded
-from .frames import Frame, cyclic_frames, lift_frame, random_frame
+from .frames import Frame, _random_rows, cyclic_frames, lift_frame
 from .lambda2 import _pairs, place
 from .stiefel import descend, dots, orthonormal_rows
 from .tensors import CurvatureTensor, pad_euclidean
@@ -219,22 +220,6 @@ def cyclic_sum_identity(r: CurvatureTensor, frame: Frame, w: Weights) -> tuple[f
 # Frame objectives and their gradients
 
 
-def _bivectors(kind: str, weights: Weights | None) -> np.ndarray:
-    """The functional's table (alpha, k, k) of the coefficients A_alpha[a, b],
-    a < b, of the bivectors w_alpha = sum_{a<b} A_alpha[a, b] e_a ^ e_b of
-    a frame, zero on and below the diagonal: e12 for ``sectional``, e13 -
-    lam mu e24 and lam e14 + mu e23 for ``lambda_mu`` and ``isotropic``
-    (lam = mu = 1)."""
-    if kind == "sectional":
-        a = np.zeros((1, 2, 2))
-        a[0, 0, 1] = 1.0
-    else:
-        lam, mu = (1.0, 1.0) if weights is None else (weights.lam, weights.mu)
-        a = np.zeros((2, 4, 4))
-        a[0, 0, 2], a[0, 1, 3], a[1, 0, 3], a[1, 1, 2] = 1.0, -lam * mu, lam, mu
-    return a
-
-
 @functools.cache
 def _layout(n: int, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Index plans of the kernel for ``count`` bivectors in R^n.
@@ -251,6 +236,28 @@ def _layout(n: int, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     cols[pairs] = cols[j * n + i] = np.arange(len(pairs))
     factors[pairs], factors[j * n + i] = -2.0, 2.0
     return at, cols, factors
+
+
+@functools.lru_cache(maxsize=64)
+def _bivectors(kind: str, weights: Weights | None, key: str) -> tuple[int, tuple[float, ...], np.ndarray, int]:
+    """The functional's table of the coefficients A_alpha[a, b], a < b, of
+    the bivectors w_alpha = sum_{a<b} A_alpha[a, b] e_a ^ e_b of a k-frame:
+    e12 for ``sectional``, e13 - lam mu e24 and lam e14 + mu e23 for
+    ``lambda_mu`` and ``isotropic`` (lam = mu = 1).  Returns k, |w_alpha|^2
+    in descending order, the antisymmetric A stacked so that A v holds
+    (A_alpha v)[a] in row (a, alpha), read-only, and the count, once per
+    (kind, weights, key): ``key`` is repr(weights), for signed zeros."""
+    if kind == "sectional":
+        a = np.zeros((1, 2, 2))
+        a[0, 0, 1] = 1.0
+    else:
+        lam, mu = (1.0, 1.0) if weights is None else (weights.lam, weights.mu)
+        a = np.zeros((2, 4, 4))
+        a[0, 0, 2], a[0, 1, 3], a[1, 0, 3], a[1, 1, 2] = 1.0, -lam * mu, lam, mu
+    count, k = len(a), a.shape[1]
+    coeffs = (a - a.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(k * count, k)
+    coeffs.flags.writeable = False
+    return k, tuple(sorted(np.square(a).sum(axis=(1, 2)).tolist(), reverse=True)), coeffs, count
 
 
 class _FrameObjective:
@@ -270,12 +277,8 @@ class _FrameObjective:
             raise ValueError(f"unknown objective kind {kind!r}")
         if (kind == "lambda_mu") != (weights is not None):
             raise ValueError("lambda_mu objective needs weights" if weights is None else f"{kind} objective takes no weights")
-        a = _bivectors(kind, weights)
-        count, k = len(a), a.shape[1]
-        self.rows = k
-        self.norms = sorted(np.square(a).sum(axis=(1, 2)).tolist(), reverse=True)
-        # the antisymmetric A stacked so that A v holds (A_alpha v)[a] in row (a, alpha)
-        self.coeffs = (a - a.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(k * count, k)
+        self.rows, norms, self.coeffs, count = _bivectors(kind, weights, repr(weights))
+        self.norms = list(norms)
         self.n = r.n
         self.at, cols, factors = _layout(r.n, count)
         # -2 M E: w @ me is -2 U, U the antisymmetric n x n matrix of M w
@@ -329,6 +332,8 @@ def frame_objective(r: CurvatureTensor, kind: str, weights: Weights | None = Non
 _STAR = np.fliplr(np.diag([1.0, -1.0, 1.0, 1.0, -1.0, 1.0]))
 
 
+# np.linalg.eigh's and eigvalsh's LAPACK gufuncs without the wrappers: same bits, half the cost
+@np.errstate(divide="ignore", invalid="ignore")
 def _thorpe_bound(m: np.ndarray, tol: float) -> float:
     """max over s of lambda_min(m + s star) at n = 4, within ``tol``.
 
@@ -347,11 +352,10 @@ def _thorpe_bound(m: np.ndarray, tol: float) -> float:
     """
 
     def probe(s: float) -> tuple[np.ndarray, float, float]:
-        w, u = np.linalg.eigh(m + s * _STAR)
+        w, u = _umath_linalg.eigh_lo(m + s * _STAR, signature="d->dd")
         c = u.T @ (_STAR @ u[:, 0])
         # -f''; inf or nan where lambda_0 is a multiple eigenvalue
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bend = 2.0 * float(np.sum(c[1:] ** 2 / (w[1:] - w[0])))
+        bend = 2.0 * float(np.sum(c[1:] ** 2 / (w[1:] - w[0])))
         return w, float(c[0]), bend
 
     w, slope, bend = probe(0.0)
@@ -401,7 +405,7 @@ def _nic_bound(m: np.ndarray) -> float:
     e14 + e23 are an orthogonal pair in one half, of squared norm 2, and
     the frames reach every such pair.
     """
-    w = np.linalg.eigvalsh(_HALVES.transpose(0, 2, 1) @ m @ _HALVES)
+    w = _umath_linalg.eigvalsh_lo(_HALVES.transpose(0, 2, 1) @ m @ _HALVES, signature="d->d")
     return 2.0 * float((w[:, 0] + w[:, 1]).min())
 
 
@@ -414,14 +418,14 @@ def _spectrum(m: np.ndarray) -> np.ndarray:
     keep = m.any(axis=1)
     if not keep.all():
         m = m[np.ix_(keep, keep)]
-    w = np.linalg.eigvalsh(m)
+    w = _umath_linalg.eigvalsh_lo(m, signature="d->d")
     return np.sort(np.concatenate((w, np.zeros(len(keep) - len(m)))))
 
 
-def _lower_bound(m: np.ndarray, spectrum, obj: _FrameObjective, flat: int, sign: float, tol: float) -> float:
+def _lower_bound(m: np.ndarray, spectrum, obj: _FrameObjective, flat: int, sign: float, tol: float) -> tuple:
     """A lower bound on the minimum of ``sign`` times ``obj`` (sign +1.0 or
-    -1.0) on R x R^flat; m is R's Lambda^2 operator, ``spectrum()`` its
-    eigenvalues.
+    -1.0) on R x R^flat, and ``spectrum``, the eigenvalues of R's Lambda^2
+    operator m, computed here if None and the bound needs them.
 
     A 4-frame value is R(w1, w1) + R(w2, w2) for the orthogonal bivectors
     w1 = e13 - lam mu e24 and w2 = lam e14 + mu e23 (lam = mu = 1 for
@@ -440,26 +444,26 @@ def _lower_bound(m: np.ndarray, spectrum, obj: _FrameObjective, flat: int, sign:
         if flat:  # the operator of R x R^flat: R's, with zero rows for the flat pairs
             m = place(4, (0, m))
         m = -m if sign < 0 else m
-        return _thorpe_bound(m, tol) if obj.rows == 2 else _nic_bound(m)
-    w = spectrum()
+        return (_thorpe_bound(m, tol) if obj.rows == 2 else _nic_bound(m)), spectrum
+    w = spectrum = _spectrum(m) if spectrum is None else spectrum
     if flat:
         w = np.sort(np.concatenate((w, np.zeros(2))))
     if sign < 0:
         w = -w[::-1]
     if obj.rows == 2:
-        return float(w[0])
+        return float(w[0]), spectrum
     a, b = obj.norms
-    return float(a * w[0] + b * w[1])
+    return float(a * w[0] + b * w[1]), spectrum
 
 
 @functools.lru_cache(maxsize=16)
 def _draws(seed: int, restarts: int, k: int, n: int) -> np.ndarray:
     """The random starts of a search, ``random_frame([seed, i], n, k)``
-    for i < restarts, as a read-only (restarts, k, n) array.  They depend
-    on nothing else, and every diagnostics row of a flow trace, like every
+    for i < restarts, drawn as one read-only (restarts, k, n) stack.  They
+    depend on nothing else, and every diagnostics row of a flow trace, like every
     pass over a batch of checks, asks for the same few stacks again, so the
     last sixteen are kept (at most 0.5 MB for 64 starts of 4 x 16)."""
-    starts = np.stack([random_frame([seed, i], n, k).vectors for i in range(restarts)])
+    starts = _random_rows([[seed, i] for i in range(restarts)], n, k)
     starts.flags.writeable = False
     return starts
 
@@ -491,7 +495,7 @@ def minimize_searches(
     k, width = obj.rows, r.n + max(flat for flat, _, _ in searches)
     m = r.operator
     gap = GAP_TOL * max(1.0, float(np.abs(m).max()))
-    spectrum = functools.cache(functools.partial(_spectrum, m))
+    spectrum = None  # computed by the first bound that needs it
     stacks, lowers = [], []
     for flat, sign, init_frames in searches:
         if isinstance(sign, bool) or sign not in (1.0, -1.0):
@@ -509,7 +513,8 @@ def minimize_searches(
             v0 = np.concatenate((v0, np.zeros((len(v0), k, width - dim))), axis=2)
         stacks.append(v0)
         # the Thorpe search may stop short of its top by half the gap
-        lowers.append(_lower_bound(m, spectrum, obj, flat, sign, 0.5 * gap))
+        lower, spectrum = _lower_bound(m, spectrum, obj, flat, sign, 0.5 * gap)
+        lowers.append(lower)
     sizes = [len(v0) for v0 in stacks]
     signs = [sign for _, sign, _ in searches]
     stops = [lower + gap for lower in lowers]

@@ -353,7 +353,8 @@ def integrate(r0: CurvatureTensor, t_end: float, opts: FlowOpts = FlowOpts()) ->
                 h *= 0.5
         halvings += tries
         y, k1 = y_new, k5
-        if not np.all(np.isfinite(y)):
+        size = float(np.abs(y).max())  # nan or inf with any non-finite entry
+        if not np.isfinite(size):
             raise FlowBlowupError(t + h, float("inf"), BLOWUP_CAP)
         if opts.normalize:
             s_new = _scalar(y)
@@ -361,7 +362,7 @@ def integrate(r0: CurvatureTensor, t_end: float, opts: FlowOpts = FlowOpts()) ->
                 raise ValueError(f"normalization failed at t = {t + h:.6g}: scalar curvature degenerated")
             c = scalar0 / s_new
             y, k1 = c * y, (c * c) * k5  # Q is homogeneous of degree 2
-        size = float(np.abs(y).max())
+            size = float(np.abs(y).max())
         if size > BLOWUP_CAP:
             raise FlowBlowupError(t + h, size, BLOWUP_CAP)
         steps += 1

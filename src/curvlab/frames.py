@@ -77,13 +77,21 @@ def random_frame(seed, n: int, k: int = 4) -> Frame:
     ``random_frame([s, i], n, k)``.  Draws again from the same generator in
     the (measure-zero) event of rank failure.
     """
+    return Frame(n=n, vectors=_random_rows([seed], n, k)[0])
+
+
+def _random_rows(seeds, n: int, k: int) -> np.ndarray:
+    """``random_frame(seed, n, k).vectors`` for each seed, by one stacked QR and one Gram check."""
     if n < k:
         raise ValueError(f"ambient dimension {n} too small for a {k}-frame")
-    rng = np.random.Generator(np.random.PCG64(seed))  # default_rng(seed), bitwise
-    while True:
-        q, rdiag = orthonormal_rows(rng.standard_normal((1, k, n)))
-        if rdiag.min() > RANK_TOL:
-            return Frame(n=n, vectors=q[0])
+    rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]  # default_rng(seed), bitwise
+    q, rdiag = orthonormal_rows(np.stack([rng.standard_normal((k, n)) for rng in rngs]))
+    while len(bad := np.flatnonzero(rdiag.min(axis=1) <= RANK_TOL)):
+        q[bad], rdiag[bad] = orthonormal_rows(np.stack([rngs[i].standard_normal((k, n)) for i in bad]))
+    resid = float(np.abs(q @ q.transpose(0, 2, 1) - np.eye(k)).max())
+    if resid > ORTHO_TOL:
+        raise ValueError(f"rows are not orthonormal: Gram residual {resid:.3e} > {ORTHO_TOL:.0e}")
+    return q
 
 
 def lift_frame(frame: Frame, weights) -> Frame:

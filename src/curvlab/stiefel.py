@@ -85,11 +85,11 @@ def retract(m: np.ndarray) -> np.ndarray:
     return _umath_linalg.inv(l, signature="d->d") @ m
 
 
-def _evaluate(obj, v: np.ndarray, sign: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Values and gradients of sign[s] f on a stack of frames; the sign
-    flips are exact, so -f is bitwise the negated functional."""
+def _evaluate(obj, v: np.ndarray, sign: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Values and gradients of sign[s] f (of f if sign is None) on a stack
+    of frames; the flips are exact, so -f is bitwise the negated f."""
     f, g = obj.batch(v)
-    return sign * f, sign[:, None, None] * g
+    return (f, g) if sign is None else (sign * f, sign[:, None, None] * g)
 
 
 def _line_search(obj, v, p, ref, slope, gnorm, sign, trial, tries: int = 60):
@@ -100,8 +100,9 @@ def _line_search(obj, v, p, ref, slope, gnorm, sign, trial, tries: int = 60):
     ref[s] - t slope[s]; it gives up after ``tries`` trials or once
     t gnorm[s] < ``STEP_TOL``.  The starts still searching are
     evaluated together, gathered into a smaller batch only when some of
-    the batch stopped.  Returns the trial frames, values and gradients
-    (accepted where ``ok``), the last steps and the mask ``ok``.
+    the batch stopped (``sign`` as in ``_evaluate``).  Returns the trial
+    frames, values and gradients (accepted where ``ok``), the last steps
+    and the mask ``ok``.
     """
     v_try = retract(v - trial[:, None, None] * p)
     f_try, g_try = _evaluate(obj, v_try, sign)
@@ -114,7 +115,8 @@ def _line_search(obj, v, p, ref, slope, gnorm, sign, trial, tries: int = 60):
         return _line_search(obj, v, p, ref, slope, gnorm, sign, half, tries - 1)
     if retry.any():
         trial = trial.copy()
-        sub = _line_search(obj, *(x[retry] for x in (v, p, ref, slope, gnorm, sign, half)), tries - 1)
+        sign = sign if sign is None else sign[retry]
+        sub = _line_search(obj, *(x[retry] for x in (v, p, ref, slope, gnorm)), sign, half[retry], tries - 1)
         for x, y in zip((v_try, f_try, g_try, trial, ok), sub):
             x[retry] = y
     return v_try, f_try, g_try, trial, ok
@@ -140,9 +142,10 @@ def descend(obj, v0: np.ndarray, stops: Sequence[float], signs: Sequence[float],
     which are nonmonotone by design, are mostly taken as they come.  C
     starts at the start value with weight Q = 1, and each accepted value f
     updates Q to ``ETA`` Q + 1 and C to C + (f - C) / Q, the average of
-    the path's values weighted by ``ETA`` per step back.  Every accepted f
-    is at most C, so C never increases and no start ends above its start
-    value, but a start's values may rise on the way.
+    the path's values weighted by ``ETA`` per step back.  Q depends only
+    on the iteration count, so the starts still in the batch share one Q.
+    Every accepted f is at most C, so C never increases and no start ends
+    above its start value, but a start's values may rise on the way.
 
     ``sizes`` splits the starts into searches, runs of consecutive starts,
     and ``signs`` and ``stops`` give one value per search: its sign, +1 to
@@ -169,24 +172,24 @@ def descend(obj, v0: np.ndarray, stops: Sequence[float], signs: Sequence[float],
     v = np.asarray(v0, dtype=float)
     search = np.repeat(np.arange(len(sizes)), sizes)
     stop = np.repeat(np.asarray(stops, dtype=float), sizes)
-    sign = np.repeat(np.asarray(signs, dtype=float), sizes)
+    sign = None if all(x == 1.0 for x in signs) else np.repeat(np.asarray(signs, dtype=float), sizes)
     val, grad = _evaluate(obj, v, sign)
     p = tangent_project(grad, v)
     gnorm = np.sqrt(dots(p, p))
     ids = np.arange(len(v))
     out_val, out_v, out_gnorm, out_iters = (np.empty_like(x) for x in (val, v, gnorm, ids))
     step = 1.0 / np.maximum(1.0, gnorm)
-    ref, weight = val, np.ones(len(v))
+    ref, weight = val, 1.0
     it, failed = 0, None
     while True:
         # the one exit: a failed line search, GRAD_TOL, a start of the same
         # search at its stop, MAX_ITERS; the current state is the result
         done = gnorm < GRAD_TOL if failed is None else failed | (gnorm < GRAD_TOL)
-        reached = val <= stop[ids]
+        reached = val <= stop
         if reached.any():
             hit = np.zeros(len(sizes), dtype=bool)
-            hit[search[ids[reached]]] = True
-            done |= hit[search[ids]]
+            hit[search[reached]] = True
+            done |= hit[search]
         if it == MAX_ITERS:
             done[:] = True
         if done.any():
@@ -194,9 +197,11 @@ def descend(obj, v0: np.ndarray, stops: Sequence[float], signs: Sequence[float],
             out_val[gone], out_v[gone], out_gnorm[gone], out_iters[gone] = val[done], v[done], gnorm[done], it
             if done.all():
                 break
-            ids, v, p, val, gnorm, step, ref, weight = (x[~done] for x in (ids, v, p, val, gnorm, step, ref, weight))
+            keep = ~done
+            ids, v, p, val, gnorm, step, ref = (x[keep] for x in (ids, v, p, val, gnorm, step, ref))
+            stop, search, sign = stop[keep], search[keep], sign if sign is None else sign[keep]
         it += 1
-        v_try, f_try, g_try, trial, ok = _line_search(obj, v, p, ref, 1e-4 * gnorm * gnorm, gnorm, sign[ids], step)
+        v_try, f_try, g_try, trial, ok = _line_search(obj, v, p, ref, 1e-4 * gnorm * gnorm, gnorm, sign, step)
         p_try = tangent_project(g_try, v_try)
         failed = None if ok.all() else ~ok
         if failed is not None:
@@ -208,9 +213,10 @@ def descend(obj, v0: np.ndarray, stops: Sequence[float], signs: Sequence[float],
         s, y = v_try - v, p_try - p
         sy = dots(s, y)
         curved = sy > 1e-300
-        bb = dots(s, s) / np.where(curved, sy, 1.0) if it % 2 else sy / np.where(curved, dots(y, y), 1.0)
-        bb = np.minimum(np.maximum(bb, 1e-12), 1e6)
-        step = bb if curved.all() else np.where(curved, bb, np.minimum(trial * 2.0, 1e6))
+        num, den = (dots(s, s), sy) if it % 2 else (sy, dots(y, y))
+        bent = curved.all()  # then the guard below changes nothing
+        bb = np.minimum(np.maximum(num / (den if bent else np.where(curved, den, 1.0)), 1e-12), 1e6)
+        step = bb if bent else np.where(curved, bb, np.minimum(trial * 2.0, 1e6))
         v, p, val, gnorm = v_try, p_try, f_try, np.sqrt(dots(p_try, p_try))
         # a start below GRAD_TOL leaves at the check, before another trial
         step = np.minimum(step, MAX_STEP / np.maximum(gnorm, GRAD_TOL))

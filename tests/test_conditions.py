@@ -271,6 +271,10 @@ def test_objective_norms_come_from_its_bivectors():
     for lam, mu in ((0.5, -0.25), (1.0, 0.0), (-0.9, 0.7)):
         norms = frame_objective(r, "lambda_mu", Weights(lam, mu)).norms
         assert norms == sorted((1.0 + (lam * mu) ** 2, lam * lam + mu * mu), reverse=True)
+    # the cached tables are read-only, and equal weights with zeros of
+    # opposite sign keep their own tables, bitwise as built alone
+    plus, minus = (frame_objective(r, "lambda_mu", Weights(lam, 0.5)).coeffs for lam in (0.0, -0.0))
+    assert not plus.flags.writeable and not np.array_equal(np.signbit(plus), np.signbit(minus))
 
 
 def _accepted_values(monkeypatch) -> list[float]:
@@ -724,7 +728,7 @@ LAMBDA_MU_GRID = [Weights(0.0, 0.0), Weights(1.0, 0.0), Weights(1.0, 1.0), Weigh
 def _bound(r, obj, sign, flat=0):
     """The search's lower bound on R x R^flat, as ``minimize_searches`` takes it."""
     m = lambda2.operator(r.array)
-    return conditions._lower_bound(m, functools.partial(conditions._spectrum, m), obj, flat, sign, 1e-13)
+    return conditions._lower_bound(m, None, obj, flat, sign, 1e-13)[0]
 
 
 def test_lower_bounds_are_sound():
@@ -953,6 +957,33 @@ def test_quarter_pinch_reports():
     assert ok and kmin_rep.boundary
     assert kmin_rep.min_value == pytest.approx(1.0, abs=1e-6)
     assert -kmax_rep.min_value == pytest.approx(4.0, abs=1e-6)
+
+
+def test_cone_chain_on_perturbed_spheres():
+    # the source paper's chain of cones: weak 1/4-pinching => PIC2 => NIC.
+    # A minimum is only an upper bound, so an implication is tested only
+    # where its premise is certified, and its conclusion is read from the
+    # frame witness; every lower bound lies below its minimum
+    opts = MinimizeOpts()
+    proven = {"pinched": 0, "pic2": 0}
+    for n in (4, 5, 6):
+        b = random_tensor([72, n], n)
+        b = combine(1.0 / b.max_abs(), b, 0.0, b)
+        for t in (0.0, 0.1, 0.25, 0.5, 1.0):
+            r = combine(1.0, sphere(n, 1.0), t, b)
+            tol = 1e-12 * max(1.0, r.max_abs())
+            pinched, kmin_rep, kmax_rep = quarter_pinch_reports(r, opts)
+            pic2, pic2_rep = check_pic2(r, opts)
+            nic, nic_rep = check_nic(r, opts)
+            for rep in (kmin_rep, kmax_rep, pic2_rep, nic_rep):
+                assert rep.lower_bound <= rep.min_value + tol, (n, t, rep)
+            if pinched and kmin_rep.certified and kmax_rep.certified:
+                proven["pinched"] += 1
+                assert pic2_rep.min_value >= -opts.margin, (n, t)
+            if pic2 and pic2_rep.certified:
+                proven["pic2"] += 1
+                assert nic_rep.min_value >= -opts.margin, (n, t)
+    assert proven["pinched"] >= 3 and proven["pic2"] >= 6, proven
 
 
 def _same_report(a, b) -> bool:

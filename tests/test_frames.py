@@ -82,11 +82,12 @@ def test_orthonormalize_keeps_the_flag():
 
 
 def test_private_linalg_gufuncs_match_numpy():
-    # stiefel calls the gufuncs behind np.linalg directly; a numpy that
-    # renames or changes them fails here, not in the first descent
+    # stiefel and the eigenvalue bounds of conditions call the gufuncs
+    # behind np.linalg directly; a numpy that renames or changes them fails
+    # here, not in the first descent
     from numpy.linalg import _umath_linalg
 
-    names = ("cholesky_lo", "inv", "qr_r_raw", "qr_reduced")
+    names = ("cholesky_lo", "inv", "qr_r_raw", "qr_reduced", "eigh_lo", "eigvalsh_lo")
     missing = [name for name in names if not hasattr(_umath_linalg, name)]
     assert not missing, f"numpy {np.__version__} lacks numpy.linalg._umath_linalg.{missing}"
     a = np.random.default_rng(2).standard_normal((5, 4, 9))
@@ -101,6 +102,17 @@ def test_private_linalg_gufuncs_match_numpy():
     assert np.abs(q - q_ref.transpose(0, 2, 1) * np.sign(r_diag)[:, :, None]).max() < 1e-15, \
         f"numpy {np.__version__}: orthonormal_rows no longer matches np.linalg.qr"
     assert np.abs(rdiag - np.abs(r_diag)).max() < 1e-14
+    # a symmetric 6 x 6, as in the Thorpe search, and a (2, 3, 3) stack,
+    # the two halves of Lambda^2 at n = 4
+    b = np.random.default_rng(3).standard_normal((6, 6))
+    c = np.random.default_rng(4).standard_normal((2, 3, 3))
+    for m in (b + b.T, c + c.transpose(0, 2, 1)):
+        w, u = _umath_linalg.eigh_lo(m, signature="d->dd")
+        w_ref, u_ref = np.linalg.eigh(m)
+        assert np.array_equal(w, w_ref) and np.array_equal(u, u_ref), \
+            f"numpy {np.__version__}: _umath_linalg.eigh_lo no longer matches np.linalg.eigh"
+        assert np.array_equal(_umath_linalg.eigvalsh_lo(m, signature="d->d"), np.linalg.eigvalsh(m)), \
+            f"numpy {np.__version__}: _umath_linalg.eigvalsh_lo no longer matches np.linalg.eigvalsh"
 
 
 def test_random_frame_deterministic():
