@@ -60,7 +60,7 @@ from numpy.linalg import _umath_linalg
 from .blas import single_threaded
 from .frames import Frame, _random_rows, cyclic_frames, lift_frame
 from .lambda2 import _pairs, place
-from .stiefel import descend, dots, orthonormal_rows
+from .stiefel import _evaluate, descend, dots, orthonormal_rows, tangent_project
 from .tensors import CurvatureTensor, pad_euclidean
 
 __all__ = [
@@ -105,9 +105,12 @@ class MinimizeOpts:
 
     ``restarts`` counts the random starts; warm-start frames supplied by the
     caller come first and share the deterministic tie-break (lowest value,
-    then lowest start index).  ``margin`` is the decision margin used by the
-    condition checkers.  The descent's iteration budget and tolerances are
-    the ``stiefel`` module constants.
+    then lowest start index) and one QR per ambient width.  A search
+    certified by a warm start reports its best warm start, drawing no
+    random start, and its ``restarts`` still counts warm + ``restarts``.
+    ``margin`` is the decision margin used by the condition checkers.  The
+    descent's iteration budget and tolerances are the ``stiefel`` module
+    constants.
     """
 
     restarts: int = 64
@@ -347,21 +350,20 @@ def _thorpe_bound(m: np.ndarray, tol: float) -> float:
     with f'' = 2 sum_j (u_j^T star u_0)^2 / (lambda_0 - lambda_j) by
     eigenvalue perturbation, which closes in fast where the top of f is
     smooth, and that tangent crossing, which finds the top at once where
-    it is a kink of two linear branches, as on CP^2.  Every s gives a
-    valid bound, so stopping early only loosens it.
+    it is a kink of two linear branches, as on CP^2; f'' is computed only
+    at the probe a Newton step starts from.  Every s gives a valid bound,
+    so stopping early only loosens it.
     """
 
-    def probe(s: float) -> tuple[np.ndarray, float, float]:
+    def probe(s: float) -> tuple[np.ndarray, np.ndarray, float]:
         w, u = _umath_linalg.eigh_lo(m + s * _STAR, signature="d->dd")
         c = u.T @ (_STAR @ u[:, 0])
-        # -f''; inf or nan where lambda_0 is a multiple eigenvalue
-        bend = 2.0 * float(np.sum(c[1:] ** 2 / (w[1:] - w[0])))
-        return w, float(c[0]), bend
+        return w, c, float(c[0])
 
-    w, slope, bend = probe(0.0)
+    w, c, slope = probe(0.0)
     s = 0.0
     f = best = float(w[0])
-    s_best, slope_best, bend_best = s, slope, bend
+    s_best, w_best, c_best = s, w, c
     # f <= lambda_max - |s| and f(0) = lambda_min, so the top lies in
     # [-span, span]; the lines lambda_max +- s bound f from above there,
     # standing in for tangents until both ends have been probed
@@ -378,15 +380,17 @@ def _thorpe_bound(m: np.ndarray, tol: float) -> float:
         s = (fb - fa + ga * a - gb * b) / (ga - gb)
         if fa + ga * (s - a) - best <= tol:
             break
-        if newton and bend_best > 0:
-            step = s_best + slope_best / bend_best
+        if newton:
+            # -f'' at the best probe; inf or nan where lambda_0 is a multiple eigenvalue
+            bend = 2.0 * float(np.sum(c_best[1:] ** 2 / (w_best[1:] - w_best[0])))
+            step = s_best + float(c_best[0]) / bend if bend > 0 else s_best
             if a < step < b and step != s_best:
                 s = step
         newton = not newton
-        w, slope, bend = probe(s)
+        w, c, slope = probe(s)
         f = float(w[0])
         if f > best:
-            best, s_best, slope_best, bend_best = f, s, slope, bend
+            best, s_best, w_best, c_best = f, s, w, c
     return best
 
 
@@ -480,23 +484,28 @@ def minimize_searches(
 
     A search is a tuple (flat, sign, init_frames): sign 1.0 or -1.0 (for
     maxima) times the functional on R x R^flat, over frames in
-    R^{n+flat}, with warm starts that precede the random ones and are
-    orthonormalized by their own stacked QR.  Each keeps its own starts,
-    sign, lower bound, stop and report; the stacked descent
-    (``stiefel.descend``), M, its gap and its spectrum are shared.  A
-    narrower search's starts, drawn in its own dimension, are padded with
-    zero columns, which the gradient and the QR retraction keep at exactly
-    0, and its frame is cut back.  A report is bitwise the one its search
-    makes alone when all searches have the same width; a padded search's
-    steps also sum over its zero columns, so it matches only up to
-    round-off, which can change where it stops.
+    R^{n+flat}, with warm starts that precede the random ones.  Each keeps
+    its own starts, sign, lower bound, stop and report; M, its gap and its
+    spectrum are shared.  The warm starts of all searches are
+    orthonormalized by one stacked QR per ambient width and evaluated as
+    one batch first.  A search with a warm start at or below its stop is
+    certified there: it reports its best warm start (lowest value, then
+    lowest index) with 0 iterations and that start's projected gradient
+    norm, and draws no random start.  The other searches descend together
+    (``stiefel.descend``).  A narrower search's starts are padded with
+    zero columns to the widest search of the call, which the gradient and
+    the QR retraction keep at exactly 0, and its frame is cut back.  A
+    report is bitwise the one its search makes alone when it is certified
+    by a warm start or all searches have the same width; a padded
+    search's steps also sum over its zero columns, so it matches only up
+    to round-off, which can change where it stops.
     """
     obj = _FrameObjective(r, objective, weights)
     k, width = obj.rows, r.n + max(flat for flat, _, _ in searches)
     m = r.operator
     gap = GAP_TOL * max(1.0, float(np.abs(m).max()))
     spectrum = None  # computed by the first bound that needs it
-    stacks, lowers = [], []
+    lowers, warm, dims = [], [], []
     for flat, sign, init_frames in searches:
         if isinstance(sign, bool) or sign not in (1.0, -1.0):
             raise ValueError(f"search sign must be 1.0 or -1.0, got {sign!r}")
@@ -506,35 +515,54 @@ def minimize_searches(
         for f in init_frames:
             if f.require_rows(k).n != dim:
                 raise ValueError("warm-start frame has wrong ambient dimension")
-        v0 = _draws(opts.seed, opts.restarts, k, dim)
-        if init_frames:
-            v0 = np.concatenate((orthonormal_rows(np.stack([f.vectors for f in init_frames]))[0], v0))
-        if dim < width:
-            v0 = np.concatenate((v0, np.zeros((len(v0), k, width - dim))), axis=2)
-        stacks.append(v0)
+            warm.append(f.vectors)
+            dims.append(dim)
         # the Thorpe search may stop short of its top by half the gap
         lower, spectrum = _lower_bound(m, spectrum, obj, flat, sign, 0.5 * gap)
         lowers.append(lower)
-    sizes = [len(v0) for v0 in stacks]
-    signs = [sign for _, sign, _ in searches]
-    stops = [lower + gap for lower in lowers]
-    vals, frames, iters, gnorms, convs = descend(obj, np.concatenate(stacks), stops, signs, sizes)
+    signs, stops = [sign for _, sign, _ in searches], [lower + gap for lower in lowers]
+    counts = [len(init_frames) for _, _, init_frames in searches]
+    v = np.zeros((len(warm), k, width))
+    for dim in set(dims):  # one QR per ambient width
+        at = [i for i, d in enumerate(dims) if d == dim]
+        v[at, :, :dim] = orthonormal_rows(np.stack([warm[i] for i in at]))[0]
+    if warm:  # one evaluation of them all, padded to the widest
+        sign = None if all(x == 1.0 for x in signs) else np.repeat(np.asarray(signs), counts)
+        vals, grads = _evaluate(obj, v, sign)
+    settled, stacks, end = [], [], 0  # per search its certifying warm start, or None
+    for (flat, _, _), stop, count in zip(searches, stops, counts):
+        begin, end = end, end + count
+        best = begin + int(np.argmin(vals[begin:end])) if count else None
+        if best is None or not vals[best] <= stop:  # no warm start at the stop: descend
+            best, v0 = None, _draws(opts.seed, opts.restarts, k, r.n + flat)
+            stacks += [v[begin:end], np.concatenate((v0, np.zeros((len(v0), k, width - r.n - flat))), axis=2)]
+        settled.append(best)
+    todo = [i for i, best in enumerate(settled) if best is None]
+    if todo:
+        sizes = [counts[i] + opts.restarts for i in todo]
+        out = descend(obj, np.concatenate(stacks), [stops[i] for i in todo], [signs[i] for i in todo], sizes)
     reports, begin = [], 0
-    for (flat, _, _), lower, stop, size in zip(searches, lowers, stops, sizes):
-        dim, end = r.n + flat, begin + size
-        best = begin + int(np.argmin(vals[begin:end]))  # lowest value, then lowest start index
-        certified = bool(vals[best] <= stop)
+    for (flat, _, _), lower, stop, count, best in zip(searches, lowers, stops, counts, settled):
+        dim = r.n + flat
+        if best is None:
+            end = begin + count + opts.restarts
+            best = begin + int(np.argmin(out[0][begin:end]))  # lowest value, then lowest start index
+            val, frame, iters, gnorm, conv = (x[best] for x in out)
+            begin = end
+        else:
+            p = tangent_project(grads[best, None, :, :dim], v[best, None, :, :dim])
+            val, frame, iters, gnorm, conv = vals[best], v[best], 0, np.sqrt(dots(p, p))[0], True
+        certified = bool(val <= stop)
         reports.append(ConditionReport(
-            min_value=float(vals[best]),
-            argmin_frame=Frame(n=dim, vectors=frames[best][:, :dim]),
-            restarts=size,
-            iterations=int(iters[best]),
-            grad_norm=float(gnorms[best]),
-            converged=bool(convs[best]) or certified,
+            min_value=float(val),
+            argmin_frame=Frame(n=dim, vectors=frame[:, :dim]),
+            restarts=count + opts.restarts,
+            iterations=int(iters),
+            grad_norm=float(gnorm),
+            converged=bool(conv) or certified,
             lower_bound=lower,
             certified=certified,
         ))
-        begin = end
     return reports
 
 

@@ -219,11 +219,12 @@ def decomposition_residual(r: CurvatureTensor, frame: Frame) -> float:
 class _Diagnostics:
     """Warm-started per-row minimizations for trace diagnostics.
 
-    A row makes two descents on R (``minimize_searches``): Kmin and Kmax
-    as one signed stack of 2-frames, and NIC and PIC2 on R x R^2 as one
-    stack of 4-frames in R^{n+2}, the NIC starts padded with zeros.  Each
-    search keeps its own starts, lower bound and stop, and is warm-started
-    from its own argmin of the previous row.
+    A row makes at most two descents on R (``minimize_searches``): Kmin
+    and Kmax as one signed stack of 2-frames, and NIC and PIC2 on R x R^2
+    as one stack of 4-frames in R^{n+2}, the NIC starts padded with zeros.
+    Each search keeps its own starts, lower bound and stop, and is
+    warm-started from its own argmin of the previous row; a search whose
+    warm start is at its stop is certified there and does not descend.
     """
 
     def __init__(self, opts: MinimizeOpts):

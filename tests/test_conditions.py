@@ -1,5 +1,6 @@
 import functools
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from curvlab.conditions import (
     quarter_pinch_reports,
     weighted_isotropic_curvature,
 )
+from curvlab.flow import FlowOpts, _Diagnostics, integrate
 from curvlab.frames import RANK_TOL, Frame, lift_frame, random_block_rotation, random_frame, random_unitary
 from curvlab.stiefel import descend, orthonormal_rows
 from curvlab.tensors import (
@@ -31,6 +33,7 @@ from curvlab.tensors import (
     random_tensor,
     sectional,
     sphere,
+    standard_complex_structure,
 )
 
 FAST = MinimizeOpts(restarts=8, seed=0)
@@ -781,9 +784,9 @@ def test_thorpe_bound_probes(monkeypatch):
     # bisection on the sign of its slope
     probes = []
 
-    def counting(a):
+    def counting(a, signature):
         probes.append(a)
-        return eigh(a)
+        return gufuncs.eigh_lo(a, signature=signature)
 
     def top(m):
         hi = 2.0 * np.abs(m).sum()  # above lambda_max - lambda_min
@@ -794,15 +797,15 @@ def test_thorpe_bound_probes(monkeypatch):
             lo, hi = (s, hi) if u[:, 0] @ conditions._STAR @ u[:, 0] > 0 else (lo, s)
         return eigh(m + lo * conditions._STAR)[0][0]
 
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+    eigh, gufuncs = np.linalg.eigh, conditions._umath_linalg  # the probes call the eigh gufunc
+    monkeypatch.setattr(conditions, "_umath_linalg", SimpleNamespace(eigh_lo=counting))
     tensors = [random_tensor([4, i, 101], 4) for i in range(8)]
     tensors += [combine(1.0, sphere(4, 1.0), t, random_tensor([4, i, 102], 4)) for i, t in enumerate((0.1, 0.2, 0.3, 0.5, 0.9, 1.5, 2.0, 4.0))]
     for r in tensors:
         for m in (lambda2.operator(r.array), -lambda2.operator(r.array)):
             probes.clear()
             bound = conditions._thorpe_bound(m, 0.5 * conditions.GAP_TOL * max(1.0, np.abs(m).max()))
-            assert len(probes) <= 10
+            assert 1 <= len(probes) <= 10
             assert abs(bound - top(m)) <= 1e-12
 
 
@@ -863,6 +866,50 @@ def test_descend_stops_at_the_bound():
     rep = minimize_searches(prod, ((0, 1.0, (mixed,)),), "isotropic", FAST)[0]
     assert rep.iterations == 0 and rep.min_value == 0.0
     assert rep.certified and rep.converged and rep.lower_bound == 0.0
+
+
+def test_a_warm_start_at_its_stop_certifies_without_descent(monkeypatch):
+    # warm starts at their stops certify their searches before any random
+    # start is drawn: no descent, only warm frames through the kernel, and
+    # each report is its best warm start at descend's iteration 0
+    cp2 = fubini_study(2, 4.0)
+    diag = _Diagnostics(FAST)
+    diag.row(0.0, cp2, 0.0, 0.0)
+    row = integrate(cp2, 0.01, FlowOpts(dt=0.01, minimize=FAST)).final
+    prod = product(sphere(2, 1.0), sphere(2, 1.0))
+    # the identity is a minimizing frame of S^2 x S^2, behind a random one
+    cases = [(prod, "isotropic", ((0, 1.0, (random_frame([4, 115], 4), Frame(n=4, vectors=np.eye(4)))),))]
+    cases += [(row, "sectional", ((0, 1.0, diag.warm["kmin"]), (0, -1.0, diag.warm["kmax"])))]
+    cases += [(row, "isotropic", ((0, 1.0, diag.warm["iso"]), (2, 1.0, diag.warm["pic2"])))]
+    seen = []
+
+    def recording(self, v):
+        seen.append(v.copy())
+        return batch(self, v)
+
+    def no_descent(*args):
+        raise AssertionError("a certified search descended")
+
+    batch = conditions._FrameObjective.batch
+    for r, kind, searches in cases:
+        seen.clear()
+        monkeypatch.setattr(conditions._FrameObjective, "batch", recording)
+        monkeypatch.setattr(conditions, "descend", no_descent)
+        reports = minimize_searches(r, searches, kind, FAST)
+        monkeypatch.undo()
+        warm = [f.vectors for _, _, frames in searches for f in frames]
+        assert len(seen) == 1 and len(seen[0]) == len(warm)
+        for got, want in zip(seen[0], warm):
+            assert np.max(np.abs(got[:, : want.shape[1]] - want)) < 1e-12 and not got[:, want.shape[1]:].any()
+        gap = conditions.GAP_TOL * max(1.0, r.max_abs())
+        for (flat, sign, frames), rep in zip(searches, reports):
+            assert rep.iterations == 0 and rep.restarts == len(frames) + FAST.restarts
+            assert rep.certified and rep.converged
+            v0 = orthonormal_rows(np.stack([f.vectors for f in frames]))[0]
+            vals, out, iters, gnorms, _ = descend(frame_objective(r, kind), v0, [rep.lower_bound + gap], [sign], [len(v0)])
+            best = int(np.argmin(vals))
+            assert not iters.any() and rep.min_value == vals[best] and rep.grad_norm == gnorms[best]
+            assert np.array_equal(rep.argmin_frame.vectors, out[best])
 
 
 def test_lambda_mu_minimization():
@@ -1018,6 +1065,26 @@ def test_grouped_searches_report_as_alone(monkeypatch):
         # the check sets only the first report's boundary
         assert _same_report(replace(kmin_rep, boundary=False), minimize_frame(r, "sectional", FAST))
         assert _same_report(kmax_rep, minimize_searches(r, ((0, -1.0, ()),), "sectional", FAST)[0])
+
+    # one search certified by its warm start and one that descends: CP^2's
+    # Kmax on the holomorphic plane (e1, J e1), and Kmin cold or warm-started
+    # off its minimum
+    e, j = np.eye(4), standard_complex_structure(2)
+    holo = Frame(n=4, vectors=np.array([e[0], j @ e[0]]))
+    groups = [(cp2, "sectional", ((0, 1.0, init), (0, -1.0, (holo,)))) for init in ((), (holo,))]
+    # isotropic warm frames of width n with PIC2 warm frames of width n + 2,
+    # both certified, or the wider one descending
+    prod = product(sphere(2, 1.0), sphere(2, 1.0))
+    mixed = Frame(n=4, vectors=np.eye(4))
+    padded = Frame(n=6, vectors=np.eye(6)[:4])
+    groups += [(prod, "isotropic", ((0, 1.0, (mixed,)), (2, 1.0, (padded,))))]
+    groups += [(prod, "isotropic", ((0, 1.0, (mixed,)), (2, 1.0, (random_frame([6, 114], 6),))))]
+    # which searches certify at their warm start (no iteration) and which descend
+    for (r, kind, searches), at_start in zip(groups, ((False, True), (False, True), (True, True), (True, False))):
+        shared = minimize_searches(r, searches, kind, FAST)
+        alone = [minimize_searches(r, (search,), kind, FAST)[0] for search in searches]
+        assert all(_same_report(a, b) for a, b in zip(alone, shared)), searches
+        assert all(rep.certified for rep in shared) and [rep.iterations == 0 for rep in shared] == list(at_start)
 
 
 def test_a_search_at_its_stop_leaves_the_others_running():

@@ -386,6 +386,25 @@ def test_constant_curvature_ray_invariant():
     assert drift < 1e-9
 
 
+def test_sphere_rows_follow_the_closed_form_ray(monkeypatch):
+    # a row every step on S^4: after the cold first row every search is
+    # certified by its warm start, and each row reports its own tensor's
+    # kappa(t) as Kmin, Kmax and min_iso / 4, not the previous row's
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return descend(*args)
+
+    monkeypatch.setattr(conditions, "descend", counting)
+    trace = integrate(sphere(4, 1.0), 0.05, FlowOpts(dt=0.01))
+    assert len(trace.rows) == 6 and len(calls) == 2
+    for row in trace.rows:
+        kappa = sphere_kappa(4, 1.0, row.t)
+        for value in (row.kmin, row.kmax, row.min_iso / 4.0):
+            assert abs(value - kappa) <= 1e-9 * kappa
+
+
 def test_normalized_sphere_is_fixed():
     opts = FlowOpts(dt=0.01, normalize=True, stride=2, minimize=LIGHT)
     trace = integrate(sphere(4, 1.0), 0.06, opts)
