@@ -59,7 +59,7 @@ from numpy.linalg import _umath_linalg
 
 from .blas import single_threaded
 from .frames import Frame, _random_rows, cyclic_frames, lift_frame
-from .lambda2 import _pairs, place
+from .lambda2 import _pairs, place, wedge
 from .stiefel import _evaluate, descend, dots, orthonormal_rows, tangent_project
 from .tensors import CurvatureTensor, pad_euclidean
 
@@ -207,15 +207,9 @@ def cyclic_sum_identity(r: CurvatureTensor, frame: Frame, w: Weights) -> tuple[f
     leaving ``(1 + mu^2) * (K12 + K13 + K23 + lam^2 (K14 + K24 + K34))``.
     """
     lhs = sum(weighted_isotropic_curvature(r, f, w) for f in cyclic_frames(frame))
-    v = frame.vectors
-    k = {}
-    for a in range(4):
-        for b in range(a + 1, 4):
-            k[(a, b)] = r(v[a], v[b], v[a], v[b])
-    rhs = (1.0 + w.mu**2) * (
-        k[(0, 1)] + k[(0, 2)] + k[(1, 2)]
-        + w.lam**2 * (k[(0, 3)] + k[(1, 3)] + k[(2, 3)])
-    )
+    ab = wedge(frame.vectors[[0, 0, 0, 1, 1, 2]], frame.vectors[[1, 2, 3, 2, 3, 3]])
+    k01, k02, k03, k12, k13, k23 = ((ab @ r.operator) * ab).sum(axis=1)
+    rhs = float((1.0 + w.mu**2) * (k01 + k02 + k12 + w.lam**2 * (k03 + k13 + k23)))
     return lhs, rhs, abs(lhs - rhs)
 
 

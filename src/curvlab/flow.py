@@ -34,7 +34,7 @@ from .conditions import MinimizeOpts, check_pic2, isotropic_curvature, minimize_
 from .frames import Frame, complete_basis
 from .lambda2 import project
 from .lambda2 import reaction as _reaction_raw  # looked up per call, so tests can count calls
-from .tensors import CurvatureTensor, scalar_curvature
+from .tensors import CurvatureTensor, _scalar, scalar_curvature
 
 __all__ = [
     "TraceRow",
@@ -145,11 +145,6 @@ class FlowOpts:
 
 # ---------------------------------------------------------------------------
 # Reaction term
-
-
-def _scalar(m: np.ndarray) -> float:
-    """Scalar curvature of the tensor with Lambda^2 operator M."""
-    return 2.0 * float(np.trace(m))
 
 
 @single_threaded

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-__all__ = ["operator", "expand", "place", "project", "reaction"]
+__all__ = ["operator", "expand", "wedge", "place", "project", "reaction"]
 
 
 _ZERO = np.zeros(1)
@@ -111,6 +111,14 @@ def expand(m: np.ndarray, n: int) -> np.ndarray:
     full = full.reshape(n, n, n, n)
     full = full - full.transpose(1, 0, 2, 3)
     return full - full.transpose(0, 1, 3, 2)
+
+
+def wedge(x, y) -> np.ndarray:
+    """x ^ y at the pairs i < j in the order of M's rows, x_i y_j - x_j y_i, for
+    vectors or stacks (..., n) of them: R(x, y, z, w) = wedge(x, y) @ M @ wedge(z, w)."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    i, j = divmod(_pairs(x.shape[-1]), x.shape[-1])
+    return x[..., i] * y[..., j] - x[..., j] * y[..., i]
 
 
 def place(n: int, *blocks: tuple[int, np.ndarray]) -> np.ndarray:

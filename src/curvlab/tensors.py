@@ -5,8 +5,10 @@ curvature tensor at a point: antisymmetry in the first and second index
 pairs, symmetry under pair exchange, and the first Bianchi identity.  The
 sign convention makes sectional curvature ``K(X, Y) = R(X, Y, X, Y)`` for
 orthonormal ``X, Y``, positive on the round sphere.  A tensor is held as
-its operator M on Lambda^2 (``lambda2``); this module alone converts
-between M and the n^4 components, which it expands from M on first use.
+its operator M on Lambda^2 (``lambda2``).  Evaluation, ``sectional`` and
+``ricci`` read M as forms (x^y)^T M (z^w) (``lambda2.wedge``); the n^4
+components (``array``, ``comps``), expanded from M on first use, serve
+only components files, tests and ``flow.decomposition_residual``.
 
 Model constructors cover the spaces needed for borderline experiments:
 round spheres, complex projective space with the standard Kaehler
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lambda2 import _pairs, _quads, expand, operator, place, project
+from .lambda2 import _pairs, _quads, expand, operator, place, project, wedge
 
 __all__ = [
     "CurvatureTensor",
@@ -120,9 +122,10 @@ class CurvatureTensor:
         return self.array.reshape(-1)
 
     def __call__(self, x, y, z, w) -> float:
-        """Multilinear evaluation R(x, y, z, w) on four vectors."""
-        r = self.array
-        return float(np.einsum("ijkl,i,j,k,l->", r, x, y, z, w, optimize=True))
+        """Multilinear evaluation R(x, y, z, w) = (x^y)^T M (z^w) on vectors of shape (n,)."""
+        if any(np.shape(v) != (self.n,) for v in (x, y, z, w)):
+            raise ValueError(f"vectors must have shape ({self.n},)")
+        return float(wedge(x, y) @ self.operator @ wedge(z, w))
 
     def max_abs(self) -> float:
         return float(np.abs(self.operator).max())
@@ -134,15 +137,11 @@ def symmetry_residuals(r: np.ndarray) -> tuple[float, float, float]:
     Returns ``(antisymmetry, pair_exchange, first_bianchi)`` where the first
     entry covers both index pairs.
     """
-    anti = max(
-        float(np.max(np.abs(r + r.transpose(1, 0, 2, 3)))),
-        float(np.max(np.abs(r + r.transpose(0, 1, 3, 2)))),
-    )
-    pair = float(np.max(np.abs(r - r.transpose(2, 3, 0, 1))))
-    bianchi = float(
-        np.max(np.abs(r + r.transpose(0, 2, 3, 1) + r.transpose(0, 3, 1, 2)))
-    )
-    return anti, pair, bianchi
+    def worst(residual: np.ndarray) -> float:
+        return float(np.max(np.abs(residual)))
+
+    anti = max(worst(r + r.transpose(1, 0, 2, 3)), worst(r + r.transpose(0, 1, 3, 2)))
+    return anti, worst(r - r.transpose(2, 3, 0, 1)), worst(r + r.transpose(0, 2, 3, 1) + r.transpose(0, 3, 1, 2))
 
 
 def project_curvature(raw, n: int) -> CurvatureTensor:
@@ -188,25 +187,29 @@ def sectional(r: CurvatureTensor, x, y) -> float:
     Gram determinant of the pair and must exceed ``PLANE_TOL`` |X|^2 |Y|^2,
     so the test does not depend on the lengths of x and y.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != (r.n,) or y.shape != (r.n,):
-        raise ValueError(f"vectors must have shape ({r.n},)")
+    k = r(x, y, x, y)  # rejects vectors not of shape (n,)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     norms = float(x @ x) * float(y @ y)
     gram = norms - float(x @ y) ** 2
     if gram <= PLANE_TOL * norms:
         raise ValueError(f"degenerate plane: Gram determinant {gram:.3e} <= {PLANE_TOL * norms:.3e}")
-    return r(x, y, x, y) / gram
+    return k / gram
 
 
 def ricci(r: CurvatureTensor) -> np.ndarray:
-    """Ricci contraction ``Ric_jl = sum_i R_ijil`` as an (n, n) matrix."""
-    return np.einsum("ijil->jl", r.array)
+    """Ricci contraction ``Ric_jl = sum_i R_ijil = sum_i (e_i^e_j)^T M (e_i^e_l)`` as an (n, n) matrix."""
+    w = wedge(np.eye(r.n)[:, None], np.eye(r.n))  # w[i, j] = e_i ^ e_j
+    return (w @ r.operator @ w.transpose(0, 2, 1)).sum(axis=0)
+
+
+def _scalar(m: np.ndarray) -> float:
+    """Scalar curvature sum_ij R_ijij = 2 tr M of the tensor with Lambda^2 operator M."""
+    return 2.0 * float(np.trace(m))
 
 
 def scalar_curvature(r: CurvatureTensor) -> float:
     """Trace of the Ricci contraction, sum_ij R_ijij = 2 tr M."""
-    return 2.0 * float(np.trace(r.operator))
+    return _scalar(r.operator)
 
 
 def sphere(n: int, kappa: float) -> CurvatureTensor:
@@ -232,10 +235,10 @@ def fubini_study(m: int, c: float) -> CurvatureTensor:
         raise ValueError(f"complex dimension must be >= 2, got {m}")
     n = 2 * m
     # M[(a<b), (p<q)] = c/4 (g_ap g_bq - g_aq g_bp + J_ap J_bq - J_aq J_bp + 2 J_ab J_pq)
-    e, j = np.eye(n), standard_complex_structure(m)
+    # = c/4 (I + J_a ^ J_b + 2 J_ab J_pq), J_a the row a of J, as g_aq g_bp = 0 at a < b, p < q
+    j = standard_complex_structure(m)
     a, b = np.triu_indices(n, 1)
-    aa, ab, ba, bb = np.ix_(a, a), np.ix_(a, b), np.ix_(b, a), np.ix_(b, b)
-    op = e[aa] * e[bb] - e[ab] * e[ba] + j[aa] * j[bb] - j[ab] * j[ba] + 2.0 * np.outer(j[a, b], j[a, b])
+    op = np.eye(len(a)) + wedge(j[a], j[b]) + 2.0 * np.outer(j[a, b], j[a, b])
     return CurvatureTensor.from_operator(n, (c / 4.0) * op)
 
 

@@ -4,8 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from curvlab import tensors
-from curvlab.conditions import MinimizeOpts
+from curvlab import conditions, lambda2, tensors
+from curvlab.cli import identity_battery
+from curvlab.conditions import MinimizeOpts, Weights
+from curvlab.frames import random_frame
 from curvlab.flow import FlowOpts, integrate, quadratic_reaction
 from curvlab.serialization import read_tensor, tensor_from_json, tensor_to_json, write_tensor
 from curvlab.tensors import (
@@ -325,6 +327,21 @@ def test_fubini_study_extremes():
     assert min(seen) < 1.05 and max(seen) > 3.9  # extremes are approached
 
 
+def test_fubini_study_matches_the_index_formula():
+    # the wedge form against c/4 (g_ap g_bq - g_aq g_bp + J_ap J_bq - J_aq J_bp
+    # + 2 J_ab J_pq) on the pairs a < b, p < q, bit for bit, signed zeros included
+    for m in (2, 3, 4):
+        n = 2 * m
+        e, j = np.eye(n), standard_complex_structure(m)
+        a, b = np.triu_indices(n, 1)
+        aa, ab, ba, bb = np.ix_(a, a), np.ix_(a, b), np.ix_(b, a), np.ix_(b, b)
+        op = e[aa] * e[bb] - e[ab] * e[ba] + j[aa] * j[bb] - j[ab] * j[ba] + 2.0 * np.outer(j[a, b], j[a, b])
+        for c in (4.0, 1.0, -0.3, 1e7):
+            want, got = (c / 4.0) * op, fubini_study(m, c).operator
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_fubini_study_rejects_small_m():
     with pytest.raises(ValueError):
         fubini_study(1, 4.0)
@@ -397,6 +414,56 @@ def test_evaluation_call():
     e = np.eye(4)
     assert s(e[0], e[1], e[0], e[1]) == pytest.approx(3.0, abs=1e-14)
     assert s(e[0], e[1], e[2], e[3]) == pytest.approx(0.0, abs=1e-14)
+
+
+def test_evaluation_call_matches_the_component_sum():
+    # R(x, y, z, w) = sum_ijkl R_ijkl x_i y_j z_k w_l on generic vectors,
+    # relative to the same sum of absolute values
+    rng = np.random.default_rng(11)
+    for n in range(2, 10):
+        r = combine(1.0, random_tensor([n, 3], n), 0.5, sphere(n, 1.0))
+        for _ in range(10):
+            x, y, z, w = rng.standard_normal((4, n))
+            want = np.einsum("ijkl,i,j,k,l->", r.array, x, y, z, w)
+            scale = np.einsum("ijkl,i,j,k,l->", np.abs(r.array), *np.abs([x, y, z, w]))
+            assert abs(r(x, y, z, w) - want) <= 1e-14 * scale
+
+
+def test_evaluation_call_rejects_vectors_of_another_shape():
+    r = random_tensor(2, 4)
+    x = np.arange(4.0)
+    for bad in (np.arange(5.0), np.arange(3.0), np.ones((1, 4)), 1.0):
+        for args in ((bad, x, x, x), (x, bad, x, x), (x, x, bad, x), (x, x, x, bad)):
+            with pytest.raises(ValueError, match=r"shape \(4,\)"):
+                r(*args)
+        with pytest.raises(ValueError, match=r"shape \(4,\)"):
+            sectional(r, x, bad)
+
+
+def test_library_paths_read_the_operator_and_never_expand_it(monkeypatch):
+    # every evaluation, invariant, identity, check and flow reads M; only
+    # `array`/`comps` expand M into the n^4 components
+    def refuse(*args):
+        raise AssertionError("expanded M into the n^4 array")
+
+    monkeypatch.setattr(lambda2, "expand", refuse)
+    monkeypatch.setattr(tensors, "expand", refuse)  # the name `array` looks up
+    r, f, w = random_tensor(4, 5), random_frame(4, 5), Weights(0.7, -0.4)
+    x, y = np.eye(5)[:2]
+    assert sectional(r, x, y) == r(x, y, x, y) == r.operator[0, 0]
+    assert np.array_equal(ricci(r), ricci(r).T)
+    conditions.cyclic_sum_identity(r, f, w)
+    conditions.lift_identity_residual(r, f, w)
+    for suite in ("cyclic", "lift"):
+        assert identity_battery(suite, 10, 1)["passed"]
+    opts = MinimizeOpts(restarts=2, seed=0)
+    conditions.check_nic(r, opts)
+    conditions.check_pic2(r, opts)
+    conditions.quarter_pinch_reports(r, opts)
+    trace = integrate(fubini_study(2, 4.0), 0.01, FlowOpts(dt=0.005, minimize=opts))
+    assert len(trace.rows) == 3
+    with pytest.raises(AssertionError, match="n\\^4 array"):
+        r.array
 
 
 def test_tensors_built_from_operators_skip_the_component_check(monkeypatch, tmp_path):
